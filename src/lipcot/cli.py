@@ -1,15 +1,17 @@
 """Command-line surface: train, encode, decode, spectrum, and synth over files.
 
-Windows and hops are given in seconds and converted with the input's
-sampling rate (fractional sample counts are floored). All randomness flows
-from a single --seed flag, so every command is deterministic given its
-flags. The LIPCOT_THREADS environment variable caps internal parallelism.
+Windows, hops and synth durations are given in seconds and converted with
+the sampling rate: a product within 1e-9 of a whole number of samples rounds
+to it (0.29 s at 100 Hz is 29 samples), and any other fractional count is
+floored. All randomness flows from a single --seed flag, so every command is
+deterministic given its flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -39,6 +41,10 @@ _METHODS = {
 # spreads per-line decode seeds so token indices never collide across lines
 _LINE_SEED_STRIDE = 1_000_003
 
+# seconds * rate this close to an integer is taken as that integer, so that
+# binary rounding (0.29 * 100 = 28.999...) does not drop a sample
+_SAMPLE_COUNT_TOL = 1e-9
+
 
 def _resolve_sample_rate(path: str, flag_value) -> float:
     """Sampling rate from the flag, else from a '<input>.json' sidecar."""
@@ -49,16 +55,31 @@ def _resolve_sample_rate(path: str, flag_value) -> float:
     sidecar = path + ".json"
     if os.path.exists(sidecar):
         with open(sidecar) as fh:
-            payload = json.load(fh)
-        rate = payload.get("sample_rate")
-        if rate is None or not float(rate) > 0:
+            try:
+                payload = json.load(fh)
+            except ValueError as exc:
+                raise LipcotError(f"{sidecar}: not valid JSON ({exc})") from None
+        try:
+            rate = float(payload["sample_rate"])
+        except (KeyError, TypeError, ValueError):
+            rate = math.nan
+        if not 0 < rate < math.inf:
             raise LipcotError(f"{sidecar}: missing or invalid sample_rate")
-        return float(rate)
+        return rate
     raise LipcotError(f"no --sample-rate given and no sidecar {sidecar}")
 
 
+def _sample_count(seconds: float, sample_rate: float) -> int:
+    """Whole samples in ``seconds``: rounded within 1e-9, otherwise floored."""
+    exact = seconds * sample_rate
+    if not math.isfinite(exact):
+        raise LipcotError(f"{seconds} s at {sample_rate} Hz is not a finite sample count")
+    nearest = round(exact)
+    return nearest if abs(exact - nearest) < _SAMPLE_COUNT_TOL else math.floor(exact)
+
+
 def _window_samples(seconds: float, sample_rate: float, name: str) -> int:
-    count = int(seconds * sample_rate)
+    count = _sample_count(seconds, sample_rate)
     if count < 2:
         raise LipcotError(f"{name} of {seconds} s is below two samples at {sample_rate} Hz")
     return count
@@ -242,7 +263,7 @@ def cmd_synth(args) -> int:
     book = cb.load_codebook(args.codebook)
     if not args.sample_rate or not args.sample_rate > 0:
         raise LipcotError("--sample-rate must be positive")
-    n_samples = int(args.seconds * args.sample_rate)
+    n_samples = _sample_count(args.seconds, args.sample_rate)
     if n_samples < 1:
         raise LipcotError("--seconds too short for one sample")
     model = cb.decode_token(book, args.token, args.sample_rate)

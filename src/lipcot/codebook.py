@@ -16,6 +16,7 @@ from ._util import write_text_atomic
 from .errors import (
     DimensionMismatchError,
     InvalidTokenError,
+    LipcotError,
     TooFewVectorsError,
 )
 from .latent import LatentMethod, LatentVector, latent_to_model
@@ -236,19 +237,28 @@ def codebook_to_dict(codebook: Codebook) -> dict:
 
 
 def codebook_from_dict(payload: dict) -> Codebook:
-    return Codebook(
-        k=int(payload["k"]),
-        centroids=np.asarray(payload["centroids"], dtype=float),
-        norm_stats=NormStats(
-            np.asarray(payload["norm_mean"], dtype=float),
-            np.asarray(payload["norm_std"], dtype=float),
-        ),
-        method=LatentMethod.from_dict(payload["method"]),
-        order=int(payload["order"]),
-        lam=float(payload["lambda"]),
-        seed=int(payload["seed"]),
-        version=str(payload["version"]),
-    )
+    """Rebuild a codebook; any malformed payload raises ``LipcotError``."""
+    try:
+        version = str(payload["version"])
+        if version != CODEBOOK_FORMAT_VERSION:
+            raise LipcotError(f"unsupported codebook version {version!r}")
+        return Codebook(
+            k=int(payload["k"]),
+            centroids=np.asarray(payload["centroids"], dtype=float),
+            norm_stats=NormStats(
+                np.asarray(payload["norm_mean"], dtype=float),
+                np.asarray(payload["norm_std"], dtype=float),
+            ),
+            method=LatentMethod.from_dict(payload["method"]),
+            order=int(payload["order"]),
+            lam=float(payload["lambda"]),
+            seed=int(payload["seed"]),
+            version=version,
+        )
+    except KeyError as exc:
+        raise LipcotError(f"codebook is missing key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise LipcotError(f"malformed codebook ({exc})") from None
 
 
 def save_codebook(codebook: Codebook, path) -> None:
@@ -257,4 +267,11 @@ def save_codebook(codebook: Codebook, path) -> None:
 
 def load_codebook(path) -> Codebook:
     with open(path) as fh:
-        return codebook_from_dict(json.load(fh))
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise LipcotError(f"{path}: not valid JSON ({exc})") from None
+    try:
+        return codebook_from_dict(payload)
+    except LipcotError as exc:
+        raise LipcotError(f"{path}: {exc}") from None

@@ -18,7 +18,7 @@ class InvalidLambdaError(LipcotError):
 
 
 class NonConvergenceError(LipcotError):
-    """Iterative root finding failed to reach tolerance."""
+    """Root finding (companion-matrix eigenvalues) failed to converge."""
 
 
 class FrequencyOutOfRangeError(LipcotError):

@@ -17,6 +17,7 @@ from . import lpc_core
 from .errors import (
     DimensionMismatchError,
     InsufficientCoefficientsError,
+    LipcotError,
     NonRealizableError,
     UnstableModelError,
     ZeroNoisePowerError,
@@ -27,25 +28,18 @@ TAG_CEPSTRUM = "cepstrum"
 TAG_DSC = "dsc"
 _TAGS = (TAG_LPC, TAG_CEPSTRUM, TAG_DSC)
 
-# Poles this close to the axis endpoints count as real when rebuilding
-# conjugate partners from a reduced feature vector.
-_ANGLE_SNAP = 1e-9
-
 
 @dataclass(frozen=True)
 class LatentMethod:
     """Which feature map to use, with its parameters.
 
-    ``weights`` applies to the coefficient map (None means unit weights),
-    ``n_cepstra`` is the number of cepstrum terms kept, and ``reduced``
-    drops the negative-frequency member of each conjugate pole pair in the
-    dominant-spectral map.
+    ``weights`` applies to the coefficient map (None means unit weights)
+    and ``n_cepstra`` is the number of cepstrum terms kept.
     """
 
     tag: str
     weights: tuple | None = None
     n_cepstra: int | None = None
-    reduced: bool = False
 
     def __post_init__(self):
         if self.tag not in _TAGS:
@@ -69,8 +63,8 @@ class LatentMethod:
         return cls(TAG_CEPSTRUM, n_cepstra=n_cepstra)
 
     @classmethod
-    def dsc(cls, reduced: bool = False) -> "LatentMethod":
-        return cls(TAG_DSC, reduced=reduced)
+    def dsc(cls) -> "LatentMethod":
+        return cls(TAG_DSC)
 
     def resolve_cepstra(self, order: int) -> int:
         # default keeps dimensionality comparable to the pole-based space
@@ -82,24 +76,25 @@ class LatentMethod:
             return order + 1
         if self.tag == TAG_CEPSTRUM:
             return self.resolve_cepstra(order) + 1
-        return (order + 1) if self.reduced else (2 * order + 1)
+        return 2 * order + 1
 
     def to_dict(self) -> dict:
         return {
             "tag": self.tag,
             "weights": list(self.weights) if self.weights is not None else None,
             "n_cepstra": self.n_cepstra,
-            "reduced": self.reduced,
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "LatentMethod":
+        # older codebooks store "reduced": false; reduced DSC mode no longer exists
+        if payload.get("reduced", False):
+            raise LipcotError("reduced dominant-spectral codebooks are no longer supported")
         weights = payload.get("weights")
         return cls(
             payload["tag"],
             weights=tuple(weights) if weights is not None else None,
             n_cepstra=payload.get("n_cepstra"),
-            reduced=bool(payload.get("reduced", False)),
         )
 
 
@@ -188,17 +183,10 @@ def cepstrum_from_poles(pole_values, noise_power: float, count: int) -> np.ndarr
     return c
 
 
-_SQRT_WEIGHTS_CACHE: dict = {}
-
-
 def _sqrt_index_weights(count: int) -> np.ndarray:
     # (1, 1, sqrt(2), ..., sqrt(count)): makes Euclidean distance in the
     # feature space equal the index-weighted cepstral distance
-    cached = _SQRT_WEIGHTS_CACHE.get(count)
-    if cached is None:
-        cached = np.sqrt(np.concatenate(([1.0], np.arange(1, count + 1))))
-        _SQRT_WEIGHTS_CACHE[count] = cached
-    return cached
+    return np.sqrt(np.concatenate(([1.0], np.arange(1, count + 1))))
 
 
 def features_cepstrum(model: lpc_core.LpcModel, n_cepstra: int) -> LatentVector:
@@ -211,25 +199,22 @@ def features_cepstrum(model: lpc_core.LpcModel, n_cepstra: int) -> LatentVector:
     return LatentVector(LatentMethod.cepstrum(n_cepstra), values)
 
 
-def features_dsc(model: lpc_core.LpcModel, reduced: bool = False) -> LatentVector:
+def features_dsc(model: lpc_core.LpcModel) -> LatentVector:
     """Dominant spectral components: ordered pole angles and log radii.
 
     u_k converts each pole angle to Hz; v_k = -2*log(1 - |p_k|) grows with
     the sharpness of the corresponding spectral peak. Entries are sorted by
-    |u| (ties broken by signed u ascending) and followed by log sigma^2.
-    In reduced mode only the non-negative-frequency member of each conjugate
-    pair is kept.
+    |u| (ties broken by signed u ascending, so each conjugate pair puts its
+    negative-frequency member first) and followed by log sigma^2.
     """
     log_power = _log_noise_power(model)
     pole_values = lpc_core.poles(model).poles
-    if reduced:
-        pole_values = pole_values[pole_values.imag >= 0.0]
     radii = np.minimum(np.abs(pole_values), lpc_core.MAX_POLE_RADIUS)
     u = (model.sample_rate / (2.0 * np.pi)) * np.angle(pole_values)
     v = -2.0 * np.log1p(-radii)
     order_idx = np.lexsort((u, np.abs(u)))
     values = np.concatenate([u[order_idx], v[order_idx], [log_power]])
-    return LatentVector(LatentMethod.dsc(reduced), values)
+    return LatentVector(LatentMethod.dsc(), values)
 
 
 def features(model: lpc_core.LpcModel, method: LatentMethod) -> LatentVector:
@@ -238,7 +223,7 @@ def features(model: lpc_core.LpcModel, method: LatentMethod) -> LatentVector:
         return features_lpc_coeff(model, method.weights)
     if method.tag == TAG_CEPSTRUM:
         return features_cepstrum(model, method.resolve_cepstra(model.order))
-    return features_dsc(model, method.reduced)
+    return features_dsc(model)
 
 
 def cepstrum_to_lpc(ceps, order: int):
@@ -266,7 +251,7 @@ def _dsc_to_model(
     if dim % 2 == 0:
         raise DimensionMismatchError(f"dominant-spectral vector of even size {dim}")
     n_entries = (dim - 1) // 2
-    if not vec.method.reduced and n_entries != order:
+    if n_entries != order:
         raise DimensionMismatchError(
             f"expected {2 * order + 1} values for order {order}, got {dim}"
         )
@@ -275,16 +260,6 @@ def _dsc_to_model(
     radii = 1.0 - np.exp(-v / 2.0)
     angles = 2.0 * np.pi * u / sample_rate
     rebuilt = radii * np.exp(1j * angles)
-    if vec.method.reduced:
-        # real poles (angle 0 or pi, or radius 0) are their own conjugates
-        conjugable = (np.abs(angles) > _ANGLE_SNAP) & (
-            np.abs(np.abs(angles) - np.pi) > _ANGLE_SNAP
-        ) & (radii > 0.0)
-        rebuilt = np.concatenate([rebuilt, np.conj(rebuilt[conjugable])])
-        if rebuilt.size != order:
-            raise NonRealizableError(
-                f"reduced vector expands to {rebuilt.size} poles, need {order}"
-            )
     coeffs = lpc_core.poles_to_coeffs(rebuilt)
     residue = np.max(np.abs(coeffs.imag)) if coeffs.size else 0.0
     if residue >= 1e-6:

@@ -31,10 +31,6 @@ MAX_POLE_RADIUS = 1.0 - 1e-8
 STABILITY_TOL = 1e-9
 
 _REAL_SNAP = 1e-9  # |imag| below this collapses onto the real axis
-_ROOT_TOL = 1e-12
-_ROOT_MAX_ITER = 500
-_ROOT_INIT_RADIUS = 0.7
-_GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 _FREQ_SLACK = 1e-12  # relative slack so grids built by repeated addition pass
 
@@ -119,13 +115,12 @@ class PoleSet:
 
 
 def warped_burg(samples, order: int, lam: float):
-    """Run the warped Burg recursion on a zero-mean signal.
+    """Run the warped Burg recursion on a real zero-mean signal.
 
     Each stage replaces the unit delay of the backward prediction error with
     a first-order all-pass section of coefficient ``lam`` before applying the
     usual Burg reflection update, and tracks the prediction-error power
-    through the per-stage factor (1 - |k|^2). Complex arithmetic is carried
-    throughout; real inputs keep every imaginary part at zero.
+    through the per-stage factor (1 - k^2).
 
     Returns
     -------
@@ -135,29 +130,27 @@ def warped_burg(samples, order: int, lam: float):
         the per-stage reflection coefficients.
     """
     x = np.asarray(samples, dtype=float)
-    n = x.size
-    f = x.astype(complex)
-    b = x.astype(complex)
-    power = float(x @ x) / n
+    f = b = x
+    power = float(x @ x) / x.size
     stage_powers = [power]
     reflections = []
-    a = np.ones(1, dtype=complex)
+    a = np.ones(1)
     for _ in range(order):
         # b_hat[j] = b[j] - lam*(b[j+1] - b_hat[j-1]): a one-pole recurrence
         # driven by u[j] = b[j] - lam*b[j+1] with zero initial state.
         u = b[:-1] - lam * b[1:]
         b_hat = scipy.signal.lfilter([1.0], [1.0, -lam], u)
         f_hat = f[1:]
-        denom = np.vdot(f_hat, f_hat).real + np.vdot(b_hat, b_hat).real
-        k = -2.0 * np.vdot(b_hat, f_hat) / denom if denom > 0.0 else 0.0j
+        denom = f_hat @ f_hat + b_hat @ b_hat
+        k = -2.0 * (b_hat @ f_hat) / denom if denom > 0.0 else 0.0
         f = f_hat + k * b_hat
-        b = b_hat + np.conj(k) * f_hat
-        power = max((1.0 - abs(k) ** 2) * power, 0.0)
+        b = b_hat + k * f_hat
+        power = max((1.0 - k * k) * power, 0.0)
         stage_powers.append(power)
         reflections.append(k)
         padded = np.append(a, 0.0)
-        a = padded + k * np.conj(padded[::-1])
-    return a[1:].real.copy(), power, np.asarray(stage_powers), np.asarray(reflections)
+        a = padded + k * padded[::-1]
+    return a[1:], power, np.asarray(stage_powers), np.asarray(reflections)
 
 
 def fit_burg_warped(segment: Segment, order: int, lam: float) -> LpcModel:
@@ -192,43 +185,18 @@ def fit_burg_warped(segment: Segment, order: int, lam: float) -> LpcModel:
     )
 
 
-def _durand_kerner(monic: np.ndarray) -> np.ndarray:
-    """All roots of a monic polynomial (descending powers) by simultaneous iteration."""
-    degree = monic.size - 1
-    if degree == 1:
-        return np.array([-monic[1]], dtype=complex)
-    angles = _GOLDEN_ANGLE + 2.0 * np.pi * np.arange(degree) / degree
-    roots = _ROOT_INIT_RADIUS * np.exp(1j * angles)
-    coeffs = monic.astype(complex)
-    for _ in range(_ROOT_MAX_ITER):
-        values = np.polyval(coeffs, roots)
-        diffs = roots[:, None] - roots[None, :]
-        np.fill_diagonal(diffs, 1.0)
-        steps = values / diffs.prod(axis=1)
-        roots = roots - steps
-        if np.max(np.abs(steps)) < _ROOT_TOL:
-            return roots
-    raise NonConvergenceError(
-        f"root finding did not reach {_ROOT_TOL} in {_ROOT_MAX_ITER} iterations"
-    )
-
-
 def poles(model: LpcModel) -> PoleSet:
     """All roots of the predictor polynomial 1 + sum a_k z^-k.
 
-    Trailing zero coefficients factor out as exact roots at the origin; the
-    rest are found by Durand-Kerner iteration. Roots with |imag| below 1e-9
-    are snapped onto the real axis.
+    Computed as eigenvalues of the companion matrix, a backward-stable root
+    finder whose complex roots come in exactly conjugate pairs; trailing zero
+    coefficients come back as exact roots at the origin. Roots with |imag|
+    below 1e-9 are snapped onto the real axis.
     """
-    monic = np.concatenate(([1.0], model.coeffs))
-    last_nonzero = np.nonzero(monic)[0][-1]
-    n_origin_roots = monic.size - 1 - last_nonzero
-    reduced = monic[: last_nonzero + 1]
-    if reduced.size > 1:
-        roots = _durand_kerner(reduced)
-    else:
-        roots = np.zeros(0, dtype=complex)
-    roots = np.concatenate([roots, np.zeros(n_origin_roots, dtype=complex)])
+    try:
+        roots = np.roots(np.concatenate(([1.0], model.coeffs))).astype(complex)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"companion eigenvalues did not converge ({exc})") from None
     roots = np.where(np.abs(roots.imag) < _REAL_SNAP, roots.real + 0.0j, roots)
     return PoleSet(np.sort_complex(roots))
 

@@ -6,8 +6,6 @@ Also owns the CSV and token-file formats used by the command-line surface.
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +29,6 @@ _LAYOUTS = (LAYOUT_POSITIONS, LAYOUT_TEMPORAL)
 # Noise-power floor substituted for segments with no usable power at encode
 # time, where every window must still map to a token.
 DEGENERATE_NOISE_FLOOR = 1e-12
-
-THREADS_ENV_VAR = "LIPCOT_THREADS"
 
 
 @dataclass(frozen=True)
@@ -128,22 +124,6 @@ def segment_series(samples, window: int, hop: int, sample_rate: float):
     ]
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(func, items):
-    workers = _thread_count()
-    if workers == 1 or len(items) < 2:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items))
-
-
 def fit_corpus(series_set, config: TokenizerConfig):
     """Fit one latent vector per (series, channel, window), in that order.
 
@@ -165,7 +145,7 @@ def fit_corpus(series_set, config: TokenizerConfig):
             return None
         return latent.features(model, config.method)
 
-    results = _map_ordered(fit_one, segments)
+    results = [fit_one(segment) for segment in segments]
     vectors = [vec for vec in results if vec is not None]
     if not vectors:
         raise EmptyCorpusError("no latent vectors could be extracted")
@@ -219,7 +199,7 @@ def encode_series(
             tokens.append(cb.encode_vector(codebook, vec))
         return tokens
 
-    grid = _map_ordered(encode_channel, list(series.data))
+    grid = [encode_channel(channel_samples) for channel_samples in series.data]
     n_windows = len(grid[0]) if grid else 0
     if layout == LAYOUT_TEMPORAL:
         return [TokenSequence(tokens, LAYOUT_TEMPORAL) for tokens in grid]
@@ -267,6 +247,8 @@ def read_series_csv(path):
         data = np.array([[float(cell) for cell in row] for row in body])
     except ValueError as exc:
         raise LipcotError(f"{path}: non-numeric sample value ({exc})") from None
+    if not np.all(np.isfinite(data)):
+        raise LipcotError(f"{path}: non-finite sample value (nan or inf)")
     return names, data.T
 
 

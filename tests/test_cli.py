@@ -5,6 +5,7 @@ import pytest
 
 from conftest import AR2_SPECTRUM_SEED, ar2_coeffs, ar2_fixture_series
 from lipcot import cli, pipeline, testkit
+from lipcot.errors import LipcotError
 
 FS = 500.0
 
@@ -293,3 +294,95 @@ class TestSynth:
         names, data = pipeline.read_series_csv(out)
         assert names == ["t1"]
         assert data.shape == (1, 1000)
+
+
+class TestSampleCounts:
+    def test_products_near_an_integer_round(self):
+        # 0.29 * 100 is 28.999999999999996 in binary floating point
+        assert cli._window_samples(0.29, 100.0, "window") == 29
+
+    def test_fractional_products_floor(self):
+        assert cli._window_samples(0.295, 100.0, "window") == 29
+
+    def test_non_finite_durations_are_refused(self):
+        with pytest.raises(LipcotError):
+            cli._window_samples(float("nan"), 100.0, "window")
+
+    def test_synth_uses_the_same_rule(self, workspace):
+        tmp_path, _, book_path = workspace
+        out = tmp_path / "short.csv"
+        status = cli.main([
+            "synth", "--codebook", str(book_path), "--token", "0",
+            "--seconds", "0.29", "--sample-rate", "100", "--out", str(out),
+        ])
+        assert status == 0
+        _, data = pipeline.read_series_csv(out)
+        assert data.shape == (1, 29)
+
+
+def assert_one_error_line(capsys, path):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+class TestBadInputs:
+    """Every malformed input ends in one 'error: <path>: ...' line and exit 1."""
+
+    def encode_with_book(self, workspace, edit):
+        tmp_path, csv_path, book_path = workspace
+        payload = json.loads(book_path.read_text())
+        edit(payload)
+        bad_book = tmp_path / "bad.json"
+        bad_book.write_text(json.dumps(payload))
+        status = cli.main([
+            "encode", str(csv_path), "--codebook", str(bad_book),
+            "--out", str(tmp_path / "t.txt"), "--window-sec", "2", "--sample-rate", "500",
+        ])
+        return status, bad_book
+
+    def test_codebook_missing_key(self, workspace, capsys):
+        status, path = self.encode_with_book(workspace, lambda p: p.pop("centroids"))
+        assert status == 1
+        assert_one_error_line(capsys, path)
+
+    def test_codebook_unknown_method_tag(self, workspace, capsys):
+        status, path = self.encode_with_book(
+            workspace, lambda p: p["method"].update(tag="wavelet")
+        )
+        assert status == 1
+        assert_one_error_line(capsys, path)
+
+    def test_codebook_unsupported_version(self, workspace, capsys):
+        status, path = self.encode_with_book(workspace, lambda p: p.update(version="2"))
+        assert status == 1
+        assert_one_error_line(capsys, path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_csv_non_finite_cell(self, workspace, capsys, cell):
+        tmp_path, _, book_path = workspace
+        csv_path = tmp_path / "bad.csv"
+        rows = ["a,b"] + [f"{i}.0,{-i}.0" for i in range(2000)]
+        rows[7] = f"1.0,{cell}"
+        csv_path.write_text("\n".join(rows) + "\n")
+        status = cli.main([
+            "encode", str(csv_path), "--codebook", str(book_path),
+            "--out", str(tmp_path / "t.txt"), "--window-sec", "2", "--sample-rate", "500",
+        ])
+        assert status == 1
+        assert_one_error_line(capsys, csv_path)
+
+    @pytest.mark.parametrize(
+        "text", ["sample_rate = 500\n", '{"sample_rate": "fast"}', "[500]"]
+    )
+    def test_sidecar_not_json_or_without_rate(self, tmp_path, capsys, text):
+        csv_path = tmp_path / "series.csv"
+        write_corpus_csv(csv_path)
+        sidecar = tmp_path / "series.csv.json"
+        sidecar.write_text(text)
+        status = cli.main([
+            "train", str(csv_path), "--out", str(tmp_path / "b.json"),
+            "--k", "2", "--order", "4", "--window-sec", "2", "--seed", "0",
+        ])
+        assert status == 1
+        assert_one_error_line(capsys, sidecar)

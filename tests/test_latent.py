@@ -8,6 +8,7 @@ from lipcot import latent, lpc_core
 from lipcot.errors import (
     DimensionMismatchError,
     InsufficientCoefficientsError,
+    LipcotError,
     NonRealizableError,
     UnstableModelError,
     ZeroNoisePowerError,
@@ -83,6 +84,16 @@ class TestCepstrum:
             latent.cepstrum_to_lpc([0.0, 0.5], 2)
 
 
+class TestMethodPayload:
+    def test_retired_reduced_flag(self):
+        # older codebooks store "reduced": false, which still loads; reduced
+        # dominant-spectral mode no longer exists, so true is refused
+        payload = {"tag": "dsc", "weights": None, "n_cepstra": None, "reduced": False}
+        assert latent.LatentMethod.from_dict(payload) == latent.LatentMethod.dsc()
+        with pytest.raises(LipcotError):
+            latent.LatentMethod.from_dict(dict(payload, reduced=True))
+
+
 class TestDominantSpectral:
     def test_conjugate_pair_example(self):
         pole = 0.9 * np.exp(2j * np.pi * 10.0 / FS)
@@ -109,12 +120,15 @@ class TestDominantSpectral:
             magnitudes = np.abs(vec.values[:order])
             assert np.all(np.diff(magnitudes) >= -1e-12)
 
-    def test_reduced_keeps_one_pole_per_pair(self):
+    def test_conjugate_pairs_put_negative_frequency_first(self):
+        # exact conjugate poles tie on |u|, so the signed tiebreak decides
+        # and every pair reads (-f, +f) in every window
         rng = np.random.default_rng(6)
-        model = random_stable_model(rng, 6)  # three conjugate pairs
-        vec = latent.features_dsc(model, reduced=True)
-        assert vec.dimension == 6 + 1
-        assert np.all(vec.values[:3] >= 0.0)
+        for _ in range(40):
+            model = random_stable_model(rng, 16)  # eight conjugate pairs
+            u = latent.features_dsc(model).values[:16]
+            assert np.all(u[0::2] < 0.0)
+            np.testing.assert_array_equal(u[1::2], -u[0::2])
 
     def test_sampling_rate_scales_only_frequencies(self):
         rng = np.random.default_rng(7)

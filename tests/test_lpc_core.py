@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from conftest import AR2_COEFFS, FS, ar2_coeffs, ar2_fixture_series, random_stable_model
@@ -12,6 +14,24 @@ from lipcot.errors import (
     NonConvergenceError,
     UnstableModelError,
 )
+
+
+@st.composite
+def stable_pole_sets(draw):
+    """Orders 1-32 of real poles and conjugate pairs, each repeated 1-3 times."""
+    order = draw(st.integers(1, 32))
+    pole_set = []
+    while len(pole_set) < order:
+        radius = draw(st.floats(0.0, 0.95))
+        if order - len(pole_set) >= 2 and draw(st.booleans()):
+            pole = radius * np.exp(1j * draw(st.floats(0.0, np.pi)))
+            group = [pole, pole.conjugate()]
+        else:
+            group = [complex(draw(st.sampled_from([radius, -radius])))]
+        for _ in range(draw(st.integers(1, 3))):
+            if len(pole_set) + len(group) <= order:
+                pole_set.extend(group)
+    return pole_set
 
 
 class TestTypes:
@@ -133,11 +153,34 @@ class TestPoles:
         model = lpc_core.LpcModel(4, np.zeros(4), 1.0, 0.2, FS)
         np.testing.assert_array_equal(lpc_core.poles(model).poles, np.zeros(4, complex))
 
-    def test_triple_root_surfaces_nonconvergence(self):
-        # (1 - 0.5 z^-1)^3: the iteration stalls above tolerance on
-        # multiplicity-3 roots instead of silently accepting them
+    def test_triple_root_is_resolved(self):
+        # (1 - 0.5 z^-1)^3: a multiplicity-3 root spreads by about eps^(1/3),
+        # yet the poles re-expand to the coefficients to rounding error
         coeffs = npoly.polypow([1.0, -0.5], 3)[1:]
         model = lpc_core.LpcModel(3, coeffs, 1.0, 0.0, FS)
+        found = lpc_core.poles(model).poles
+        assert np.max(np.abs(found - 0.5)) < 1e-4
+        back = lpc_core.poles_to_coeffs(found)
+        assert np.max(np.abs(back - coeffs)) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(stable_pole_sets())
+    def test_conjugate_closed_and_reexpands(self, pole_set):
+        coeffs = lpc_core.poles_to_coeffs(pole_set).real
+        model = lpc_core.LpcModel(len(pole_set), coeffs, 1.0, 0.0, FS)
+        found = lpc_core.poles(model).poles
+        np.testing.assert_array_equal(np.sort_complex(np.conj(found)), found)
+        # piled-up repeated poles give coefficients in the thousands, so
+        # the bound scales with the largest one
+        back = lpc_core.poles_to_coeffs(found)
+        assert np.max(np.abs(back - coeffs)) <= 1e-10 * max(1.0, np.max(np.abs(coeffs)))
+
+    def test_eigenvalue_failure_surfaces_nonconvergence(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np, "roots", fail)
+        model = lpc_core.LpcModel(2, list(AR2_COEFFS), 1.0, 0.0, FS)
         with pytest.raises(NonConvergenceError):
             lpc_core.poles(model)
 

@@ -94,14 +94,6 @@ class TestFitCorpus:
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a.values, b.values)
 
-    def test_thread_cap_does_not_change_results(self, monkeypatch):
-        series = small_series()
-        base, _ = pipeline.fit_corpus([series], small_config())
-        monkeypatch.setenv(pipeline.THREADS_ENV_VAR, "4")
-        threaded, _ = pipeline.fit_corpus([series], small_config())
-        for a, b in zip(base, threaded):
-            np.testing.assert_array_equal(a.values, b.values)
-
     def test_empty_corpus(self):
         data = np.ones((2, 900))
         series = pipeline.MultichannelSeries(data, 100.0, ["a", "b"])
