@@ -118,6 +118,8 @@ def cmd_train(args) -> int:
     hop = _window_samples(hop_sec, sample_rate, "hop")
     method = _METHODS[args.method]
     config = pipeline.TokenizerConfig(args.order, args.lam, window, hop, method)
+    if args.k < 1:
+        raise LipcotError(f"--k must be at least 1, got {args.k}")
 
     series_set = []
     for path in args.inputs:
@@ -138,14 +140,13 @@ def cmd_train(args) -> int:
     vocab_path = args.vocab if args.vocab else args.out + ".vocab"
     write_text_atomic(vocab_path, "\n".join(cb.export_vocabulary(book)) + "\n")
 
-    assignments = np.array([cb.encode_vector(book, vec) for vec in vectors])
-    matrix = np.stack([vec.values for vec in vectors])
-    normalized = book.norm_stats.normalize(matrix)
+    normalized = book.norm_stats.normalize(np.stack([vec.values for vec in vectors]))
+    assignments, _ = cb.nearest_centroids(normalized, book.centroids)
     inertia = float(((normalized - book.centroids[assignments]) ** 2).sum())
     print(f"k {book.k}")
     print(f"inertia {inertia:.6f}")
-    for token in range(book.k):
-        print(f"t{token} {int(np.sum(assignments == token))}")
+    for token, count in enumerate(np.bincount(assignments, minlength=book.k)):
+        print(f"t{token} {count}")
     return 0
 
 
@@ -182,8 +183,9 @@ def cmd_encode(args) -> int:
 
 
 def _parse_token_word(word: str, k: int) -> int:
-    if word.startswith("t") and word[1:].isdigit():
-        token = int(word[1:])
+    digits = word[1:]
+    if word.startswith("t") and digits.isascii() and digits.isdigit():
+        token = int(digits)
         if token < k:
             return token
     raise UnknownWordError(f"unknown token word {word!r}")
@@ -364,6 +366,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise LipcotError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except (LipcotError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -87,9 +87,23 @@ class Codebook:
         return self.centroids.shape[1]
 
 
-def _pairwise_sq_dist(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # direct differences keep exactly symmetric ties exact
-    return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+_ASSIGN_CHUNK = 256  # rows per (chunk, k, d) difference tensor
+
+
+def nearest_centroids(points: np.ndarray, centroids: np.ndarray):
+    """Each row's nearest centroid and squared distance: ``(labels, sq_dists)``.
+
+    Direct differences keep exactly symmetric ties exact, and ties go to the
+    lowest centroid id. Rows go in fixed-size chunks, so memory does not grow
+    with the number of points.
+    """
+    labels = np.empty(points.shape[0], dtype=np.intp)
+    sq_dists = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], _ASSIGN_CHUNK):
+        block = ((points[start : start + _ASSIGN_CHUNK, None, :] - centroids) ** 2).sum(axis=2)
+        labels[start : start + _ASSIGN_CHUNK] = np.argmin(block, axis=1)
+        sq_dists[start : start + _ASSIGN_CHUNK] = block.min(axis=1)
+    return labels, sq_dists
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -108,19 +122,18 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centroids
 
 
-def _reseed_empty(points, centroids, labels, sq_dists):
+def _reseed_empty(points, centroids, labels, own_sq_dists):
     """Move each empty centroid onto the point farthest from its own centroid."""
-    taken = set()
+    taken = []
     for c in range(centroids.shape[0]):
         if np.any(labels == c):
             continue
-        assigned = sq_dists[np.arange(points.shape[0]), labels].copy()
-        if taken:
-            assigned[list(taken)] = -1.0
+        assigned = own_sq_dists.copy()
+        assigned[taken] = -1.0
         far = int(np.argmax(assigned))
         centroids[c] = points[far]
         labels[far] = c
-        taken.add(far)
+        taken.append(far)
     return centroids, labels
 
 
@@ -138,26 +151,24 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int):
     centroids = _kmeans_pp_init(points, k, rng)
     inertia_history = []
     for _ in range(_KMEANS_MAX_ITER):
-        sq_dists = _pairwise_sq_dist(points, centroids)
-        labels = np.argmin(sq_dists, axis=1)
-        centroids, labels = _reseed_empty(points, centroids, labels, sq_dists)
+        labels, own = nearest_centroids(points, centroids)
+        centroids, labels = _reseed_empty(points, centroids, labels, own)
         inertia_history.append(float(((points - centroids[labels]) ** 2).sum()))
-        new_centroids = np.stack(
-            [points[labels == c].mean(axis=0) for c in range(k)]
-        )
+        # np.add.at sums each cluster in row order, as a masked mean would
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, labels, points)
+        new_centroids = sums / np.bincount(labels, minlength=k)[:, None]
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
         if shift < _KMEANS_TOL:
             break
     # final assignment against the final centroids; patch any stragglers
-    sq_dists = _pairwise_sq_dist(points, centroids)
-    labels = np.argmin(sq_dists, axis=1)
+    labels, own = nearest_centroids(points, centroids)
     for _ in range(k):
-        if all(np.any(labels == c) for c in range(k)):
+        if np.bincount(labels, minlength=k).all():
             break
-        centroids, labels = _reseed_empty(points, centroids, labels, sq_dists)
-        sq_dists = _pairwise_sq_dist(points, centroids)
-        labels = np.argmin(sq_dists, axis=1)
+        centroids, labels = _reseed_empty(points, centroids, labels, own)
+        labels, own = nearest_centroids(points, centroids)
     return centroids, labels, np.asarray(inertia_history)
 
 
@@ -198,13 +209,18 @@ def train_codebook(
     )
 
 
+def encode_vectors(codebook: Codebook, vectors) -> np.ndarray:
+    """Nearest-centroid token ids in normalized space; ties go to the lowest id."""
+    for vec in vectors:
+        if vec.method.tag != codebook.method.tag or vec.dimension != codebook.dimension:
+            raise DimensionMismatchError("vector does not live in the codebook's space")
+    matrix = np.array([vec.values for vec in vectors]).reshape(-1, codebook.dimension)
+    return nearest_centroids(codebook.norm_stats.normalize(matrix), codebook.centroids)[0]
+
+
 def encode_vector(codebook: Codebook, vec: LatentVector) -> int:
     """Nearest-centroid token id in normalized space; ties go to the lowest id."""
-    if vec.method.tag != codebook.method.tag or vec.dimension != codebook.dimension:
-        raise DimensionMismatchError("vector does not live in the codebook's space")
-    z = codebook.norm_stats.normalize(vec.values)
-    sq_dists = ((codebook.centroids - z) ** 2).sum(axis=1)
-    return int(np.argmin(sq_dists))
+    return int(encode_vectors(codebook, [vec])[0])
 
 
 def decode_token(codebook: Codebook, token: int, sample_rate: float) -> LpcModel:

@@ -159,7 +159,9 @@ def fit_burg_warped(segment: Segment, order: int, lam: float) -> LpcModel:
     The segment mean is removed before fitting; LPC assumes zero-mean data.
     Every reflection coefficient satisfies |k| <= 1, so the fitted predictor
     has all poles inside the closed unit disk and the per-stage error power
-    never increases.
+    never increases. A constant segment, and one the model predicts without
+    error (zero final error power, so no log-power feature), raise
+    ``DegenerateInputError``.
     """
     order = int(order)
     if not -1.0 < lam < 1.0:
@@ -172,10 +174,9 @@ def fit_burg_warped(segment: Segment, order: int, lam: float) -> LpcModel:
     samples = segment.samples
     if np.all(samples == samples[0]):
         raise DegenerateInputError("constant segment: zero power after mean removal")
-    x = samples - samples.mean()
-    if not np.any(x):
-        raise DegenerateInputError("segment has zero power after mean removal")
-    coeffs, noise_power, _, _ = warped_burg(x, order, lam)
+    coeffs, noise_power, _, _ = warped_burg(samples - samples.mean(), order, lam)
+    if not noise_power > 0.0:
+        raise DegenerateInputError("segment is predicted without error: zero noise power")
     return LpcModel(
         order=order,
         coeffs=coeffs,

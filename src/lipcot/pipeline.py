@@ -14,7 +14,6 @@ from . import codebook as cb
 from . import latent
 from . import lpc_core
 from .errors import (
-    ConfigMismatchError,
     DegenerateInputError,
     EmptyCorpusError,
     InvalidWindowError,
@@ -124,43 +123,34 @@ def segment_series(samples, window: int, hop: int, sample_rate: float):
     ]
 
 
+def _fit_cells(series: MultichannelSeries, config: TokenizerConfig) -> list:
+    """Latent vector of every (channel, window) cell, channel by channel.
+
+    A cell is None where the fit refuses the window as degenerate: constant,
+    or predicted without error.
+    """
+    cells = []
+    for samples in series.data:
+        for segment in segment_series(samples, config.window, config.hop, series.sample_rate):
+            try:
+                model = lpc_core.fit_burg_warped(segment, config.order, config.lam)
+            except DegenerateInputError:
+                cells.append(None)
+                continue
+            cells.append(latent.features(model, config.method))
+    return cells
+
+
 def fit_corpus(series_set, config: TokenizerConfig):
     """Fit one latent vector per (series, channel, window), in that order.
 
     Degenerate segments are skipped; returns ``(vectors, n_skipped)``.
     """
-    segments = []
-    for series in series_set:
-        for channel in range(series.n_channels):
-            segments.extend(
-                segment_series(
-                    series.data[channel], config.window, config.hop, series.sample_rate
-                )
-            )
-
-    def fit_one(segment):
-        try:
-            model = lpc_core.fit_burg_warped(segment, config.order, config.lam)
-        except DegenerateInputError:
-            return None
-        return latent.features(model, config.method)
-
-    results = [fit_one(segment) for segment in segments]
-    vectors = [vec for vec in results if vec is not None]
+    cells = [vec for series in series_set for vec in _fit_cells(series, config)]
+    vectors = [vec for vec in cells if vec is not None]
     if not vectors:
         raise EmptyCorpusError("no latent vectors could be extracted")
-    return vectors, len(results) - len(vectors)
-
-
-def _degenerate_fallback(codebook: cb.Codebook, sample_rate: float) -> latent.LatentVector:
-    model = lpc_core.LpcModel(
-        codebook.order,
-        np.zeros(codebook.order),
-        DEGENERATE_NOISE_FLOOR,
-        codebook.lam,
-        sample_rate,
-    )
-    return latent.features(model, codebook.method)
+    return vectors, len(cells) - len(vectors)
 
 
 def encode_series(
@@ -169,44 +159,27 @@ def encode_series(
     window: int,
     hop: int,
     layout: str,
-    config: TokenizerConfig | None = None,
 ):
     """Tokenize every (channel, window) cell and lay the grid out as sequences.
 
     ``positions`` emits one sequence per window whose slot c holds channel
     c's token; ``temporal`` emits one sequence per channel in time order.
-    Encoding is total: degenerate segments map to the token nearest the
-    zero-signal latent point.
+    Encoding is total: degenerate segments (constant, or predicted without
+    error) map to the token nearest the zero-signal latent point.
     """
     if layout not in _LAYOUTS:
         raise LayoutUnsupportedError(f"unknown layout {layout!r}")
-    if config is not None and (
-        config.order != codebook.order
-        or config.lam != codebook.lam
-        or config.method.tag != codebook.method.tag
-    ):
-        raise ConfigMismatchError("encode configuration disagrees with the codebook")
-
-    def encode_channel(channel_samples):
-        segments = segment_series(channel_samples, window, hop, series.sample_rate)
-        tokens = []
-        for segment in segments:
-            try:
-                model = lpc_core.fit_burg_warped(segment, codebook.order, codebook.lam)
-                vec = latent.features(model, codebook.method)
-            except DegenerateInputError:
-                vec = _degenerate_fallback(codebook, series.sample_rate)
-            tokens.append(cb.encode_vector(codebook, vec))
-        return tokens
-
-    grid = [encode_channel(channel_samples) for channel_samples in series.data]
-    n_windows = len(grid[0]) if grid else 0
+    config = TokenizerConfig(codebook.order, codebook.lam, window, hop, codebook.method)
+    zero_signal = lpc_core.LpcModel(
+        codebook.order, np.zeros(codebook.order), DEGENERATE_NOISE_FLOOR, codebook.lam,
+        series.sample_rate,
+    )
+    fallback = latent.features(zero_signal, codebook.method)
+    cells = [fallback if vec is None else vec for vec in _fit_cells(series, config)]
+    grid = cb.encode_vectors(codebook, cells).reshape(series.n_channels, -1)
     if layout == LAYOUT_TEMPORAL:
-        return [TokenSequence(tokens, LAYOUT_TEMPORAL) for tokens in grid]
-    return [
-        TokenSequence([grid[c][w] for c in range(series.n_channels)], LAYOUT_POSITIONS)
-        for w in range(n_windows)
-    ]
+        return [TokenSequence(row, LAYOUT_TEMPORAL) for row in grid]
+    return [TokenSequence(column, LAYOUT_POSITIONS) for column in grid.T]
 
 
 def decode_sequence(

@@ -62,6 +62,18 @@ def random_segments(rng, count, n_range=(64, 513), kinds=("noise",)):
     return segments
 
 
+def predictable_windows(n: int) -> tuple:
+    """Non-constant windows a lambda-0 fit predicts without error.
+
+    Alternating +-1 is cancelled exactly by the first Burg stage (k = 1); a
+    lone 1e-170 sample has a power that underflows to zero.
+    """
+    alternating = np.tile([1.0, -1.0], n // 2)
+    lone = np.zeros(n)
+    lone[n // 3] = 1e-170
+    return alternating, lone
+
+
 def ar2_fixture_series(seed: int, n: int = 2500) -> np.ndarray:
     return testkit.generate_ar(testkit.ArSpec(AR2_COEFFS, 1.0, seed=seed), n)
 

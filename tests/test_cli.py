@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import AR2_SPECTRUM_SEED, ar2_coeffs, ar2_fixture_series
+from conftest import AR2_SPECTRUM_SEED, ar2_coeffs, ar2_fixture_series, predictable_windows
 from lipcot import cli, pipeline, testkit
 from lipcot.errors import LipcotError
 
@@ -84,6 +84,24 @@ class TestTrain:
         ])
         assert status == 1
         assert "error" in capsys.readouterr().err
+
+    def test_predictable_window_skipped_then_encoded(self, tmp_path, capsys):
+        csv_path = tmp_path / "series.csv"
+        write_corpus_csv(csv_path)
+        names, data = pipeline.read_series_csv(csv_path)
+        data[1, 1000:2000] = predictable_windows(1000)[0]
+        csv_path.write_text(pipeline.format_series_csv(names, data))
+        book_path, tokens_path = tmp_path / "b.json", tmp_path / "t.txt"
+        common = ["--order", "4", "--lambda", "0", "--window-sec", "2", "--sample-rate", "500"]
+        assert cli.main([
+            "train", str(csv_path), "--out", str(book_path), "--k", "2", *common
+        ]) == 0
+        assert "skipped 1 degenerate segments" in capsys.readouterr().err
+        assert cli.main([
+            "encode", str(csv_path), "--codebook", str(book_path), "--out", str(tokens_path),
+            *common,
+        ]) == 0
+        assert [len(line.split()) for line in tokens_path.read_text().splitlines()] == [3] * 6
 
     def test_sidecar_sample_rate(self, tmp_path):
         csv_path = tmp_path / "series.csv"
@@ -320,14 +338,18 @@ class TestSampleCounts:
         assert data.shape == (1, 29)
 
 
-def assert_one_error_line(capsys, path):
+def assert_one_error_line(capsys, path=None):
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: ")
+    assert err.startswith("error: " if path is None else f"error: {path}: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+    return err
 
 
 class TestBadInputs:
-    """Every malformed input ends in one 'error: <path>: ...' line and exit 1."""
+    """Every malformed input ends in one 'error: ...' line and exit 1.
+
+    The line starts 'error: <path>: ' when a file is at fault.
+    """
 
     def encode_with_book(self, workspace, edit):
         tmp_path, csv_path, book_path = workspace
@@ -386,3 +408,49 @@ class TestBadInputs:
         ])
         assert status == 1
         assert_one_error_line(capsys, sidecar)
+
+    def test_k_below_one(self, tmp_path, capsys):
+        csv_path = tmp_path / "series.csv"
+        write_corpus_csv(csv_path)
+        status = cli.main([
+            "train", str(csv_path), "--out", str(tmp_path / "b.json"),
+            "--k", "0", "--order", "4", "--window-sec", "2", "--sample-rate", "500",
+        ])
+        assert status == 1
+        assert "--k" in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["train", "decode", "synth"])
+    def test_negative_seed(self, workspace, capsys, command):
+        tmp_path, csv_path, book_path = workspace
+        tokens_path = tmp_path / "line.txt"
+        tokens_path.write_text("t0 t1\n")
+        argv = {
+            "train": ["train", str(csv_path), "--k", "2", "--order", "4"],
+            "decode": ["decode", str(tokens_path), "--codebook", str(book_path)],
+            "synth": ["synth", "--codebook", str(book_path), "--token", "0", "--seconds", "2"],
+        }[command]
+        status = cli.main([
+            *argv, "--out", str(tmp_path / "out"), "--seed", "-1", "--sample-rate", "500",
+        ])
+        assert status == 1
+        assert "--seed" in assert_one_error_line(capsys)
+
+    def test_token_word_with_non_ascii_digits(self, workspace, capsys):
+        tmp_path, _, book_path = workspace
+        token_file = tmp_path / "line.txt"
+        token_file.write_text("t0 t\u00b2\n")
+        status = cli.main([
+            "decode", str(token_file), "--codebook", str(book_path),
+            "--out", str(tmp_path / "d.csv"), "--window-sec", "2", "--sample-rate", "500",
+        ])
+        assert status == 1
+        assert "t\u00b2" in assert_one_error_line(capsys)
+
+    def test_spectrum_of_a_predictable_channel(self, tmp_path, capsys):
+        csv_path = tmp_path / "alternating.csv"
+        csv_path.write_text(pipeline.format_series_csv(["x"], predictable_windows(1000)[0][None]))
+        status = cli.main([
+            "spectrum", str(csv_path), "--sample-rate", "500", "--lambda", "0",
+        ])
+        assert status == 1
+        assert_one_error_line(capsys)

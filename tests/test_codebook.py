@@ -26,6 +26,69 @@ def blob_vectors(rng, centers, count, spread=1.0):
     return vectors, np.array(labels)
 
 
+def reference_kmeans_fit(points, k, seed, events):
+    """kmeans_fit as a full (n, k, d) distance tensor and k masked means.
+
+    Counts the rows with tied nearest centroids and the reseeded centroids
+    in ``events``.
+    """
+
+    def sq_dist(centroids):
+        return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+
+    def reseed_empty(centroids, labels, sq_dists):
+        taken = set()
+        for c in range(centroids.shape[0]):
+            if np.any(labels == c):
+                continue
+            events["reseeds"] += 1
+            assigned = sq_dists[np.arange(points.shape[0]), labels].copy()
+            if taken:
+                assigned[list(taken)] = -1.0
+            far = int(np.argmax(assigned))
+            centroids[c] = points[far]
+            labels[far] = c
+            taken.add(far)
+        return centroids, labels
+
+    centroids = cb._kmeans_pp_init(points, k, np.random.default_rng(seed))
+    inertia_history = []
+    for _ in range(300):
+        sq_dists = sq_dist(centroids)
+        nearest = sq_dists == sq_dists.min(axis=1, keepdims=True)
+        events["ties"] += int((nearest.sum(axis=1) > 1).sum())
+        labels = np.argmin(sq_dists, axis=1)
+        centroids, labels = reseed_empty(centroids, labels, sq_dists)
+        inertia_history.append(float(((points - centroids[labels]) ** 2).sum()))
+        new_centroids = np.stack([points[labels == c].mean(axis=0) for c in range(k)])
+        shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
+        centroids = new_centroids
+        if shift < 1e-6:
+            break
+    sq_dists = sq_dist(centroids)
+    labels = np.argmin(sq_dists, axis=1)
+    for _ in range(k):
+        if all(np.any(labels == c) for c in range(k)):
+            break
+        centroids, labels = reseed_empty(centroids, labels, sq_dists)
+        sq_dists = sq_dist(centroids)
+        labels = np.argmin(sq_dists, axis=1)
+    return centroids, labels, np.asarray(inertia_history)
+
+
+class TestNearestCentroids:
+    def test_chunked_matches_unchunked_expression(self):
+        rng = np.random.default_rng(8)
+        points = rng.integers(-3, 4, size=(2 * cb._ASSIGN_CHUNK + 37, 5)).astype(float)
+        centroids = rng.integers(-3, 4, size=(20, 5)) / 2.0
+        centroids[11] = centroids[4]  # an exact duplicate: row ties go to id 4
+        full = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        labels, sq_dists = cb.nearest_centroids(points, centroids)
+        np.testing.assert_array_equal(labels, np.argmin(full, axis=1))
+        np.testing.assert_array_equal(sq_dists, full.min(axis=1))
+        assert not np.any(labels == 11)
+
+
 class TestTraining:
     def test_k1_centroid_is_normalized_mean(self):
         rng = np.random.default_rng(0)
@@ -60,6 +123,19 @@ class TestTraining:
         )
         _, _, history = cb.kmeans_fit(points, 4, seed=7)
         assert np.all(np.diff(history) <= 1e-9)
+
+    @pytest.mark.parametrize("k", [12, 27])
+    def test_kmeans_matches_full_tensor_masked_mean_reference(self, k):
+        # 400 points on a 5 x 5 lattice: exact distance ties at every step, and
+        # at K 27 two clusters more than distinct points, so several empty
+        # centroids are reseeded in one pass
+        points = np.random.default_rng(0).integers(-2, 3, size=(400, 2)).astype(float)
+        events = {"ties": 0, "reseeds": 0}
+        expected = reference_kmeans_fit(points, k, 0, events)
+        assert events["ties"] > 0
+        assert (events["reseeds"] > 0) == (k == 27)
+        for want, got in zip(expected, cb.kmeans_fit(points, k, 0)):
+            np.testing.assert_array_equal(got, want)
 
     def test_every_token_gets_training_vectors(self):
         rng = np.random.default_rng(4)

@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from conftest import AR2_COEFFS, FS, ar2_coeffs, ar2_fixture_series, random_stable_model
+from conftest import (
+    AR2_COEFFS,
+    FS,
+    ar2_coeffs,
+    ar2_fixture_series,
+    predictable_windows,
+    random_stable_model,
+)
 from lipcot import lpc_core, testkit
 from lipcot.errors import (
     DegenerateInputError,
@@ -59,9 +66,11 @@ class TestFitBurgWarped:
             lpc_core.fit_burg_warped(seg, 16, 0.2)
 
     def test_constant_segment_is_degenerate(self):
-        seg = lpc_core.Segment(np.full(100, 3.7), FS)
-        with pytest.raises(DegenerateInputError):
-            lpc_core.fit_burg_warped(seg, 4, 0.0)
+        # so is a segment predicted without error: its log noise power is -inf
+        for samples in (np.full(100, 3.7), *predictable_windows(100)):
+            seg = lpc_core.Segment(samples, FS)
+            with pytest.raises(DegenerateInputError):
+                lpc_core.fit_burg_warped(seg, 4, 0.0)
 
     def test_order_must_be_below_length(self):
         seg = lpc_core.Segment(np.arange(8.0), FS)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import FS, ar2_coeffs
+from conftest import FS, ar2_coeffs, predictable_windows
 from lipcot import codebook as cb
-from lipcot import latent, pipeline, testkit
+from lipcot import latent, lpc_core, pipeline, testkit
 from lipcot.errors import (
-    ConfigMismatchError,
+    DegenerateInputError,
     EmptyCorpusError,
     InvalidWindowError,
     LayoutUnsupportedError,
@@ -81,11 +81,12 @@ class TestFitCorpus:
         assert len(vectors) == series.n_channels * 4  # 1200 / 300
 
     def test_constant_channel_skipped_with_count(self):
-        data = np.vstack([np.ones(900), np.random.default_rng(0).normal(size=900)])
-        series = pipeline.MultichannelSeries(data, 100.0, ["flat", "live"])
-        vectors, skipped = pipeline.fit_corpus([series], small_config())
-        assert skipped == 3  # every window of the flat channel
-        assert len(vectors) == 3
+        live = np.random.default_rng(0).normal(size=900)
+        for flat in (np.ones(900), *(np.tile(w, 3) for w in predictable_windows(300))):
+            series = pipeline.MultichannelSeries(np.vstack([flat, live]), 100.0, ["flat", "live"])
+            vectors, skipped = pipeline.fit_corpus([series], small_config(lam=0.0))
+            assert skipped == 3  # every window of the flat channel
+            assert len(vectors) == 3
 
     def test_deterministic_output(self):
         series = small_series()
@@ -143,25 +144,53 @@ class TestEncodeSeries:
         assert pipeline.encode_series(series, book, 300, 300, pipeline.LAYOUT_POSITIONS) == []
 
     def test_degenerate_segment_still_tokenized(self):
-        config = small_config()
+        config = small_config(lam=0.0)
         book = train_small_book(small_series(), config)
-        data = np.vstack([np.ones(900), small_series(n_samples=900).data[0]])
-        series = pipeline.MultichannelSeries(data, 100.0, ["flat", "live"])
-        sequences = pipeline.encode_series(
-            series, book, config.window, config.hop, pipeline.LAYOUT_TEMPORAL
-        )
-        assert len(sequences[0]) == 3  # the flat channel still yields tokens
-
-    def test_config_mismatch(self):
-        series = small_series()
-        config = small_config()
-        book = train_small_book(series, config)
-        other = small_config(order=6)
-        with pytest.raises(ConfigMismatchError):
-            pipeline.encode_series(
-                series, book, config.window, config.hop,
-                pipeline.LAYOUT_POSITIONS, config=other,
+        live = small_series(n_samples=900).data[0]
+        tokens = []
+        for flat in (np.ones(900), *(np.tile(w, 3) for w in predictable_windows(300))):
+            series = pipeline.MultichannelSeries(np.vstack([flat, live]), 100.0, ["flat", "live"])
+            sequences = pipeline.encode_series(
+                series, book, config.window, config.hop, pipeline.LAYOUT_TEMPORAL
             )
+            assert len(sequences[0]) == 3  # the flat channel still yields tokens
+            tokens.append(sequences[0].tokens)
+        # every degenerate window gets the same zero-signal fallback token
+        assert len(set(tokens)) == 1 and len(set(tokens[0])) == 1
+
+    @pytest.mark.parametrize(
+        "method",
+        [
+            latent.LatentMethod.lpc_coeff(),
+            latent.LatentMethod.cepstrum(6),
+            latent.LatentMethod.dsc(),
+        ],
+        ids=lambda m: m.tag,
+    )
+    def test_matches_per_window_encode(self, method):
+        data = small_series().data.copy()
+        data[1] = 2.5  # a constant channel takes the fallback in every window
+        series = pipeline.MultichannelSeries(data, 100.0, ["a", "flat", "c"])
+        config = pipeline.TokenizerConfig(4, 0.2, 300, 150, method)
+        book = train_small_book(series, config)
+
+        def reference(samples):
+            segment = lpc_core.Segment(samples, series.sample_rate)
+            try:
+                model = lpc_core.fit_burg_warped(segment, book.order, book.lam)
+            except DegenerateInputError:
+                model = lpc_core.LpcModel(
+                    book.order, np.zeros(book.order), pipeline.DEGENERATE_NOISE_FLOOR,
+                    book.lam, series.sample_rate,
+                )
+            return cb.encode_vector(book, latent.features(model, book.method))
+
+        starts = range(0, series.n_samples - 300 + 1, 150)
+        grid = [[reference(row[s : s + 300]) for s in starts] for row in series.data]
+        temporal = pipeline.encode_series(series, book, 300, 150, pipeline.LAYOUT_TEMPORAL)
+        positions = pipeline.encode_series(series, book, 300, 150, pipeline.LAYOUT_POSITIONS)
+        assert [seq.tokens for seq in temporal] == [tuple(row) for row in grid]
+        assert [seq.tokens for seq in positions] == [tuple(col) for col in zip(*grid)]
 
     def test_unknown_layout(self):
         series = small_series()
