@@ -250,10 +250,9 @@ def cmd_spectrum(args) -> int:
     per_freqs, per_power = testkit.periodogram(samples - samples.mean(), sample_rate)
     per_on_grid = np.interp(grid, per_freqs, per_power)
 
-    lines = ["frequency,lpc_psd,periodogram_psd"]
-    for f, lp, pp in zip(grid, lpc_psd, per_on_grid):
-        lines.append(f"{float(f)!r},{float(lp)!r},{float(pp)!r}")
-    text = "\n".join(lines) + "\n"
+    text = pipeline.format_series_csv(
+        ["frequency", "lpc_psd", "periodogram_psd"], np.stack([grid, lpc_psd, per_on_grid])
+    )
     if args.out:
         write_text_atomic(args.out, text)
     else:

@@ -145,8 +145,11 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int):
     its current centroid, so the recorded per-iteration inertia never
     increases.
 
-    Returns ``(centroids, labels, inertia_history)``.
+    Returns ``(centroids, labels, inertia_history)``. Fewer than ``k``
+    distinct points raise ``TooFewVectorsError``.
     """
+    if np.unique(points, axis=0).shape[0] < k:
+        raise TooFewVectorsError(f"need at least {k} distinct vectors")
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(points, k, rng)
     inertia_history = []
@@ -193,8 +196,6 @@ def train_codebook(
         if vec.method.tag != method.tag or vec.dimension != dim:
             raise DimensionMismatchError("training vectors disagree in method or dimension")
     matrix = np.stack([vec.values for vec in vectors])
-    if np.unique(matrix, axis=0).shape[0] < k:
-        raise TooFewVectorsError(f"need at least {k} distinct vectors")
     stats = NormStats.fit(matrix)
     normalized = stats.normalize(matrix)
     centroids, _, _ = kmeans_fit(normalized, k, seed)

@@ -281,16 +281,15 @@ def to_conventional_tf(model: LpcModel):
     ascending powers of z^-1 (exact trailing zeros trimmed); for ``lam = 0``
     this is (1) over (1, a_1, ..., a_L).
     """
-    lam = model.lam
-    order = model.order
-    up = np.array([1.0, -lam])  # 1 - lam*z^-1
-    down = np.array([-lam, 1.0])  # z^-1 - lam
-    numerator = npoly.polypow(up, order)
+    up = np.array([1.0, -model.lam])  # 1 - lam*z^-1
+    down = np.array([-model.lam, 1.0])  # z^-1 - lam
+    # Horner from a_L down: after step k, numerator = up^(L-k) and
+    # denominator = sum_{j>=k} a_j down^(j-k) up^(L-j)
     a_full = np.concatenate(([1.0], model.coeffs))
-    denominator = np.zeros(order + 1)
-    for k in range(order + 1):
-        term = npoly.polymul(npoly.polypow(down, k), npoly.polypow(up, order - k))
-        denominator[: term.size] += a_full[k] * term
+    numerator, denominator = np.ones(1), a_full[-1:]
+    for a_k in a_full[-2::-1]:
+        numerator = np.convolve(numerator, up)
+        denominator = np.convolve(denominator, down) + a_k * numerator
     return _trim_trailing_zeros(numerator), _trim_trailing_zeros(denominator)
 
 

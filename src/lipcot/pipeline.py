@@ -6,6 +6,7 @@ Also owns the CSV and token-file formats used by the command-line surface.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,27 +208,27 @@ def decode_sequence(
 def read_series_csv(path):
     """Read (channel_names, data) from a header+rows CSV; data is channels x N."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise LipcotError(f"{path}: missing header row")
-    names = [name.strip() for name in rows[0]]
-    body = [row for row in rows[1:] if row]
-    if not body:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise LipcotError(f"{path}: missing header row")
+        names = [name.strip() for name in header]
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is a valid empty series, not a warning
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
+        except ValueError as exc:
+            raise LipcotError(f"{path}: {exc}") from None
+    if rows.shape[0] == 0:
         return names, np.zeros((len(names), 0))
-    if any(len(row) != len(names) for row in body):
+    if rows.shape[1] != len(names):
         raise LipcotError(f"{path}: rows disagree with the header column count")
-    try:
-        data = np.array([[float(cell) for cell in row] for row in body])
-    except ValueError as exc:
-        raise LipcotError(f"{path}: non-numeric sample value ({exc})") from None
-    if not np.all(np.isfinite(data)):
+    if not np.all(np.isfinite(rows)):
         raise LipcotError(f"{path}: non-finite sample value (nan or inf)")
-    return names, data.T
+    return names, rows.T
 
 
 def format_series_csv(channel_names, data: np.ndarray) -> str:
     """Render channels-by-samples data as one CSV column per channel."""
-    lines = [",".join(channel_names)]
-    for row in np.asarray(data, dtype=float).T:
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    rows = (",".join(map(repr, row)) for row in np.asarray(data, dtype=float).T.tolist())
+    return "\n".join([",".join(channel_names), *rows]) + "\n"

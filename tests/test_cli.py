@@ -380,17 +380,45 @@ class TestBadInputs:
         assert status == 1
         assert_one_error_line(capsys, path)
 
-    @pytest.mark.parametrize("cell", ["nan", "inf"])
-    def test_csv_non_finite_cell(self, workspace, capsys, cell):
+    def encode_csv(self, workspace, header, row):
+        """Encode a two-window CSV whose eighth line is replaced by ``row``."""
         tmp_path, _, book_path = workspace
         csv_path = tmp_path / "bad.csv"
-        rows = ["a,b"] + [f"{i}.0,{-i}.0" for i in range(2000)]
-        rows[7] = f"1.0,{cell}"
+        rows = [header] + [f"{i}.0,{-i}.0" for i in range(2000)]
+        if row is not None:
+            rows[7] = row
         csv_path.write_text("\n".join(rows) + "\n")
         status = cli.main([
             "encode", str(csv_path), "--codebook", str(book_path),
             "--out", str(tmp_path / "t.txt"), "--window-sec", "2", "--sample-rate", "500",
         ])
+        return status, csv_path
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_csv_non_finite_cell(self, workspace, capsys, cell):
+        status, csv_path = self.encode_csv(workspace, "a,b", f"1.0,{cell}")
+        assert status == 1
+        assert_one_error_line(capsys, csv_path)
+
+    @pytest.mark.parametrize(
+        "header, row",
+        [
+            ("a,b", "1.0,#2"),
+            ("a,b", "#1.0,2.0"),
+            ("a,b", "1.0"),
+            ("a", None),
+            ("a,b", "1.0,x"),
+            ("a,b", "1_0,2.0"),
+            ("a,b", "1.0,2.0,"),
+            ("a,b", "   "),
+        ],
+        ids=[
+            "hash-cell", "hash-row", "ragged-row", "wider-than-header", "non-numeric",
+            "underscore-digits", "trailing-comma", "whitespace-row",
+        ],
+    )
+    def test_csv_malformed_body(self, workspace, capsys, header, row):
+        status, csv_path = self.encode_csv(workspace, header, row)
         assert status == 1
         assert_one_error_line(capsys, csv_path)
 

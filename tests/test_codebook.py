@@ -124,18 +124,37 @@ class TestTraining:
         _, _, history = cb.kmeans_fit(points, 4, seed=7)
         assert np.all(np.diff(history) <= 1e-9)
 
-    @pytest.mark.parametrize("k", [12, 27])
-    def test_kmeans_matches_full_tensor_masked_mean_reference(self, k):
-        # 400 points on a 5 x 5 lattice: exact distance ties at every step, and
-        # at K 27 two clusters more than distinct points, so several empty
-        # centroids are reseeded in one pass
-        points = np.random.default_rng(0).integers(-2, 3, size=(400, 2)).astype(float)
+    @pytest.mark.parametrize(
+        "k, points",
+        [
+            # 400 points on a 5 x 5 lattice: exact distance ties at every step
+            (12, np.random.default_rng(0).integers(-2, 3, size=(400, 2)).astype(float)),
+            # 41 points (40 distinct) on a quarter grid: exact ties, and Lloyd
+            # empties a centroid that is reseeded
+            (27, np.round(np.random.default_rng(11011).standard_cauchy(size=(41, 2)) * 4) / 4),
+        ],
+        ids=["12", "27"],
+    )
+    def test_kmeans_matches_full_tensor_masked_mean_reference(self, k, points):
         events = {"ties": 0, "reseeds": 0}
         expected = reference_kmeans_fit(points, k, 0, events)
         assert events["ties"] > 0
         assert (events["reseeds"] > 0) == (k == 27)
         for want, got in zip(expected, cb.kmeans_fit(points, k, 0)):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "k, points",
+        [
+            (5, np.repeat([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 4, axis=0)),
+            (27, np.random.default_rng(0).integers(-2, 3, size=(400, 2)).astype(float)),
+        ],
+        ids=["3-distinct-k5", "25-distinct-k27"],
+    )
+    def test_kmeans_refuses_fewer_distinct_points_than_k(self, k, points):
+        # surplus centroids could only duplicate others and stay unused
+        with pytest.raises(TooFewVectorsError):
+            cb.kmeans_fit(points, k, seed=0)
 
     def test_every_token_gets_training_vectors(self):
         rng = np.random.default_rng(4)

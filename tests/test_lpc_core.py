@@ -267,7 +267,37 @@ class TestWarpFrequency:
             lpc_core.warp_frequency(300.0, 0.2, FS)
 
 
+def reference_conventional_tf(model):
+    """to_conventional_tf as one numpy.polynomial product per term."""
+    up = np.array([1.0, -model.lam])
+    down = np.array([-model.lam, 1.0])
+    a_full = np.concatenate(([1.0], model.coeffs))
+    denominator = np.zeros(model.order + 1)
+    for k in range(model.order + 1):
+        term = npoly.polymul(npoly.polypow(down, k), npoly.polypow(up, model.order - k))
+        denominator[: term.size] += a_full[k] * term
+    return (
+        lpc_core._trim_trailing_zeros(npoly.polypow(up, model.order)),
+        lpc_core._trim_trailing_zeros(denominator),
+    )
+
+
 class TestToConventionalTf:
+    @pytest.mark.parametrize("lam", [0.0, 0.2, -0.5, 0.7])
+    def test_matches_term_by_term_expansion(self, lam):
+        rng = np.random.default_rng(31)
+        models = [random_stable_model(rng, order, lam=lam) for order in range(1, 25)]
+        if lam == 0.0:
+            # exact trailing zeros are trimmed from the denominator
+            models.append(lpc_core.LpcModel(4, [-0.5, 0.1, 0.0, 0.0], 1.0, lam, FS))
+        for model in models:
+            expected = reference_conventional_tf(model)
+            for got, want in zip(lpc_core.to_conventional_tf(model), expected):
+                # both sum rounded products, so tiny coefficients are compared
+                # relative to the largest one
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
     def test_lambda_zero_passthrough(self):
         model = lpc_core.LpcModel(1, [-0.5], 1.0, 0.0, FS)
         num, den = lpc_core.to_conventional_tf(model)

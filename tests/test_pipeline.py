@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import FS, ar2_coeffs, predictable_windows
 from lipcot import codebook as cb
@@ -233,6 +236,43 @@ class TestCsv:
         names, data = pipeline.read_series_csv(path)
         assert names == ["ch0", "ch1"]
         np.testing.assert_array_equal(data, series.data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=hnp.arrays(
+            float,
+            st.tuples(st.integers(1, 4), st.integers(1, 20)),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    @example(data=np.array([[-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]]))
+    def test_round_trip_keeps_every_finite_value(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("csv") / "series.csv"
+        names = [f"c{i}" for i in range(data.shape[0])]
+        path.write_text(pipeline.format_series_csv(names, data))
+        read_names, read_data = pipeline.read_series_csv(path)
+        assert read_names == names
+        np.testing.assert_array_equal(read_data, data)
+        np.testing.assert_array_equal(np.signbit(read_data), np.signbit(data))
+
+    @pytest.mark.parametrize(
+        "text, names, rows",
+        [
+            ("a,b", ["a", "b"], []),
+            ("a,b\n\n\n", ["a", "b"], []),
+            ("a,b\n\n1,2\n\n3,4\n\n", ["a", "b"], [[1, 2], [3, 4]]),
+            ("a,b\r\n1,2\r\n3,4\r\n", ["a", "b"], [[1, 2], [3, 4]]),
+            ('"a","x,y"\n"1.5","-2"\n', ["a", "x,y"], [[1.5, -2]]),
+            (" a , b \n 1 , 2 \n", ["a", "b"], [[1, 2]]),
+        ],
+        ids=["header-no-newline", "blank-body", "blank-lines", "crlf", "quoted", "spaces"],
+    )
+    def test_accepted_layouts(self, tmp_path, text, names, rows):
+        path = tmp_path / "series.csv"
+        path.write_bytes(text.encode())
+        read_names, data = pipeline.read_series_csv(path)
+        assert read_names == names
+        np.testing.assert_array_equal(data, np.array(rows, dtype=float).reshape(-1, 2).T)
 
     def test_empty_body(self, tmp_path):
         path = tmp_path / "empty.csv"
