@@ -15,8 +15,6 @@ from .latent import (
     LatentMethod,
     LatentVector,
     cepstrum_to_lpc,
-    distance,
-    distance_pole,
     features,
     features_cepstrum,
     features_dsc,
@@ -61,8 +59,6 @@ __all__ = [
     "cepstrum_to_lpc",
     "decode_sequence",
     "decode_token",
-    "distance",
-    "distance_pole",
     "encode_series",
     "encode_vector",
     "export_vocabulary",

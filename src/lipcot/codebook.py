@@ -123,17 +123,18 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
 
 
 def _reseed_empty(points, centroids, labels, own_sq_dists):
-    """Move each empty centroid onto the point farthest from its own centroid."""
-    taken = []
-    for c in range(centroids.shape[0]):
-        if np.any(labels == c):
-            continue
-        assigned = own_sq_dists.copy()
-        assigned[taken] = -1.0
-        far = int(np.argmax(assigned))
+    """Move each empty centroid onto the point farthest from its own centroid.
+
+    A point that is the only member of its cluster is never taken, so a
+    reseed never empties another cluster.
+    """
+    counts = np.bincount(labels, minlength=centroids.shape[0])
+    for c in np.flatnonzero(counts == 0):
+        far = int(np.argmax(np.where(counts[labels] > 1, own_sq_dists, -1.0)))
+        counts[labels[far]] -= 1
+        counts[c] = 1
         centroids[c] = points[far]
         labels[far] = c
-        taken.append(far)
     return centroids, labels
 
 
@@ -210,18 +211,21 @@ def train_codebook(
     )
 
 
-def encode_vectors(codebook: Codebook, vectors) -> np.ndarray:
-    """Nearest-centroid token ids in normalized space; ties go to the lowest id."""
-    for vec in vectors:
-        if vec.method.tag != codebook.method.tag or vec.dimension != codebook.dimension:
-            raise DimensionMismatchError("vector does not live in the codebook's space")
-    matrix = np.array([vec.values for vec in vectors]).reshape(-1, codebook.dimension)
+def encode_matrix(codebook: Codebook, matrix: np.ndarray) -> np.ndarray:
+    """Token id of each row of a matrix in the codebook's latent space.
+
+    The nearest centroid in normalized space; ties go to the lowest id.
+    """
+    if matrix.shape[1] != codebook.dimension:
+        raise DimensionMismatchError("vector does not live in the codebook's space")
     return nearest_centroids(codebook.norm_stats.normalize(matrix), codebook.centroids)[0]
 
 
 def encode_vector(codebook: Codebook, vec: LatentVector) -> int:
     """Nearest-centroid token id in normalized space; ties go to the lowest id."""
-    return int(encode_vectors(codebook, [vec])[0])
+    if vec.method.tag != codebook.method.tag:
+        raise DimensionMismatchError("vector does not live in the codebook's space")
+    return int(encode_matrix(codebook, vec.values[None])[0])
 
 
 def decode_token(codebook: Codebook, token: int, sample_rate: float) -> LpcModel:

@@ -19,7 +19,6 @@ from .errors import (
     InsufficientCoefficientsError,
     LipcotError,
     NonRealizableError,
-    UnstableModelError,
     ZeroNoisePowerError,
 )
 
@@ -66,17 +65,18 @@ class LatentMethod:
     def dsc(cls) -> "LatentMethod":
         return cls(TAG_DSC)
 
-    def resolve_cepstra(self, order: int) -> int:
-        # default keeps dimensionality comparable to the pole-based space
-        return self.n_cepstra if self.n_cepstra is not None else 2 * order
-
     def dimension(self, order: int) -> int:
         """Nominal feature dimension for a model of the given order."""
-        if self.tag == TAG_LPC:
-            return order + 1
         if self.tag == TAG_CEPSTRUM:
-            return self.resolve_cepstra(order) + 1
-        return 2 * order + 1
+            # default keeps dimensionality comparable to the pole-based space
+            return (self.n_cepstra or 2 * order) + 1
+        return order + 1 if self.tag == TAG_LPC else 2 * order + 1
+
+    def resolve(self, order: int) -> "LatentMethod":
+        """The method as the vectors it maps from order-``order`` models record it."""
+        if self.tag == TAG_CEPSTRUM:
+            return LatentMethod.cepstrum(self.dimension(order) - 1)
+        return LatentMethod.lpc_coeff(self.weights) if self.tag == TAG_LPC else LatentMethod.dsc()
 
     def to_dict(self) -> dict:
         return {
@@ -118,29 +118,87 @@ class LatentVector:
         return self.values.size
 
 
-def _log_noise_power(model: lpc_core.LpcModel) -> float:
-    if model.noise_power <= 0.0:
-        raise ZeroNoisePowerError("log of noise power undefined for sigma^2 = 0")
-    return math.log(model.noise_power)
+def _log_powers(noise_power) -> np.ndarray:
+    # math.log per row: np.log differs from it by an ulp on some inputs
+    try:
+        return np.array([math.log(p) for p in np.asarray(noise_power, dtype=float).tolist()])
+    except ValueError:
+        raise ZeroNoisePowerError("log of noise power undefined for sigma^2 = 0") from None
+
+
+def _cepstrum_rows(coeffs: np.ndarray, log_power: np.ndarray, count: int) -> np.ndarray:
+    # lpc_to_cepstrum on every row at once, each element in the same float order
+    n_rows, order = coeffs.shape
+    c = np.empty((count + 1, n_rows))
+    c[0] = log_power
+    neg_a = -coeffs.T
+    steps = np.arange(1, count + 1)[:, None, None]
+    # weighted[n - 1, m - 1] = (1 - m/n) * a_m
+    weighted = (1.0 - np.arange(1, order + 1)[:, None] / steps) * coeffs.T
+    terms = np.zeros((order + 1, n_rows))  # row 0 stays 0.0, the fold's start
+    for n in range(1, count + 1):
+        m = min(n - 1, order)
+        np.multiply(weighted[n - 1, :m], c[n - 1 : n - 1 - m : -1], terms[1 : m + 1])
+        acc = np.add.accumulate(terms[: m + 1])[m]  # summed in m order, as a loop would
+        np.subtract(neg_a[n - 1] if n <= order else -0.0, acc, c[n])  # -0.0 - acc is -acc
+    return np.ascontiguousarray(c.T)
+
+
+def _dsc_rows(coeffs: np.ndarray, log_power: np.ndarray, sample_rate: float) -> np.ndarray:
+    pole_values = lpc_core.pole_matrix(coeffs)
+    radii = np.minimum(np.abs(pole_values), lpc_core.MAX_POLE_RADIUS)
+    u = (sample_rate / (2.0 * np.pi)) * np.angle(pole_values)
+    v = -2.0 * np.log1p(-radii)
+    order_idx = np.lexsort((u, np.abs(u)), axis=-1)
+    rows = np.arange(len(order_idx))[:, None]
+    return np.concatenate([u[rows, order_idx], v[rows, order_idx], log_power[:, None]], axis=1)
+
+
+def feature_matrix(coeffs, noise_power, method: LatentMethod, sample_rate: float) -> np.ndarray:
+    """Map models into the feature space selected by ``method``, one row each.
+
+    ``coeffs`` is models x order and ``noise_power`` holds one power per
+    model. The single-model maps below are one-row calls of this.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    log_power = _log_powers(noise_power)
+    order = coeffs.shape[1]
+    if method.tag == TAG_LPC:
+        w = np.ones(order) if method.weights is None else np.asarray(method.weights)
+        if w.size != order:
+            raise DimensionMismatchError(f"expected {order} weights, got {w.size}")
+        return np.concatenate([w * coeffs, log_power[:, None]], axis=1)  # 1.0 * a is exactly a
+    if method.tag == TAG_CEPSTRUM:
+        count = method.dimension(order) - 1
+        return _cepstrum_rows(coeffs, log_power, count) * _sqrt_index_weights(count)
+    return _dsc_rows(coeffs, log_power, sample_rate)
+
+
+def features(model: lpc_core.LpcModel, method: LatentMethod) -> LatentVector:
+    """Map a model into the feature space selected by ``method``."""
+    values = feature_matrix(model.coeffs[None], [model.noise_power], method, model.sample_rate)
+    return LatentVector(method.resolve(model.order), values[0])
 
 
 def features_lpc_coeff(model: lpc_core.LpcModel, weights=None) -> LatentVector:
     """Weighted coefficients extended with the log prediction-error power."""
-    log_power = _log_noise_power(model)
-    if weights is None:
-        scaled = model.coeffs.copy()
-        method = LatentMethod.lpc_coeff()
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.size != model.order:
-            raise DimensionMismatchError(
-                f"expected {model.order} weights, got {w.size}"
-            )
-        if np.any(w <= 0):
-            raise ValueError("feature weights must all be positive")
-        scaled = w * model.coeffs
-        method = LatentMethod.lpc_coeff(tuple(w))
-    return LatentVector(method, np.concatenate([scaled, [log_power]]))
+    return features(model, LatentMethod.lpc_coeff(weights))
+
+
+def features_cepstrum(model: lpc_core.LpcModel, n_cepstra: int) -> LatentVector:
+    """First ``n_cepstra`` cepstrum coefficients, sqrt-index weighted."""
+    return features(model, LatentMethod.cepstrum(n_cepstra))
+
+
+def features_dsc(model: lpc_core.LpcModel) -> LatentVector:
+    """Dominant spectral components: ordered pole angles and log radii.
+
+    u_k converts each pole angle to Hz; v_k = -2*log(1 - |p_k|) grows with
+    the sharpness of the corresponding spectral peak. Entries are sorted by
+    |u| (ties broken by signed u ascending, so each conjugate pair puts its
+    negative-frequency member first) and followed by log sigma^2.
+    """
+    return features(model, LatentMethod.dsc())
 
 
 def lpc_to_cepstrum(coeffs, noise_power: float, count: int) -> np.ndarray:
@@ -149,21 +207,8 @@ def lpc_to_cepstrum(coeffs, noise_power: float, count: int) -> np.ndarray:
     c_0 is log sigma^2 and c_1 = -a_1; later terms follow the two-branch
     recursion that switches once the index passes the model order.
     """
-    if noise_power <= 0.0:
-        raise ZeroNoisePowerError("log of noise power undefined for sigma^2 = 0")
-    a = np.asarray(coeffs, dtype=float)
-    order = a.size
-    c = np.empty(count + 1)
-    c[0] = math.log(noise_power)
-    for n in range(1, count + 1):
-        if n == 1:
-            c[1] = -a[0]
-            continue
-        acc = 0.0
-        for m in range(1, min(n - 1, order) + 1):
-            acc += (1.0 - m / n) * a[m - 1] * c[n - m]
-        c[n] = (-a[n - 1] - acc) if n <= order else -acc
-    return c
+    a = np.asarray(coeffs, dtype=float)[None]
+    return _cepstrum_rows(a, _log_powers([noise_power]), count)[0]
 
 
 def cepstrum_from_poles(pole_values, noise_power: float, count: int) -> np.ndarray:
@@ -171,11 +216,9 @@ def cepstrum_from_poles(pole_values, noise_power: float, count: int) -> np.ndarr
 
     Independent of the coefficient recursion; used as a cross-check.
     """
-    if noise_power <= 0.0:
-        raise ZeroNoisePowerError("log of noise power undefined for sigma^2 = 0")
     p = np.asarray(pole_values, dtype=complex)
     c = np.empty(count + 1)
-    c[0] = math.log(noise_power)
+    c[0] = _log_powers([noise_power])[0]
     powers = np.ones_like(p)
     for n in range(1, count + 1):
         powers = powers * p
@@ -187,43 +230,6 @@ def _sqrt_index_weights(count: int) -> np.ndarray:
     # (1, 1, sqrt(2), ..., sqrt(count)): makes Euclidean distance in the
     # feature space equal the index-weighted cepstral distance
     return np.sqrt(np.concatenate(([1.0], np.arange(1, count + 1))))
-
-
-def features_cepstrum(model: lpc_core.LpcModel, n_cepstra: int) -> LatentVector:
-    """First ``n_cepstra`` cepstrum coefficients, sqrt-index weighted."""
-    n_cepstra = int(n_cepstra)
-    if n_cepstra < 1:
-        raise ValueError("n_cepstra must be at least 1")
-    raw = lpc_to_cepstrum(model.coeffs, model.noise_power, n_cepstra)
-    values = raw * _sqrt_index_weights(n_cepstra)
-    return LatentVector(LatentMethod.cepstrum(n_cepstra), values)
-
-
-def features_dsc(model: lpc_core.LpcModel) -> LatentVector:
-    """Dominant spectral components: ordered pole angles and log radii.
-
-    u_k converts each pole angle to Hz; v_k = -2*log(1 - |p_k|) grows with
-    the sharpness of the corresponding spectral peak. Entries are sorted by
-    |u| (ties broken by signed u ascending, so each conjugate pair puts its
-    negative-frequency member first) and followed by log sigma^2.
-    """
-    log_power = _log_noise_power(model)
-    pole_values = lpc_core.poles(model).poles
-    radii = np.minimum(np.abs(pole_values), lpc_core.MAX_POLE_RADIUS)
-    u = (model.sample_rate / (2.0 * np.pi)) * np.angle(pole_values)
-    v = -2.0 * np.log1p(-radii)
-    order_idx = np.lexsort((u, np.abs(u)))
-    values = np.concatenate([u[order_idx], v[order_idx], [log_power]])
-    return LatentVector(LatentMethod.dsc(), values)
-
-
-def features(model: lpc_core.LpcModel, method: LatentMethod) -> LatentVector:
-    """Map a model into the feature space selected by ``method``."""
-    if method.tag == TAG_LPC:
-        return features_lpc_coeff(model, method.weights)
-    if method.tag == TAG_CEPSTRUM:
-        return features_cepstrum(model, method.resolve_cepstra(model.order))
-    return features_dsc(model)
 
 
 def cepstrum_to_lpc(ceps, order: int):
@@ -263,9 +269,7 @@ def _dsc_to_model(
     coeffs = lpc_core.poles_to_coeffs(rebuilt)
     residue = np.max(np.abs(coeffs.imag)) if coeffs.size else 0.0
     if residue >= 1e-6:
-        raise NonRealizableError(
-            f"pole expansion leaves imaginary residue {residue:.3g}"
-        )
+        raise NonRealizableError(f"pole expansion leaves imaginary residue {residue:.3g}")
     return lpc_core.LpcModel(order, coeffs.real, math.exp(vec.values[-1]), lam, sample_rate)
 
 
@@ -290,40 +294,10 @@ def latent_to_model(
             coeffs = vec.values[:order].copy()
         else:
             coeffs = vec.values[:order] / np.asarray(method.weights)
-        return lpc_core.LpcModel(
-            order, coeffs, math.exp(vec.values[-1]), lam, sample_rate
-        )
+        return lpc_core.LpcModel(order, coeffs, math.exp(vec.values[-1]), lam, sample_rate)
     if method.tag == TAG_CEPSTRUM:
         count = vec.dimension - 1
         raw = vec.values / _sqrt_index_weights(count)
         coeffs, noise_power = cepstrum_to_lpc(raw, order)
         return lpc_core.LpcModel(order, coeffs, noise_power, lam, sample_rate)
     return _dsc_to_model(vec, order, lam, sample_rate)
-
-
-def distance(vec_a: LatentVector, vec_b: LatentVector) -> float:
-    """Euclidean distance between two points of the same feature space."""
-    if vec_a.method.tag != vec_b.method.tag or vec_a.dimension != vec_b.dimension:
-        raise DimensionMismatchError("latent vectors disagree in method or dimension")
-    return float(np.linalg.norm(vec_a.values - vec_b.values))
-
-
-def _pole_cross_product(p: np.ndarray, q: np.ndarray) -> complex:
-    return complex(np.prod(1.0 - np.outer(p, np.conj(q))))
-
-
-def distance_pole(model_a: lpc_core.LpcModel, model_b: lpc_core.LpcModel) -> float:
-    """Non-Euclidean pole-space distance between two stable models.
-
-    Log-ratio of cross products of (1 - p_i * conj(p'_j)) terms over the
-    self products of each pole set; reference metric only, not used in
-    clustering.
-    """
-    p = lpc_core.poles(model_a).poles
-    q = lpc_core.poles(model_b).poles
-    if np.any(np.abs(p) >= 1.0) or np.any(np.abs(q) >= 1.0):
-        raise UnstableModelError("pole distance needs all pole radii < 1")
-    numerator = _pole_cross_product(p, q) * _pole_cross_product(q, p)
-    denominator = _pole_cross_product(p, p) * _pole_cross_product(q, q)
-    squared = math.log((numerator / denominator).real)
-    return math.sqrt(max(squared, 0.0))

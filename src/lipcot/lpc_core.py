@@ -110,96 +110,115 @@ class PoleSet:
             raise ValueError("poles must be one-dimensional")
         object.__setattr__(self, "poles", poles)
 
-    def __len__(self) -> int:
-        return self.poles.size
-
 
 def warped_burg(samples, order: int, lam: float):
-    """Run the warped Burg recursion on a real zero-mean signal.
+    """Run the warped Burg recursion on one zero-mean window, or on each row of many.
 
-    Each stage replaces the unit delay of the backward prediction error with
-    a first-order all-pass section of coefficient ``lam`` before applying the
-    usual Burg reflection update, and tracks the prediction-error power
-    through the per-stage factor (1 - k^2).
+    Each stage, run once over all rows, replaces the unit delay of the
+    backward prediction error with a first-order all-pass section of
+    coefficient ``lam`` before applying the usual Burg reflection update, and
+    tracks the prediction-error power through the per-stage factor (1 - k^2).
 
-    Returns
-    -------
-    (coeffs, noise_power, stage_powers, reflections)
-        ``stage_powers[0]`` is the raw input power and ``stage_powers[i]``
-        the prediction-error power after stage ``i``; ``reflections`` holds
-        the per-stage reflection coefficients.
+    Returns ``(coeffs, noise_power, stage_powers, reflections)``:
+    ``stage_powers[..., 0]`` is the raw input power and ``stage_powers[..., i]``
+    the error power after stage ``i``; ``reflections`` holds each stage's k.
     """
     x = np.asarray(samples, dtype=float)
     f = b = x
-    power = float(x @ x) / x.size
+    power = np.vecdot(x, x) / x.shape[-1]
     stage_powers = [power]
     reflections = []
-    a = np.ones(1)
-    for _ in range(order):
+    a = np.zeros(x.shape[:-1] + (order + 1,))
+    a[..., 0] = 1.0
+    for i in range(order):
         # b_hat[j] = b[j] - lam*(b[j+1] - b_hat[j-1]): a one-pole recurrence
         # driven by u[j] = b[j] - lam*b[j+1] with zero initial state.
-        u = b[:-1] - lam * b[1:]
+        u = b[..., :-1] - lam * b[..., 1:]
         b_hat = scipy.signal.lfilter([1.0], [1.0, -lam], u)
-        f_hat = f[1:]
-        denom = f_hat @ f_hat + b_hat @ b_hat
-        k = -2.0 * (b_hat @ f_hat) / denom if denom > 0.0 else 0.0
-        f = f_hat + k * b_hat
-        b = b_hat + k * f_hat
-        power = max((1.0 - k * k) * power, 0.0)
+        f_hat = f[..., 1:]
+        num = -2.0 * np.vecdot(b_hat, f_hat)
+        denom = np.vecdot(f_hat, f_hat) + np.vecdot(b_hat, b_hat)
+        if x.ndim == 1:  # plain floats: 0-d arrays cost more than a short window
+            k = kc = float(num / denom) if denom > 0.0 else 0.0
+            power = max((1.0 - k * k) * power, 0.0)
+        else:
+            k = np.divide(num, denom, out=np.zeros_like(denom), where=denom > 0.0)
+            kc = k[..., None]
+            power = np.maximum((1.0 - k * k) * power, 0.0)
+        f = f_hat + kc * b_hat
+        b = b_hat + kc * f_hat
         stage_powers.append(power)
         reflections.append(k)
-        padded = np.append(a, 0.0)
-        a = padded + k * padded[::-1]
-    return a[1:], power, np.asarray(stage_powers), np.asarray(reflections)
+        # Levinson step on a_0..a_{i+1}, a_{i+1} still 0: a_j += k * a_{i+1-j}
+        a[..., 1 : i + 2] = a[..., 1 : i + 2] + kc * a[..., i::-1]
+    powers, ks = (np.moveaxis(np.array(v), 0, -1) for v in (stage_powers, reflections))
+    return a[..., 1:], power, powers, ks
+
+
+def fit_windows(windows, order: int, lam: float):
+    """Fit a warped-Burg model to each row of a windows x samples matrix.
+
+    ``fit_burg_warped`` is its one-window call. Row means are removed first;
+    LPC assumes zero-mean data. Returns ``(coeffs, noise_power, ok)``; ``ok``
+    is False where a row is constant or predicted without error (zero final
+    error power, so no log-power feature).
+    """
+    windows = np.asarray(windows, dtype=float)
+    order, n = int(order), windows.shape[-1]
+    if not -1.0 < lam < 1.0:
+        raise InvalidLambdaError(f"|lam| must be < 1, got {lam}")
+    if order < 1:
+        raise InvalidOrderError("order must be at least 1")
+    if n <= order:
+        raise InvalidOrderError(f"need more samples ({n}) than the order ({order})")
+    constant = np.all(windows == windows[..., :1], axis=-1)
+    centred = windows - windows.mean(axis=-1, keepdims=True)
+    coeffs, noise_power, _, _ = warped_burg(centred, order, lam)
+    return coeffs, noise_power, ~constant & (noise_power > 0.0)
 
 
 def fit_burg_warped(segment: Segment, order: int, lam: float) -> LpcModel:
     """Fit a frequency-warped LPC model to a segment by Burg's method.
 
-    The segment mean is removed before fitting; LPC assumes zero-mean data.
-    Every reflection coefficient satisfies |k| <= 1, so the fitted predictor
-    has all poles inside the closed unit disk and the per-stage error power
-    never increases. A constant segment, and one the model predicts without
-    error (zero final error power, so no log-power feature), raise
-    ``DegenerateInputError``.
+    Every reflection coefficient satisfies |k| <= 1, so the predictor has all
+    poles inside the closed unit disk and the per-stage error power never
+    increases. A degenerate segment (see ``fit_windows``) raises ``DegenerateInputError``.
     """
-    order = int(order)
-    if not -1.0 < lam < 1.0:
-        raise InvalidLambdaError(f"|lam| must be < 1, got {lam}")
-    if order < 1:
-        raise InvalidOrderError("order must be at least 1")
-    n = len(segment)
-    if n <= order:
-        raise InvalidOrderError(f"need more samples ({n}) than the order ({order})")
-    samples = segment.samples
-    if np.all(samples == samples[0]):
-        raise DegenerateInputError("constant segment: zero power after mean removal")
-    coeffs, noise_power, _, _ = warped_burg(samples - samples.mean(), order, lam)
-    if not noise_power > 0.0:
-        raise DegenerateInputError("segment is predicted without error: zero noise power")
-    return LpcModel(
-        order=order,
-        coeffs=coeffs,
-        noise_power=noise_power,
-        lam=lam,
-        sample_rate=segment.sample_rate,
-    )
+    coeffs, noise_power, ok = fit_windows(segment.samples, order, lam)
+    if not ok:
+        raise DegenerateInputError("constant segment, or one predicted without error")
+    return LpcModel(int(order), coeffs, noise_power, lam, segment.sample_rate)
+
+
+def pole_matrix(coeffs) -> np.ndarray:
+    """Poles of each row of a models x order coefficient matrix, each row sorted.
+
+    Eigenvalues of stacked companion matrices, the LAPACK call ``np.roots``
+    makes, so complex roots come in exactly conjugate pairs and trailing
+    zero coefficients come back as exact roots at the origin. Roots with
+    |imag| below 1e-9 are snapped onto the real axis.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    rows, order = coeffs.shape
+    # companion size: the count of coefficients up to the last nonzero one
+    sizes = np.max((coeffs != 0.0) * np.arange(1, order + 1), axis=1, initial=0)
+    roots = np.zeros((rows, order), dtype=complex)
+    for size in set(sizes.tolist()) - {0}:
+        pick = sizes == size
+        companion = np.zeros((np.count_nonzero(pick), size, size))
+        companion[:, 0] = -coeffs[pick, :size]
+        companion.reshape(-1, size * size)[:, size :: size + 1] = 1.0  # subdiagonal
+        try:
+            roots[pick, :size] = np.linalg.eigvals(companion)
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergenceError(f"companion eigenvalues did not converge ({exc})") from None
+    roots = np.where(np.abs(roots.imag) < _REAL_SNAP, roots.real + 0.0j, roots)
+    return np.sort_complex(roots)
 
 
 def poles(model: LpcModel) -> PoleSet:
-    """All roots of the predictor polynomial 1 + sum a_k z^-k.
-
-    Computed as eigenvalues of the companion matrix, a backward-stable root
-    finder whose complex roots come in exactly conjugate pairs; trailing zero
-    coefficients come back as exact roots at the origin. Roots with |imag|
-    below 1e-9 are snapped onto the real axis.
-    """
-    try:
-        roots = np.roots(np.concatenate(([1.0], model.coeffs))).astype(complex)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"companion eigenvalues did not converge ({exc})") from None
-    roots = np.where(np.abs(roots.imag) < _REAL_SNAP, roots.real + 0.0j, roots)
-    return PoleSet(np.sort_complex(roots))
+    """All roots of the predictor polynomial 1 + sum a_k z^-k (see ``pole_matrix``)."""
+    return PoleSet(pole_matrix(model.coeffs[None])[0])
 
 
 def poles_to_coeffs(pole_values) -> np.ndarray:

@@ -6,6 +6,7 @@ Also owns the CSV and token-file formats used by the command-line surface.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass
 
@@ -15,7 +16,6 @@ from . import codebook as cb
 from . import latent
 from . import lpc_core
 from .errors import (
-    DegenerateInputError,
     EmptyCorpusError,
     InvalidWindowError,
     LayoutUnsupportedError,
@@ -29,6 +29,8 @@ _LAYOUTS = (LAYOUT_POSITIONS, LAYOUT_TEMPORAL)
 # Noise-power floor substituted for segments with no usable power at encode
 # time, where every window must still map to a token.
 DEGENERATE_NOISE_FLOOR = 1e-12
+
+_FIT_CHUNK_SAMPLES = 1 << 15  # window samples per fitted batch; bounds its copies
 
 
 @dataclass(frozen=True)
@@ -117,29 +119,34 @@ def segment_series(samples, window: int, hop: int, sample_rate: float):
     if not 1 <= hop <= window:
         raise InvalidWindowError("hop must satisfy 1 <= hop <= window")
     samples = np.asarray(samples, dtype=float)
-    count = window_count(samples.size, window, hop)
-    return [
-        lpc_core.Segment(samples[i * hop : i * hop + window], sample_rate)
-        for i in range(count)
-    ]
+    starts = range(0, window_count(samples.size, window, hop) * hop, hop)
+    return [lpc_core.Segment(samples[s : s + window], sample_rate) for s in starts]
 
 
-def _fit_cells(series: MultichannelSeries, config: TokenizerConfig) -> list:
-    """Latent vector of every (channel, window) cell, channel by channel.
+def _fit_cells(series: MultichannelSeries, config: TokenizerConfig):
+    """Latent rows of every (channel, window) cell, channel by channel.
 
-    A cell is None where the fit refuses the window as degenerate: constant,
-    or predicted without error.
+    Windows are fitted and mapped in batches of at most
+    ``_FIT_CHUNK_SAMPLES`` samples. Returns ``(matrix, ok)``; ``ok`` is
+    False, and the row zero, where the fit refuses the window as
+    degenerate: constant, or predicted without error.
     """
-    cells = []
-    for samples in series.data:
-        for segment in segment_series(samples, config.window, config.hop, series.sample_rate):
-            try:
-                model = lpc_core.fit_burg_warped(segment, config.order, config.lam)
-            except DegenerateInputError:
-                cells.append(None)
-                continue
-            cells.append(latent.features(model, config.method))
-    return cells
+    count = window_count(series.n_samples, config.window, config.hop)
+    matrix = np.zeros((series.n_channels * count, config.method.dimension(config.order)))
+    ok = np.zeros(series.n_channels * count, dtype=bool)
+    step = max(1, _FIT_CHUNK_SAMPLES // config.window)
+    for channel, samples in enumerate(series.data if count else ()):
+        windows = np.lib.stride_tricks.sliding_window_view(samples, config.window)[:: config.hop]
+        for start in range(0, count, step):
+            coeffs, noise_power, good = lpc_core.fit_windows(
+                windows[start : start + step], config.order, config.lam
+            )
+            cells = slice(channel * count + start, channel * count + start + good.size)
+            ok[cells] = good
+            matrix[cells][good] = latent.feature_matrix(
+                coeffs[good], noise_power[good], config.method, series.sample_rate
+            )
+    return matrix, ok
 
 
 def fit_corpus(series_set, config: TokenizerConfig):
@@ -147,11 +154,12 @@ def fit_corpus(series_set, config: TokenizerConfig):
 
     Degenerate segments are skipped; returns ``(vectors, n_skipped)``.
     """
-    cells = [vec for series in series_set for vec in _fit_cells(series, config)]
-    vectors = [vec for vec in cells if vec is not None]
+    fits = [_fit_cells(series, config) for series in series_set]
+    method = config.method.resolve(config.order)
+    vectors = [latent.LatentVector(method, row) for matrix, ok in fits for row in matrix[ok]]
     if not vectors:
         raise EmptyCorpusError("no latent vectors could be extracted")
-    return vectors, len(cells) - len(vectors)
+    return vectors, sum(ok.size for _, ok in fits) - len(vectors)
 
 
 def encode_series(
@@ -171,13 +179,10 @@ def encode_series(
     if layout not in _LAYOUTS:
         raise LayoutUnsupportedError(f"unknown layout {layout!r}")
     config = TokenizerConfig(codebook.order, codebook.lam, window, hop, codebook.method)
-    zero_signal = lpc_core.LpcModel(
-        codebook.order, np.zeros(codebook.order), DEGENERATE_NOISE_FLOOR, codebook.lam,
-        series.sample_rate,
-    )
-    fallback = latent.features(zero_signal, codebook.method)
-    cells = [fallback if vec is None else vec for vec in _fit_cells(series, config)]
-    grid = cb.encode_vectors(codebook, cells).reshape(series.n_channels, -1)
+    matrix, ok = _fit_cells(series, config)
+    zero_signal = np.zeros((1, codebook.order)), [DEGENERATE_NOISE_FLOOR]
+    matrix[~ok] = latent.feature_matrix(*zero_signal, codebook.method, series.sample_rate)
+    grid = cb.encode_matrix(codebook, matrix).reshape(series.n_channels, -1)
     if layout == LAYOUT_TEMPORAL:
         return [TokenSequence(row, LAYOUT_TEMPORAL) for row in grid]
     return [TokenSequence(column, LAYOUT_POSITIONS) for column in grid.T]
@@ -229,6 +234,8 @@ def read_series_csv(path):
 
 
 def format_series_csv(channel_names, data: np.ndarray) -> str:
-    """Render channels-by-samples data as one CSV column per channel."""
+    """Render channels-by-samples data as one CSV column per channel, names quoted as needed."""
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(channel_names)
     rows = (",".join(map(repr, row)) for row in np.asarray(data, dtype=float).T.tolist())
-    return "\n".join([",".join(channel_names), *rows]) + "\n"
+    return "\n".join([header.getvalue()[:-1], *rows]) + "\n"

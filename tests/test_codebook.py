@@ -37,18 +37,17 @@ def reference_kmeans_fit(points, k, seed, events):
         return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
 
     def reseed_empty(centroids, labels, sq_dists):
-        taken = set()
         for c in range(centroids.shape[0]):
             if np.any(labels == c):
                 continue
             events["reseeds"] += 1
             assigned = sq_dists[np.arange(points.shape[0]), labels].copy()
-            if taken:
-                assigned[list(taken)] = -1.0
+            # the only member of a cluster is never taken: that would empty it
+            sizes = np.array([np.sum(labels == label) for label in labels])
+            assigned[sizes == 1] = -1.0
             far = int(np.argmax(assigned))
             centroids[c] = points[far]
             labels[far] = c
-            taken.add(far)
         return centroids, labels
 
     centroids = cb._kmeans_pp_init(points, k, np.random.default_rng(seed))
@@ -141,6 +140,20 @@ class TestTraining:
         assert events["ties"] > 0
         assert (events["reseeds"] > 0) == (k == 27)
         for want, got in zip(expected, cb.kmeans_fit(points, k, 0)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_reseed_never_empties_a_singleton_cluster(self):
+        # an empty centroid's farthest point is here the only member of its
+        # cluster; taking it would leave a 0/0 mean
+        points = np.round(np.random.default_rng(13413).standard_cauchy(size=(43, 2)) * 4) / 4
+        events = {"ties": 0, "reseeds": 0}
+        expected = reference_kmeans_fit(points, 27, 0, events)
+        assert events["reseeds"] > 0
+        centroids, labels, history = cb.kmeans_fit(points, 27, 0)
+        assert np.all(np.isfinite(centroids)) and np.all(np.isfinite(history))
+        assert np.all(np.diff(history) <= 0.0)
+        assert set(labels.tolist()) == set(range(27))
+        for want, got in zip(expected, (centroids, labels, history)):
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize(

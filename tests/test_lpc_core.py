@@ -158,6 +158,18 @@ class TestPoles:
         found = np.sort_complex(lpc_core.poles(model).poles)
         np.testing.assert_allclose(found, [0.0, 0.0, 0.5], atol=1e-12)
 
+    def test_pole_matrix_rows_equal_np_roots(self):
+        rng = np.random.default_rng(9)
+        coeffs = np.stack([random_stable_model(rng, 6).coeffs for _ in range(12)])
+        coeffs[3, 4:] = 0.0
+        coeffs[4, 1:] = 0.0
+        coeffs[5] = 0.0
+        coeffs[6, 5] = 0.0
+        for row, found in zip(coeffs, lpc_core.pole_matrix(coeffs)):
+            roots = np.roots(np.concatenate(([1.0], row))).astype(complex)
+            roots = np.where(np.abs(roots.imag) < 1e-9, roots.real + 0.0j, roots)
+            assert found.tobytes() == np.sort_complex(roots).tobytes()
+
     def test_all_zero_coefficients(self):
         model = lpc_core.LpcModel(4, np.zeros(4), 1.0, 0.2, FS)
         np.testing.assert_array_equal(lpc_core.poles(model).poles, np.zeros(4, complex))
@@ -188,7 +200,7 @@ class TestPoles:
         def fail(_):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np, "roots", fail)
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
         model = lpc_core.LpcModel(2, list(AR2_COEFFS), 1.0, 0.0, FS)
         with pytest.raises(NonConvergenceError):
             lpc_core.poles(model)

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.signal
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -37,6 +40,137 @@ def small_config(window=300, hop=None, order=4, lam=0.2):
 def train_small_book(series, config, k=3, seed=5):
     vectors, _ = pipeline.fit_corpus([series], config)
     return cb.train_codebook(vectors, k, seed, order=config.order, lam=config.lam)
+
+
+def reference_burg_warped(x, order, lam):
+    """The warped Burg recursion one window at a time, with plain-float k."""
+    f = b = x
+    power = float(x @ x) / x.size
+    a = np.ones(1)
+    for _ in range(order):
+        b_hat = scipy.signal.lfilter([1.0], [1.0, -lam], b[:-1] - lam * b[1:])
+        f_hat = f[1:]
+        denom = f_hat @ f_hat + b_hat @ b_hat
+        k = -2.0 * (b_hat @ f_hat) / denom if denom > 0.0 else 0.0
+        f, b = f_hat + k * b_hat, b_hat + k * f_hat
+        power = max((1.0 - k * k) * power, 0.0)
+        padded = np.append(a, 0.0)
+        a = padded + k * padded[::-1]
+    return a[1:], power
+
+
+def reference_features(a, noise_power, method, sample_rate):
+    """One model's latent row by scalar loops and ``np.roots``."""
+    log_power = math.log(noise_power)
+    order = a.size
+    if method.tag == latent.TAG_LPC:
+        weights = np.asarray(method.weights) if method.weights else np.ones(order)
+        return np.concatenate([weights * a, [log_power]])
+    if method.tag == latent.TAG_CEPSTRUM:
+        count = method.n_cepstra or 2 * order
+        c = np.empty(count + 1)
+        c[0] = log_power
+        for n in range(1, count + 1):
+            acc = 0.0
+            for m in range(1, min(n - 1, order) + 1):
+                acc += (1.0 - m / n) * a[m - 1] * c[n - m]
+            c[n] = (-a[n - 1] - acc) if n <= order else -acc
+        return c * np.sqrt(np.concatenate(([1.0], np.arange(1, count + 1))))
+    roots = np.roots(np.concatenate(([1.0], a))).astype(complex)
+    roots = np.sort_complex(np.where(np.abs(roots.imag) < 1e-9, roots.real + 0.0j, roots))
+    u = sample_rate / (2.0 * np.pi) * np.angle(roots)
+    v = -2.0 * np.log1p(-np.minimum(np.abs(roots), lpc_core.MAX_POLE_RADIUS))
+    index = np.lexsort((u, np.abs(u)))
+    return np.concatenate([u[index], v[index], [log_power]])
+
+
+def assert_cells_match_per_window_fits(series, config):
+    """``_fit_cells`` equals window-by-window fits, byte for byte.
+
+    Two references: the scalar loops above, and the public single-window
+    calls (``Segment``, ``fit_burg_warped``, ``features``). Degenerate
+    windows must be the rows marked not ok.
+    """
+    matrix, ok = pipeline._fit_cells(series, config)
+    cell = 0
+    for samples in series.data:
+        for start in range(0, series.n_samples - config.window + 1, config.hop):
+            x = samples[start : start + config.window]
+            a, power = reference_burg_warped(x - x.mean(), config.order, config.lam)
+            degenerate = bool(np.all(x == x[0])) or not power > 0.0
+            assert ok[cell] != degenerate, f"cell {cell}"
+            if degenerate:
+                with pytest.raises(DegenerateInputError):
+                    lpc_core.fit_burg_warped(lpc_core.Segment(x, series.sample_rate), config.order, config.lam)
+            else:
+                want = reference_features(a, power, config.method, series.sample_rate)
+                model = lpc_core.fit_burg_warped(lpc_core.Segment(x, series.sample_rate), config.order, config.lam)
+                one_row = latent.features(model, config.method).values
+                assert matrix[cell].tobytes() == want.tobytes() == one_row.tobytes(), f"cell {cell}"
+            cell += 1
+    assert cell == ok.size
+
+
+def mixed_channel(rng, kind, n):
+    if kind == "constant":
+        return np.full(n, rng.normal())
+    if kind == "alternating":  # predicted without error at lambda 0
+        return np.resize([1.0, -1.0], n)
+    x = rng.normal(size=n)
+    if kind == "walk":
+        return np.cumsum(x)
+    if kind == "patchy":  # a constant stretch makes some windows constant
+        x[n // 4 : 3 * n // 4] = 2.5
+    return x
+
+
+class TestBatchedFit:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        method=st.sampled_from(["lpc", "weighted", "cepstrum", "cepstrum-default", "dsc"]),
+        order=st.integers(1, 20),
+        lam=st.one_of(st.just(0.0), st.floats(-0.6, 0.6)),
+        window_extra=st.integers(1, 60),
+        hop_fraction=st.floats(0.05, 1.0),
+        windows=st.integers(1, 6),
+        kinds=st.lists(
+            st.sampled_from(["noise", "walk", "patchy", "constant", "alternating"]),
+            min_size=1, max_size=3,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_cells_equal_per_window_fits(
+        self, method, order, lam, window_extra, hop_fraction, windows, kinds, seed
+    ):
+        rng = np.random.default_rng(seed)
+        window = order + window_extra
+        hop = max(1, int(round(hop_fraction * window)))
+        n = window + (windows - 1) * hop + int(rng.integers(0, hop))
+        data = np.stack([mixed_channel(rng, kind, n) for kind in kinds])
+        chosen = {
+            "lpc": latent.LatentMethod.lpc_coeff(),
+            "weighted": latent.LatentMethod.lpc_coeff(tuple(rng.uniform(0.5, 2.0, order))),
+            "cepstrum": latent.LatentMethod.cepstrum(int(rng.integers(1, 3 * order + 2))),
+            "cepstrum-default": latent.LatentMethod(latent.TAG_CEPSTRUM),
+            "dsc": latent.LatentMethod.dsc(),
+        }[method]
+        series = pipeline.MultichannelSeries(data, 100.0, [f"c{i}" for i in range(len(kinds))])
+        config = pipeline.TokenizerConfig(order, lam, window, hop, chosen)
+        assert_cells_match_per_window_fits(series, config)
+
+    def test_windows_spanning_several_chunks(self):
+        # 75 windows of 1000 samples at hop 250: chunks of 32, 32 and a ragged 11
+        window, hop, count = 1000, 250, 75
+        assert count > 2 * (pipeline._FIT_CHUNK_SAMPLES // window)
+        assert count % (pipeline._FIT_CHUNK_SAMPLES // window)
+        rng = np.random.default_rng(12)
+        n = window + (count - 1) * hop
+        data = np.stack([mixed_channel(rng, "walk", n), mixed_channel(rng, "patchy", n)])
+        series = pipeline.MultichannelSeries(data, 500.0, ["walk", "patchy"])
+        config = pipeline.TokenizerConfig(16, 0.2, window, hop, latent.LatentMethod.dsc())
+        _, ok = pipeline._fit_cells(series, config)
+        assert ok.size == 2 * count and 0 < np.count_nonzero(~ok) < count
+        assert_cells_match_per_window_fits(series, config)
 
 
 class TestSegmentation:
@@ -254,6 +388,23 @@ class TestCsv:
         assert read_names == names
         np.testing.assert_array_equal(read_data, data)
         np.testing.assert_array_equal(np.signbit(read_data), np.signbit(data))
+
+    @pytest.mark.parametrize(
+        "names",
+        [["x,y", "b"], ['a"b', "c"], ["line\nbreak", '"', ","]],
+        ids=["comma", "quote", "mixed"],
+    )
+    def test_round_trip_keeps_names_that_need_quoting(self, tmp_path, names):
+        data = np.arange(2.0 * len(names)).reshape(len(names), 2)
+        path = tmp_path / "series.csv"
+        path.write_text(pipeline.format_series_csv(names, data))
+        read_names, read_data = pipeline.read_series_csv(path)
+        assert read_names == names
+        np.testing.assert_array_equal(read_data, data)
+
+    def test_plain_names_are_written_unquoted(self):
+        text = pipeline.format_series_csv(["ch0", "ch 1"], np.array([[1.5], [-2.0]]))
+        assert text == "ch0,ch 1\n1.5,-2.0\n"
 
     @pytest.mark.parametrize(
         "text, names, rows",
