@@ -131,16 +131,13 @@ def _cepstrum_rows(coeffs: np.ndarray, log_power: np.ndarray, count: int) -> np.
     n_rows, order = coeffs.shape
     c = np.empty((count + 1, n_rows))
     c[0] = log_power
-    neg_a = -coeffs.T
-    steps = np.arange(1, count + 1)[:, None, None]
-    # weighted[n - 1, m - 1] = (1 - m/n) * a_m
-    weighted = (1.0 - np.arange(1, order + 1)[:, None] / steps) * coeffs.T
     terms = np.zeros((order + 1, n_rows))  # row 0 stays 0.0, the fold's start
     for n in range(1, count + 1):
         m = min(n - 1, order)
-        np.multiply(weighted[n - 1, :m], c[n - 1 : n - 1 - m : -1], terms[1 : m + 1])
+        weighted = (1.0 - np.arange(1, m + 1) / n)[:, None] * coeffs.T[:m]  # (1 - m/n) * a_m
+        np.multiply(weighted, c[n - 1 : n - 1 - m : -1], terms[1 : m + 1])
         acc = np.add.accumulate(terms[: m + 1])[m]  # summed in m order, as a loop would
-        np.subtract(neg_a[n - 1] if n <= order else -0.0, acc, c[n])  # -0.0 - acc is -acc
+        np.subtract(-coeffs[:, n - 1] if n <= order else -0.0, acc, c[n])  # -0.0 - acc is -acc
     return np.ascontiguousarray(c.T)
 
 
@@ -269,7 +266,9 @@ def _dsc_to_model(
     coeffs = lpc_core.poles_to_coeffs(rebuilt)
     residue = np.max(np.abs(coeffs.imag)) if coeffs.size else 0.0
     if residue >= 1e-6:
-        raise NonRealizableError(f"pole expansion leaves imaginary residue {residue:.3g}")
+        raise NonRealizableError(
+            f"pole expansion leaves imaginary residue {residue:.3g}"
+        )
     return lpc_core.LpcModel(order, coeffs.real, math.exp(vec.values[-1]), lam, sample_rate)
 
 
@@ -294,7 +293,9 @@ def latent_to_model(
             coeffs = vec.values[:order].copy()
         else:
             coeffs = vec.values[:order] / np.asarray(method.weights)
-        return lpc_core.LpcModel(order, coeffs, math.exp(vec.values[-1]), lam, sample_rate)
+        return lpc_core.LpcModel(
+            order, coeffs, math.exp(vec.values[-1]), lam, sample_rate
+        )
     if method.tag == TAG_CEPSTRUM:
         count = vec.dimension - 1
         raw = vec.values / _sqrt_index_weights(count)

@@ -138,13 +138,9 @@ def warped_burg(samples, order: int, lam: float):
         f_hat = f[..., 1:]
         num = -2.0 * np.vecdot(b_hat, f_hat)
         denom = np.vecdot(f_hat, f_hat) + np.vecdot(b_hat, b_hat)
-        if x.ndim == 1:  # plain floats: 0-d arrays cost more than a short window
-            k = kc = float(num / denom) if denom > 0.0 else 0.0
-            power = max((1.0 - k * k) * power, 0.0)
-        else:
-            k = np.divide(num, denom, out=np.zeros_like(denom), where=denom > 0.0)
-            kc = k[..., None]
-            power = np.maximum((1.0 - k * k) * power, 0.0)
+        k = np.divide(num, denom, out=np.zeros_like(denom), where=denom > 0.0)
+        kc = k[..., None]
+        power = np.maximum((1.0 - k * k) * power, 0.0)
         f = f_hat + kc * b_hat
         b = b_hat + kc * f_hat
         stage_powers.append(power)
@@ -172,6 +168,7 @@ def fit_windows(windows, order: int, lam: float):
     if n <= order:
         raise InvalidOrderError(f"need more samples ({n}) than the order ({order})")
     constant = np.all(windows == windows[..., :1], axis=-1)
+    windows = np.where(constant[..., None], 0.0, windows)  # no arithmetic on constant rows
     centred = windows - windows.mean(axis=-1, keepdims=True)
     coeffs, noise_power, _, _ = warped_burg(centred, order, lam)
     return coeffs, noise_power, ~constant & (noise_power > 0.0)

@@ -119,8 +119,11 @@ def segment_series(samples, window: int, hop: int, sample_rate: float):
     if not 1 <= hop <= window:
         raise InvalidWindowError("hop must satisfy 1 <= hop <= window")
     samples = np.asarray(samples, dtype=float)
-    starts = range(0, window_count(samples.size, window, hop) * hop, hop)
-    return [lpc_core.Segment(samples[s : s + window], sample_rate) for s in starts]
+    count = window_count(samples.size, window, hop)
+    return [
+        lpc_core.Segment(samples[i * hop : i * hop + window], sample_rate)
+        for i in range(count)
+    ]
 
 
 def _fit_cells(series: MultichannelSeries, config: TokenizerConfig):

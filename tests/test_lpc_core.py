@@ -72,6 +72,18 @@ class TestFitBurgWarped:
             with pytest.raises(DegenerateInputError):
                 lpc_core.fit_burg_warped(seg, 4, 0.0)
 
+    def test_huge_constant_rows_are_refused_without_arithmetic(self):
+        # a mean or a Burg stage over 1e306 overflows; any RuntimeWarning fails this test
+        rng = np.random.default_rng(5)
+        windows = np.vstack([np.full((2, 2500), 1e306), rng.standard_normal((1, 2500))])
+        coeffs, noise_power, ok = lpc_core.fit_windows(windows, 4, 0.2)
+        assert ok.tolist() == [False, False, True]
+        solo = lpc_core.fit_windows(windows[2], 4, 0.2)
+        assert coeffs[2].tobytes() == solo[0].tobytes()
+        assert noise_power[2] == solo[1]
+        with pytest.raises(DegenerateInputError):
+            lpc_core.fit_burg_warped(lpc_core.Segment(windows[0], FS), 4, 0.2)
+
     def test_order_must_be_below_length(self):
         seg = lpc_core.Segment(np.arange(8.0), FS)
         with pytest.raises(InvalidOrderError):
