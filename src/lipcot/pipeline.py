@@ -135,8 +135,8 @@ def _fit_cells(series: MultichannelSeries, config: TokenizerConfig):
     degenerate: constant, or predicted without error.
     """
     count = window_count(series.n_samples, config.window, config.hop)
-    matrix = np.zeros((series.n_channels * count, config.method.dimension(config.order)))
-    ok = np.zeros(series.n_channels * count, dtype=bool)
+    matrix = np.zeros((series.n_channels, count, config.method.dimension(config.order)))
+    ok = np.zeros((series.n_channels, count), dtype=bool)
     step = max(1, _FIT_CHUNK_SAMPLES // config.window)
     for channel, samples in enumerate(series.data if count else ()):
         windows = np.lib.stride_tricks.sliding_window_view(samples, config.window)[:: config.hop]
@@ -144,12 +144,11 @@ def _fit_cells(series: MultichannelSeries, config: TokenizerConfig):
             coeffs, noise_power, good = lpc_core.fit_windows(
                 windows[start : start + step], config.order, config.lam
             )
-            cells = slice(channel * count + start, channel * count + start + good.size)
-            ok[cells] = good
-            matrix[cells][good] = latent.feature_matrix(
+            ok[channel, start : start + step] = good
+            matrix[channel, start : start + step][good] = latent.feature_matrix(
                 coeffs[good], noise_power[good], config.method, series.sample_rate
             )
-    return matrix, ok
+    return matrix.reshape(-1, matrix.shape[-1]), ok.ravel()
 
 
 def fit_corpus(series_set, config: TokenizerConfig):
