@@ -26,6 +26,7 @@ TAG_LPC = "lpc"
 TAG_CEPSTRUM = "cepstrum"
 TAG_DSC = "dsc"
 _TAGS = (TAG_LPC, TAG_CEPSTRUM, TAG_DSC)
+_CEPSTRUM_BLOCK = 8  # cepstrum indices whose weighted coefficients are formed at once
 
 
 @dataclass(frozen=True)
@@ -131,13 +132,17 @@ def _cepstrum_rows(coeffs: np.ndarray, log_power: np.ndarray, count: int) -> np.
     n_rows, order = coeffs.shape
     c = np.empty((count + 1, n_rows))
     c[0] = log_power
+    neg_a = -coeffs.T
+    factors = 1.0 - np.arange(1, order + 1)[:, None] / np.arange(1, count + 1)[:, None, None]
     terms = np.zeros((order + 1, n_rows))  # row 0 stays 0.0, the fold's start
     for n in range(1, count + 1):
+        j = (n - 1) % _CEPSTRUM_BLOCK
+        if j == 0:  # (1 - m/n) * a_m for the next block of n; memory stays order x rows
+            weighted = factors[n - 1 : n - 1 + _CEPSTRUM_BLOCK] * coeffs.T
         m = min(n - 1, order)
-        weighted = (1.0 - np.arange(1, m + 1) / n)[:, None] * coeffs.T[:m]  # (1 - m/n) * a_m
-        np.multiply(weighted, c[n - 1 : n - 1 - m : -1], terms[1 : m + 1])
+        np.multiply(weighted[j, :m], c[n - 1 : n - 1 - m : -1], terms[1 : m + 1])
         acc = np.add.accumulate(terms[: m + 1])[m]  # summed in m order, as a loop would
-        np.subtract(-coeffs[:, n - 1] if n <= order else -0.0, acc, c[n])  # -0.0 - acc is -acc
+        np.subtract(neg_a[n - 1] if n <= order else -0.0, acc, c[n])  # -0.0 - acc is -acc
     return np.ascontiguousarray(c.T)
 
 

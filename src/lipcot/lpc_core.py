@@ -138,9 +138,13 @@ def warped_burg(samples, order: int, lam: float):
         f_hat = f[..., 1:]
         num = -2.0 * np.vecdot(b_hat, f_hat)
         denom = np.vecdot(f_hat, f_hat) + np.vecdot(b_hat, b_hat)
-        k = np.divide(num, denom, out=np.zeros_like(denom), where=denom > 0.0)
-        kc = k[..., None]
-        power = np.maximum((1.0 - k * k) * power, 0.0)
+        if x.ndim == 1:  # plain floats: 0-d array arithmetic costs more than a short window
+            k = kc = float(num / denom) if denom > 0.0 else 0.0
+            power = max((1.0 - k * k) * power, 0.0)
+        else:
+            k = np.divide(num, denom, out=np.zeros_like(denom), where=denom > 0.0)
+            kc = k[..., None]
+            power = np.maximum((1.0 - k * k) * power, 0.0)
         f = f_hat + kc * b_hat
         b = b_hat + kc * f_hat
         stage_powers.append(power)
