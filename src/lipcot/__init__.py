@@ -39,7 +39,6 @@ from .pipeline import (
     decode_sequence,
     encode_series,
     fit_corpus,
-    segment_series,
 )
 
 __version__ = "0.1.0"
@@ -73,7 +72,6 @@ __all__ = [
     "poles",
     "power_spectrum",
     "save_codebook",
-    "segment_series",
     "synthesize",
     "to_conventional_tf",
     "train_codebook",

@@ -255,16 +255,8 @@ def cepstrum_to_lpc(ceps, order: int):
 def _dsc_to_model(
     vec: LatentVector, order: int, lam: float, sample_rate: float
 ) -> lpc_core.LpcModel:
-    dim = vec.dimension
-    if dim % 2 == 0:
-        raise DimensionMismatchError(f"dominant-spectral vector of even size {dim}")
-    n_entries = (dim - 1) // 2
-    if n_entries != order:
-        raise DimensionMismatchError(
-            f"expected {2 * order + 1} values for order {order}, got {dim}"
-        )
-    u = vec.values[:n_entries]
-    v = vec.values[n_entries : 2 * n_entries]
+    u = vec.values[:order]
+    v = vec.values[order : 2 * order]
     radii = 1.0 - np.exp(-v / 2.0)
     angles = 2.0 * np.pi * u / sample_rate
     rebuilt = radii * np.exp(1j * angles)
@@ -289,11 +281,11 @@ def latent_to_model(
     """
     method = vec.method
     order = int(order)
+    if method.tag != TAG_CEPSTRUM and vec.dimension != method.dimension(order):
+        raise DimensionMismatchError(
+            f"expected {method.dimension(order)} values for order {order}, got {vec.dimension}"
+        )
     if method.tag == TAG_LPC:
-        if vec.dimension != order + 1:
-            raise DimensionMismatchError(
-                f"expected {order + 1} values for order {order}, got {vec.dimension}"
-            )
         if method.weights is None:
             coeffs = vec.values[:order].copy()
         else:

@@ -107,48 +107,29 @@ def window_count(n_samples: int, window: int, hop: int) -> int:
     return (n_samples - window) // hop + 1
 
 
-def segment_series(samples, window: int, hop: int, sample_rate: float):
-    """Split samples into fixed windows starting at 0, hop, 2*hop, ...
-
-    A trailing remainder shorter than the window is dropped.
-    """
-    window = int(window)
-    hop = int(hop)
-    if window < 1:
-        raise InvalidWindowError("window must be at least one sample")
-    if not 1 <= hop <= window:
-        raise InvalidWindowError("hop must satisfy 1 <= hop <= window")
-    samples = np.asarray(samples, dtype=float)
-    count = window_count(samples.size, window, hop)
-    return [
-        lpc_core.Segment(samples[i * hop : i * hop + window], sample_rate)
-        for i in range(count)
-    ]
-
-
 def _fit_cells(series: MultichannelSeries, config: TokenizerConfig):
-    """Latent rows of every (channel, window) cell, channel by channel.
+    """Latent rows of every (channel, window) cell, channel-major.
 
-    Windows are fitted and mapped in batches of at most
-    ``_FIT_CHUNK_SAMPLES`` samples. Returns ``(matrix, ok)``; ``ok`` is
-    False, and the row zero, where the fit refuses the window as
-    degenerate: constant, or predicted without error.
+    Cells are cut from ``series.data`` and fitted and mapped in chunks of at
+    most ``_FIT_CHUNK_SAMPLES`` window samples; a chunk may span channels.
+    Returns ``(matrix, ok)``; ``ok`` is False, and the row zero, where the
+    fit refuses the window as degenerate: constant, or predicted without error.
     """
-    count = window_count(series.n_samples, config.window, config.hop)
-    matrix = np.zeros((series.n_channels, count, config.method.dimension(config.order)))
-    ok = np.zeros((series.n_channels, count), dtype=bool)
+    per_channel = window_count(series.n_samples, config.window, config.hop)
+    cells = series.n_channels * per_channel
+    matrix = np.zeros((cells, config.method.dimension(config.order)))
+    ok = np.zeros(cells, dtype=bool)
     step = max(1, _FIT_CHUNK_SAMPLES // config.window)
-    for channel, samples in enumerate(series.data if count else ()):
-        windows = np.lib.stride_tricks.sliding_window_view(samples, config.window)[:: config.hop]
-        for start in range(0, count, step):
-            coeffs, noise_power, good = lpc_core.fit_windows(
-                windows[start : start + step], config.order, config.lam
-            )
-            ok[channel, start : start + step] = good
-            matrix[channel, start : start + step][good] = latent.feature_matrix(
-                coeffs[good], noise_power[good], config.method, series.sample_rate
-            )
-    return matrix.reshape(-1, matrix.shape[-1]), ok.ravel()
+    offsets = np.arange(config.window)
+    for start in range(0, cells, step):
+        channel, slot = np.divmod(np.arange(start, min(start + step, cells)), per_channel)
+        windows = series.data[channel[:, None], slot[:, None] * config.hop + offsets]
+        coeffs, noise_power, good = lpc_core.fit_windows(windows, config.order, config.lam)
+        ok[start : start + step] = good
+        matrix[start : start + step][good] = latent.feature_matrix(
+            coeffs[good], noise_power[good], config.method, series.sample_rate
+        )
+    return matrix, ok
 
 
 def fit_corpus(series_set, config: TokenizerConfig):
@@ -219,17 +200,20 @@ def read_series_csv(path):
         if header is None:
             raise LipcotError(f"{path}: missing header row")
         names = [name.strip() for name in header]
+        malformed = (
+            f"{path}: expected {len(names)} numbers, one per header column, on every body line"
+        )
         try:
             with warnings.catch_warnings():
                 # a header-only file is a valid empty series, not a warning
                 warnings.simplefilter("ignore", UserWarning)
                 rows = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
-        except ValueError as exc:
-            raise LipcotError(f"{path}: {exc}") from None
+        except ValueError:
+            raise LipcotError(malformed) from None
     if rows.shape[0] == 0:
         return names, np.zeros((len(names), 0))
     if rows.shape[1] != len(names):
-        raise LipcotError(f"{path}: rows disagree with the header column count")
+        raise LipcotError(malformed)
     if not np.all(np.isfinite(rows)):
         raise LipcotError(f"{path}: non-finite sample value (nan or inf)")
     return names, rows.T

@@ -420,7 +420,10 @@ class TestBadInputs:
     def test_csv_malformed_body(self, workspace, capsys, header, row):
         status, csv_path = self.encode_csv(workspace, header, row)
         assert status == 1
-        assert_one_error_line(capsys, csv_path)
+        err = assert_one_error_line(capsys, csv_path)
+        # lipcot's own words: the column count, no numpy row number or usecols advice
+        assert f"expected {header.count(',') + 1} numbers" in err
+        assert "usecols" not in err and "row " not in err
 
     @pytest.mark.parametrize(
         "text", ["sample_rate = 500\n", '{"sample_rate": "fast"}', "[500]"]

@@ -176,10 +176,20 @@ class TestLatentToModel:
                 math.log(model.noise_power), abs=1e-9
             )
 
-    def test_dimension_mismatch(self):
-        vec = latent.LatentVector(latent.LatentMethod.lpc_coeff(), [0.3, 0.0])
-        with pytest.raises(DimensionMismatchError):
-            latent.latent_to_model(vec, 2, 0.0, FS)
+    @pytest.mark.parametrize(
+        "method, values, order",
+        [
+            (latent.LatentMethod.lpc_coeff(), [0.3, 0.0], 2),
+            (latent.LatentMethod.dsc(), [10.0, 0.1, 0.2, 0.0], 2),  # even size
+            (latent.LatentMethod.dsc(), [10.0, -10.0, 0.1, 0.1, 0.0], 3),  # order 2's size
+        ],
+        ids=["lpc", "dsc-even-size", "dsc-wrong-order"],
+    )
+    def test_dimension_mismatch(self, method, values, order):
+        vec = latent.LatentVector(method, values)
+        expected = f"expected {method.dimension(order)} values for order {order}, got {len(values)}"
+        with pytest.raises(DimensionMismatchError, match=expected):
+            latent.latent_to_model(vec, order, 0.0, FS)
 
     def test_non_conjugate_dsc_point_is_rejected(self):
         # two poles at +10 and +20 Hz have no conjugate partners: the

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import lipcot
 from conftest import FS, ar2_coeffs, predictable_windows
 from lipcot import codebook as cb
 from lipcot import latent, lpc_core, pipeline, testkit
@@ -159,10 +160,11 @@ class TestBatchedFit:
         assert_cells_match_per_window_fits(series, config)
 
     def test_windows_spanning_several_chunks(self):
-        # 75 windows of 1000 samples at hop 250: chunks of 32, 32 and a ragged 11
+        # 2 x 75 windows of 1000 samples at hop 250, in chunks of 32 cells: the
+        # third chunk crosses the channel boundary at cell 75, the fifth is a ragged 22
         window, hop, count = 1000, 250, 75
-        assert count > 2 * (pipeline._FIT_CHUNK_SAMPLES // window)
-        assert count % (pipeline._FIT_CHUNK_SAMPLES // window)
+        step = pipeline._FIT_CHUNK_SAMPLES // window
+        assert count > 2 * step and count % step and 2 * count % step
         rng = np.random.default_rng(12)
         n = window + (count - 1) * hop
         data = np.stack([mixed_channel(rng, "walk", n), mixed_channel(rng, "patchy", n)])
@@ -172,33 +174,51 @@ class TestBatchedFit:
         assert ok.size == 2 * count and 0 < np.count_nonzero(~ok) < count
         assert_cells_match_per_window_fits(series, config)
 
+    def test_chunks_span_channels(self, monkeypatch):
+        # 59 channels x 4 windows of 2500 samples: 236 cells in 19 chunks of at most
+        # 13 windows, where one chunk per channel would make 59
+        sizes = []
+        fit_windows = lpc_core.fit_windows
+
+        def counting(windows, order, lam):
+            sizes.append(windows.size)
+            return fit_windows(windows, order, lam)
+
+        monkeypatch.setattr(lpc_core, "fit_windows", counting)
+        data = np.random.default_rng(3).normal(size=(59, 10000))
+        series = pipeline.MultichannelSeries(data, 500.0, [f"c{i}" for i in range(59)])
+        config = pipeline.TokenizerConfig(4, 0.2, 2500, 2500, latent.LatentMethod.lpc_coeff())
+        _, ok = pipeline._fit_cells(series, config)
+        assert ok.size == 236 and ok.all()
+        assert len(sizes) == 19 and max(sizes) <= pipeline._FIT_CHUNK_SAMPLES
+        assert sum(sizes) == 236 * 2500
+
 
 class TestSegmentation:
+    """Full windows start at 0, hop, 2*hop, ...; a remainder shorter than a window is dropped."""
+
     def test_one_minute_at_500hz_gives_twelve_windows(self):
-        segments = pipeline.segment_series(np.arange(30000.0), 2500, 2500, 500.0)
-        assert len(segments) == 12
-        assert all(len(s) == 2500 for s in segments)
+        assert pipeline.window_count(30000, 2500, 2500) == 12
 
     def test_trailing_remainder_dropped(self):
-        segments = pipeline.segment_series(np.arange(12.0), 5, 5, FS)
-        assert len(segments) == 2
+        assert pipeline.window_count(12, 5, 5) == 2
 
     def test_overlapping_starts(self):
-        segments = pipeline.segment_series(np.arange(12.0), 5, 2, FS)
-        assert len(segments) == 4
-        starts = [s.samples[0] for s in segments]
-        assert starts == [0.0, 2.0, 4.0, 6.0]
+        # cells start at 0, 2, 4 and 6, each the same bytes as its own fit
+        data = np.random.default_rng(4).normal(size=(2, 12))
+        series = pipeline.MultichannelSeries(data, FS, ["a", "b"])
+        config = pipeline.TokenizerConfig(2, 0.2, 5, 2, latent.LatentMethod.lpc_coeff())
+        _, ok = pipeline._fit_cells(series, config)
+        assert ok.size == 2 * 4
+        assert_cells_match_per_window_fits(series, config)
 
     def test_window_shorter_than_series_gives_nothing(self):
-        assert pipeline.segment_series(np.arange(4.0), 5, 5, FS) == []
+        assert pipeline.window_count(4, 5, 5) == 0
 
     def test_bad_window_or_hop(self):
-        with pytest.raises(InvalidWindowError):
-            pipeline.segment_series(np.arange(10.0), 0, 1, FS)
-        with pytest.raises(InvalidWindowError):
-            pipeline.segment_series(np.arange(10.0), 5, 6, FS)
-        with pytest.raises(InvalidWindowError):
-            pipeline.segment_series(np.arange(10.0), 5, 0, FS)
+        for window, hop in [(0, 1), (5, 6), (5, 0)]:
+            with pytest.raises(InvalidWindowError):
+                pipeline.TokenizerConfig(4, 0.2, window, hop, latent.LatentMethod.lpc_coeff())
 
     def test_count_identity_over_random_shapes(self):
         rng = np.random.default_rng(1)
@@ -208,6 +228,11 @@ class TestSegmentation:
             hop = int(rng.integers(1, window + 1))
             expected = (n - window) // hop + 1 if n >= window else 0
             assert pipeline.window_count(n, window, hop) == expected
+
+
+def test_every_export_resolves():
+    missing = [name for name in lipcot.__all__ if not hasattr(lipcot, name)]
+    assert missing == []
 
 
 class TestFitCorpus:
