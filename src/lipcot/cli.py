@@ -21,7 +21,6 @@ from . import codebook as cb
 from . import latent
 from . import lpc_core
 from . import pipeline
-from . import testkit
 from ._util import write_text_atomic
 from .errors import ConfigMismatchError, LipcotError, UnknownWordError
 
@@ -122,8 +121,8 @@ def cmd_train(args) -> int:
         raise LipcotError(f"--k must be at least 1, got {args.k}")
 
     series_set = []
-    for path in args.inputs:
-        rate = _resolve_sample_rate(path, args.sample_rate)
+    for index, path in enumerate(args.inputs):
+        rate = _resolve_sample_rate(path, args.sample_rate) if index else sample_rate
         if rate != sample_rate:
             raise ConfigMismatchError(f"{path}: sampling rate {rate} != {sample_rate}")
         _, series = _read_series(path, rate)
@@ -217,7 +216,7 @@ def cmd_decode(args) -> int:
     return 0
 
 
-def _select_channel(names, data, requested):
+def _select_channel(names, requested):
     if requested is None:
         return 0
     if requested in names:
@@ -232,11 +231,13 @@ def _select_channel(names, data, requested):
 
 
 def cmd_spectrum(args) -> int:
+    from . import testkit  # test oracles; only this command needs the periodogram
+
     sample_rate = _resolve_sample_rate(args.input, args.sample_rate)
     names, data = pipeline.read_series_csv(args.input)
     if data.shape[1] < 2:
         raise LipcotError("spectrum needs at least two samples")
-    channel = _select_channel(names, data, args.channel)
+    channel = _select_channel(names, args.channel)
     samples = data[channel]
 
     segment = lpc_core.Segment(samples, sample_rate)
@@ -333,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     decode.add_argument("--codebook", required=True)
     decode.add_argument("--out", required=True, help="output CSV path")
     decode.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_window_flags(decode)
+    decode.add_argument("--window-sec", type=float, default=DEFAULT_WINDOW_SEC)
     _add_rate_flag(decode)
     decode.set_defaults(func=cmd_decode)
 
@@ -355,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--seconds", type=float, required=True)
     synth.add_argument("--seed", type=int, default=DEFAULT_SEED)
     synth.add_argument("--out", required=True)
-    _add_rate_flag(synth)
+    synth.add_argument("--sample-rate", type=float, default=None, help="sampling rate in Hz")
     synth.set_defaults(func=cmd_synth)
 
     return parser

@@ -19,7 +19,7 @@ from .errors import (
     LipcotError,
     TooFewVectorsError,
 )
-from .latent import LatentMethod, LatentVector, latent_to_model
+from .latent import TAG_CEPSTRUM, LatentMethod, LatentVector, latent_to_model
 from .lpc_core import LpcModel
 
 CODEBOOK_FORMAT_VERSION = "1"
@@ -183,10 +183,11 @@ def train_codebook(
 
     Normalization statistics are fit on the training vectors and stored in
     the codebook; the same statistics are reused verbatim when encoding and
-    decoding. Deterministic for a fixed seed and input order.
+    decoding. Deterministic for a fixed seed and input order. Vectors that
+    order-``order`` models cannot map to raise ``DimensionMismatchError``.
     """
     vectors = list(vectors)
-    k = int(k)
+    k, order = int(k), int(order)
     if k < 1:
         raise ValueError("k must be at least 1")
     if len(vectors) < k:
@@ -196,6 +197,9 @@ def train_codebook(
     for vec in vectors:
         if vec.method.tag != method.tag or vec.dimension != dim:
             raise DimensionMismatchError("training vectors disagree in method or dimension")
+    # decode inverts centroids at this order; cepstrum inversion reads the first order + 1 values
+    if dim < order + 1 if method.tag == TAG_CEPSTRUM else dim != method.dimension(order):
+        raise DimensionMismatchError(f"{method.tag} vectors of {dim} values for order {order}")
     matrix = np.stack([vec.values for vec in vectors])
     stats = NormStats.fit(matrix)
     normalized = stats.normalize(matrix)
@@ -205,7 +209,7 @@ def train_codebook(
         centroids=centroids,
         norm_stats=stats,
         method=method,
-        order=int(order),
+        order=order,
         lam=float(lam),
         seed=int(seed),
     )

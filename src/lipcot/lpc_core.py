@@ -116,8 +116,10 @@ def warped_burg(samples, order: int, lam: float):
 
     Each stage, run once over all rows, replaces the unit delay of the
     backward prediction error with a first-order all-pass section of
-    coefficient ``lam`` before applying the usual Burg reflection update, and
-    tracks the prediction-error power through the per-stage factor (1 - k^2).
+    coefficient ``lam`` before applying the usual Burg reflection update. The
+    loop carries only the lattice: after it, each stage's error power is the
+    input power times the running product of max(1 - k^2, 0). One window
+    divides for k in plain floats (0-d arrays cost more than a short window).
 
     Returns ``(coeffs, noise_power, stage_powers, reflections)``:
     ``stage_powers[..., 0]`` is the raw input power and ``stage_powers[..., i]``
@@ -125,9 +127,7 @@ def warped_burg(samples, order: int, lam: float):
     """
     x = np.asarray(samples, dtype=float)
     f = b = x
-    power = np.vecdot(x, x) / x.shape[-1]
-    stage_powers = [power]
-    reflections = []
+    ks = np.zeros(x.shape[:-1] + (order,))
     a = np.zeros(x.shape[:-1] + (order + 1,))
     a[..., 0] = 1.0
     for i in range(order):
@@ -138,21 +138,18 @@ def warped_burg(samples, order: int, lam: float):
         f_hat = f[..., 1:]
         num = -2.0 * np.vecdot(b_hat, f_hat)
         denom = np.vecdot(f_hat, f_hat) + np.vecdot(b_hat, b_hat)
-        if x.ndim == 1:  # plain floats: 0-d array arithmetic costs more than a short window
-            k = kc = float(num / denom) if denom > 0.0 else 0.0
-            power = max((1.0 - k * k) * power, 0.0)
+        if x.ndim == 1:
+            k = ks[i] = float(num / denom) if denom > 0.0 else 0.0
         else:
-            k = np.divide(num, denom, out=np.zeros_like(denom), where=denom > 0.0)
-            kc = k[..., None]
-            power = np.maximum((1.0 - k * k) * power, 0.0)
-        f = f_hat + kc * b_hat
-        b = b_hat + kc * f_hat
-        stage_powers.append(power)
-        reflections.append(k)
+            k = np.divide(num, denom, out=ks[..., i], where=denom > 0.0)[..., None]
+        f = f_hat + k * b_hat
+        b = b_hat + k * f_hat
         # Levinson step on a_0..a_{i+1}, a_{i+1} still 0: a_j += k * a_{i+1-j}
-        a[..., 1 : i + 2] = a[..., 1 : i + 2] + kc * a[..., i::-1]
-    powers, ks = (np.moveaxis(np.array(v), 0, -1) for v in (stage_powers, reflections))
-    return a[..., 1:], power, powers, ks
+        a[..., 1 : i + 2] = a[..., 1 : i + 2] + k * a[..., i::-1]
+    power = np.vecdot(x, x)[..., None] / x.shape[-1]
+    gains = np.maximum(1.0 - ks * ks, 0.0)
+    powers = np.multiply.accumulate(np.concatenate((power, gains), axis=-1), axis=-1)
+    return a[..., 1:], powers[..., -1], powers, ks
 
 
 def fit_windows(windows, order: int, lam: float):
@@ -172,10 +169,10 @@ def fit_windows(windows, order: int, lam: float):
     if n <= order:
         raise InvalidOrderError(f"need more samples ({n}) than the order ({order})")
     constant = np.all(windows == windows[..., :1], axis=-1)
-    windows = np.where(constant[..., None], 0.0, windows)  # no arithmetic on constant rows
+    windows = np.where(constant[..., None], 0.0, windows)  # no arithmetic, and power 0
     centred = windows - windows.mean(axis=-1, keepdims=True)
     coeffs, noise_power, _, _ = warped_burg(centred, order, lam)
-    return coeffs, noise_power, ~constant & (noise_power > 0.0)
+    return coeffs, noise_power, noise_power > 0.0
 
 
 def fit_burg_warped(segment: Segment, order: int, lam: float) -> LpcModel:

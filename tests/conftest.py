@@ -1,6 +1,7 @@
 """Shared fixtures and generators for the test suite."""
 
 import numpy as np
+import scipy.signal
 
 from lipcot import lpc_core, testkit
 
@@ -13,6 +14,31 @@ AR2_COEFFS = (-1.7858, 0.81)
 # coincide with the fitted-model spectrum argmax (most realizations of this
 # broad resonance do not agree that tightly).
 AR2_SPECTRUM_SEED = 16
+
+
+def reference_burg_warped(x, order, lam):
+    """The warped Burg recursion on one window, with plain-float k.
+
+    The error power is updated stage by stage, power = max((1 - k^2) power, 0),
+    with k = 0 where the denominator is 0. Returns the same 4-tuple as
+    ``lpc_core.warped_burg``: (coeffs, noise_power, stage_powers, reflections).
+    """
+    f = b = x
+    power = float(x @ x) / x.size
+    powers, ks = [power], []
+    a = np.ones(1)
+    for _ in range(order):
+        b_hat = scipy.signal.lfilter([1.0], [1.0, -lam], b[:-1] - lam * b[1:])
+        f_hat = f[1:]
+        denom = f_hat @ f_hat + b_hat @ b_hat
+        k = -2.0 * (b_hat @ f_hat) / denom if denom > 0.0 else 0.0
+        f, b = f_hat + k * b_hat, b_hat + k * f_hat
+        power = max((1.0 - k * k) * power, 0.0)
+        powers.append(power)
+        ks.append(k)
+        padded = np.append(a, 0.0)
+        a = padded + k * padded[::-1]
+    return a[1:], power, np.array(powers), np.array(ks)
 
 
 def ar2_coeffs(pole_hz: float, radius: float = 0.9, fs: float = FS) -> tuple:

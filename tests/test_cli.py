@@ -225,6 +225,21 @@ class TestDecode:
         assert status == 1
         assert "[MASK]" in capsys.readouterr().err
 
+    def test_hop_flag_is_refused(self, workspace, capsys):
+        # decode reads whole windows back to back; a hop it ignores is refused
+        tmp_path, _, book_path = workspace
+        token_file = tmp_path / "line.txt"
+        token_file.write_text("t0 t1\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([
+                "decode", str(token_file), "--codebook", str(book_path),
+                "--out", str(tmp_path / "d.csv"), "--window-sec", "2",
+                "--hop-sec", "0.5", "--sample-rate", "500",
+            ])
+        assert exc.value.code == 2
+        assert "--hop-sec" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
 
 class TestSpectrum:
     def test_ar2_peaks_agree_between_columns(self, tmp_path):
@@ -312,6 +327,21 @@ class TestSynth:
         names, data = pipeline.read_series_csv(out)
         assert names == ["t1"]
         assert data.shape == (1, 1000)
+
+    def test_missing_sample_rate_is_one_error_line(self, workspace, capsys):
+        tmp_path, _, book_path = workspace
+        status = cli.main([
+            "synth", "--codebook", str(book_path), "--token", "0",
+            "--seconds", "2", "--out", str(tmp_path / "s.csv"),
+        ])
+        assert status == 1
+        assert "--sample-rate" in assert_one_error_line(capsys)
+
+    def test_sample_rate_help_promises_no_sidecar(self, capsys):
+        # synth has no input file, so there is no <input>.json to fall back to
+        with pytest.raises(SystemExit):
+            cli.main(["synth", "--help"])
+        assert "sidecar" not in capsys.readouterr().out
 
 
 class TestSampleCounts:

@@ -197,6 +197,25 @@ class TestTraining:
         with pytest.raises(DimensionMismatchError):
             cb.train_codebook(vectors, 1, seed=0, order=1, lam=0.0)
 
+    @pytest.mark.parametrize(
+        "method, fit_order, order",
+        [
+            (latent.LatentMethod.lpc_coeff(), 4, 8),
+            (latent.LatentMethod.dsc(), 4, 3),
+            (latent.LatentMethod.cepstrum(5), 4, 6),
+        ],
+    )
+    def test_order_the_vectors_cannot_come_from(self, method, fit_order, order):
+        # every decode_token on such a codebook would fail, so training refuses it
+        rng = np.random.default_rng(8)
+        vectors = [
+            latent.features(random_stable_model(rng, fit_order), method) for _ in range(6)
+        ]
+        with pytest.raises(DimensionMismatchError):
+            cb.train_codebook(vectors, 3, seed=0, order=order, lam=0.2)
+        book = cb.train_codebook(vectors, 3, seed=0, order=fit_order, lam=0.2)
+        assert book.order == fit_order
+
 
 class TestEncodeDecode:
     @pytest.fixture()

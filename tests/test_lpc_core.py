@@ -11,6 +11,7 @@ from conftest import (
     ar2_fixture_series,
     predictable_windows,
     random_stable_model,
+    reference_burg_warped,
 )
 from lipcot import lpc_core, testkit
 from lipcot.errors import (
@@ -39,6 +40,29 @@ def stable_pole_sets(draw):
             if len(pole_set) + len(group) <= order:
                 pole_set.extend(group)
     return pole_set
+
+
+@st.composite
+def burg_rows(draw):
+    """(rows, order, lam): zero-mean noise, walk, alternating and constant rows.
+
+    Each row peaks at 1, then is scaled by 1, 1e150 or 1e-150.
+    """
+    order = draw(st.integers(1, 20))
+    n = draw(st.integers(order + 1, 160))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    kinds = st.sampled_from(["noise", "walk", "alt", "const"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=4)):
+        row = {
+            "noise": lambda: rng.standard_normal(n),
+            "walk": lambda: np.cumsum(rng.standard_normal(n)),
+            "alt": lambda: np.resize([1.0, -1.0], n),
+            "const": lambda: np.full(n, 0.1),
+        }[kind]()
+        row = row / np.max(np.abs(row)) * draw(st.sampled_from([1.0, 1e150, 1e-150]))
+        rows.append(row - row.mean())
+    return np.array(rows), order, draw(st.floats(-0.6, 0.6))
 
 
 class TestTypes:
@@ -121,6 +145,20 @@ class TestFitBurgWarped:
                 _, _, powers, reflections = lpc_core.warped_burg(x - x.mean(), 12, lam)
                 assert np.all(np.diff(powers) <= 1e-12)
                 assert np.all(np.abs(reflections) <= 1.0 + 1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(burg_rows())
+    def test_derived_powers_match_the_sequential_rule(self, case):
+        # warped_burg forms stage powers from the reflections after its loop;
+        # the reference updates the power stage by stage
+        rows, order, lam = case
+        stacked = lpc_core.warped_burg(rows, order, lam)
+        for r, x in enumerate(rows):
+            reference = reference_burg_warped(x, order, lam)
+            if reference[1] > 0.0:
+                want = [np.asarray(v).tobytes() for v in reference]
+                for got in ([v[r] for v in stacked], lpc_core.warped_burg(x, order, lam)):
+                    assert [np.asarray(v).tobytes() for v in got] == want
 
     def test_mean_is_removed_before_fitting(self):
         x = ar2_fixture_series(seed=5)

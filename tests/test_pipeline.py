@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
-import scipy.signal
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import lipcot
-from conftest import FS, ar2_coeffs, predictable_windows
+from conftest import FS, ar2_coeffs, predictable_windows, reference_burg_warped
 from lipcot import codebook as cb
 from lipcot import latent, lpc_core, pipeline, testkit
 from lipcot.errors import (
@@ -41,23 +40,6 @@ def small_config(window=300, hop=None, order=4, lam=0.2):
 def train_small_book(series, config, k=3, seed=5):
     vectors, _ = pipeline.fit_corpus([series], config)
     return cb.train_codebook(vectors, k, seed, order=config.order, lam=config.lam)
-
-
-def reference_burg_warped(x, order, lam):
-    """The warped Burg recursion one window at a time, with plain-float k."""
-    f = b = x
-    power = float(x @ x) / x.size
-    a = np.ones(1)
-    for _ in range(order):
-        b_hat = scipy.signal.lfilter([1.0], [1.0, -lam], b[:-1] - lam * b[1:])
-        f_hat = f[1:]
-        denom = f_hat @ f_hat + b_hat @ b_hat
-        k = -2.0 * (b_hat @ f_hat) / denom if denom > 0.0 else 0.0
-        f, b = f_hat + k * b_hat, b_hat + k * f_hat
-        power = max((1.0 - k * k) * power, 0.0)
-        padded = np.append(a, 0.0)
-        a = padded + k * padded[::-1]
-    return a[1:], power
 
 
 def reference_features(a, noise_power, method, sample_rate):
@@ -97,7 +79,7 @@ def assert_cells_match_per_window_fits(series, config):
     for samples in series.data:
         for start in range(0, series.n_samples - config.window + 1, config.hop):
             x = samples[start : start + config.window]
-            a, power = reference_burg_warped(x - x.mean(), config.order, config.lam)
+            a, power, _, _ = reference_burg_warped(x - x.mean(), config.order, config.lam)
             degenerate = bool(np.all(x == x[0])) or not power > 0.0
             assert ok[cell] != degenerate, f"cell {cell}"
             if degenerate:
