@@ -87,23 +87,70 @@ class Codebook:
         return self.centroids.shape[1]
 
 
-_ASSIGN_CHUNK = 256  # rows per (chunk, k, d) difference tensor
+# rows per chunk: the shortlist holds rows x k floats, not rows x k x d; only
+# refined rows build their k x d differences
+_ASSIGN_CHUNK = 256
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
 def nearest_centroids(points: np.ndarray, centroids: np.ndarray):
     """Each row's nearest centroid and squared distance: ``(labels, sq_dists)``.
 
-    Direct differences keep exactly symmetric ties exact, and ties go to the
-    lowest centroid id. Rows go in fixed-size chunks, so memory does not grow
-    with the number of points.
+    The answer is bit for bit that of direct differences,
+    ``((x - c) ** 2).sum()`` over every centroid with ties to the lowest id,
+    but most rows never build their (k, d) differences. Per chunk of rows,
+    one GEMM shortlists ``G = ||c||^2 - 2 x.c``; the row constant ``||x||^2``
+    changes no argmin and no gap.
+
+    Why the shortlist is safe: let u = eps / 2, ``g(n) = n u / (1 - n u)``,
+    S the exact squared distance and ``N = ||x||^2 + max ||c||^2``, so that
+    ``S <= 2 N``. The direct value (one subtraction, one square, d - 1 sums
+    of non-negative terms) is within ``g(d + 2) S <= 2 g(d + 2) N`` of S.
+    G is within ``g(d) (||c||^2 + 2 |x| |c|) <= 2 g(d) N`` plus one final
+    rounding of at most ``2 u N``, so within ``2 g(d + 1) N`` of
+    ``S - ||x||^2``, whatever order BLAS sums in. Every entry of G is thus
+    within ``4 g(d + 2) N ~ B / 2`` of its direct value less ``||x||^2``,
+    with ``B = 4 (d + 2) (eps N + tiny)``; gradual underflow adds at most
+    4 d half-subnormals, far below the ``tiny`` term. A centroid more than
+    2B above a row's best G is therefore strictly farther by direct
+    differences as well, with a factor 2 to spare for the rounding of B
+    and of the comparison.
+
+    A row keeps its shortlist label only when all k - 1 other centroids lie
+    more than 2B above its best G. Every other row is decided by direct
+    differences over all k centroids: exact ties, and, for k > 1, every row
+    whose G or B is not finite. B is computed from 4N, which bounds every
+    direct value, so it is infinite wherever direct differences could
+    overflow, and their warnings are kept. Each returned distance is the
+    direct difference to the chosen centroid, so neither output depends on
+    how BLAS rounds or how many threads it runs.
     """
-    labels = np.empty(points.shape[0], dtype=np.intp)
-    sq_dists = np.empty(points.shape[0])
-    for start in range(0, points.shape[0], _ASSIGN_CHUNK):
-        block = ((points[start : start + _ASSIGN_CHUNK, None, :] - centroids) ** 2).sum(axis=2)
-        labels[start : start + _ASSIGN_CHUNK] = np.argmin(block, axis=1)
-        sq_dists[start : start + _ASSIGN_CHUNK] = block.min(axis=1)
-    return labels, sq_dists
+    n, d = points.shape
+    k = centroids.shape[0]
+    labels = np.empty(n, dtype=np.intp)
+    ambiguous = []
+    # only the shortlist is silenced: refined rows warn as direct differences do
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_sq = np.vecdot(centroids, centroids)
+        # 2B = 2 (d + 2) eps 4 (N + tiny / eps), infinite wherever 4N overflows
+        two_b = np.vecdot(points, points) + (c_sq.max(initial=0.0) + _TINY / _EPS)
+        two_b *= 4.0
+        two_b *= 2 * (d + 2) * _EPS
+        for start in range(0, n, _ASSIGN_CHUNK):
+            g = points[start : start + _ASSIGN_CHUNK] @ centroids.T
+            g *= -2.0
+            g += c_sq
+            labels[start : start + _ASSIGN_CHUNK] = g.argmin(axis=1)
+            near = g.min(axis=1)
+            near += two_b[start : start + _ASSIGN_CHUNK]
+            # a NaN threshold leaves no entry far, so such a row counts as ambiguous
+            far = g > near[:, None]
+            if np.count_nonzero(far) != far.shape[0] * (k - 1):
+                ambiguous.append(start + np.flatnonzero(far.sum(axis=1) != k - 1))
+    for rows in ambiguous:
+        block = ((points[rows, None, :] - centroids) ** 2).sum(axis=2)
+        labels[rows] = np.argmin(block, axis=1)
+    return labels, ((points - centroids.take(labels, axis=0)) ** 2).sum(axis=1)
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

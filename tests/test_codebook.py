@@ -1,7 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import FS, purity, random_stable_model
 from lipcot import codebook as cb
@@ -75,7 +79,106 @@ def reference_kmeans_fit(points, k, seed, events):
     return centroids, labels, np.asarray(inertia_history)
 
 
+def direct_nearest(points, centroids):
+    """Labels and squared distances from the full (n, k, d) difference tensor."""
+    full = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    return np.argmin(full, axis=1), full.min(axis=1)
+
+
+@st.composite
+def quarter_grid_cases(draw):
+    """Points and centroids on a quarter grid, so exact distance ties abound.
+
+    Some centroids are exact copies of others; there may be one centroid,
+    one row or no rows at all. A shift of the whole grid keeps direct
+    differences exact but leaves the GEMM expansion rounding errors far
+    above the grid's gaps, so the refinement decides; a scale makes every
+    arithmetic inexact.
+    """
+    d = draw(st.integers(1, 5))
+    n = draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, cb._ASSIGN_CHUNK + 40)))
+    grid = st.integers(-8, 8)
+    points = draw(hnp.arrays(np.int64, (n, d), elements=grid)) / 4.0
+    centroids = draw(hnp.arrays(np.int64, (draw(st.integers(1, 12)), d), elements=grid)) / 4.0
+    copies = draw(st.lists(st.integers(0, centroids.shape[0] - 1), max_size=3))
+    order = draw(st.permutations(range(centroids.shape[0] + len(copies))))
+    centroids = np.concatenate([centroids, centroids[copies]])[list(order)]
+    shift = draw(st.sampled_from([0.0, 1e3, 1e8]))
+    scale = draw(st.sampled_from([1.0, 0.1, 1e140, 1e-140]))
+    return (points + shift) * scale, (centroids + shift) * scale
+
+
 class TestNearestCentroids:
+    @settings(max_examples=300, deadline=None)
+    @given(quarter_grid_cases())
+    def test_matches_direct_differences_on_tie_heavy_grids(self, case):
+        points, centroids = case
+        labels, sq_dists = cb.nearest_centroids(points, centroids)
+        want_labels, want_sq_dists = direct_nearest(points, centroids)
+        np.testing.assert_array_equal(labels, want_labels)
+        np.testing.assert_array_equal(sq_dists, want_sq_dists)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e-160])
+    def test_matches_direct_differences_at_extreme_scales(self, scale):
+        # 1e-160 squares to subnormals: only the bound's absolute term holds there
+        rng = np.random.default_rng(12)
+        points = rng.integers(-4, 5, size=(300, 6)) / 4.0 * scale
+        centroids = rng.integers(-4, 5, size=(40, 6)) / 4.0 * scale
+        centroids[7] = centroids[30]
+        labels, sq_dists = cb.nearest_centroids(points, centroids)
+        want_labels, want_sq_dists = direct_nearest(points, centroids)
+        np.testing.assert_array_equal(labels, want_labels)
+        np.testing.assert_array_equal(sq_dists, want_sq_dists)
+
+    def test_integer_rows_match_direct_differences(self):
+        points = np.random.default_rng(3).integers(-3, 4, size=(50, 3))
+        centroids = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+        labels, sq_dists = cb.nearest_centroids(points, centroids)
+        want_labels, want_sq_dists = direct_nearest(points, centroids)
+        np.testing.assert_array_equal(labels, want_labels)
+        np.testing.assert_array_equal(sq_dists, want_sq_dists)
+
+    def test_near_ties_the_gemm_shortlist_gets_wrong_are_refined(self):
+        # norms near 1e8 leave the expansion ||c||^2 - 2 x.c an absolute
+        # rounding error of a few units, against gaps of at most 0.4 here
+        rng = np.random.default_rng(20)
+        points = np.column_stack([
+            1e8 + rng.uniform(-1.0, 1.0, 200),
+            0.5 + rng.uniform(-0.1, 0.1, 200),
+            rng.uniform(-1.0, 1.0, 200),
+        ])
+        centroids = np.array([[1e8, 0.0, 0.0], [1e8, 1.0, 0.0]])
+        want_labels, want_sq_dists = direct_nearest(points, centroids)
+        c_sq = (centroids**2).sum(axis=1)
+        shortlist = np.argmin((points**2).sum(axis=1)[:, None] + c_sq - 2.0 * points @ centroids.T, axis=1)
+        assert np.any(shortlist != want_labels)
+        labels, sq_dists = cb.nearest_centroids(points, centroids)
+        np.testing.assert_array_equal(labels, want_labels)
+        np.testing.assert_array_equal(sq_dists, want_sq_dists)
+
+    @pytest.mark.parametrize(
+        "points, centroids",
+        [
+            # ||x||^2 overflows, the differences do not: direct differences are silent
+            ([[1e155, 1e155], [1e155, 1.00001e155]], [[1e155, 1e155], [1.00001e155, 1e155]]),
+            # a difference overflows: direct differences warn, and so must the kernel
+            ([[1e200, 0.0], [-1e200, 0.0]], [[-1e200, 0.0], [1e200, 0.0]]),
+            # only the distance to the far centroid overflows; ||x||^2 + ||c||^2 does not
+            ([[8e153, 0.0]], [[8e153, 0.0], [-8e153, 0.0]]),
+            ([[np.inf, 0.0], [np.nan, 1.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]]),
+        ],
+        ids=["shortlist-overflow", "difference-overflow", "far-overflow", "non-finite"],
+    )
+    def test_warns_exactly_as_direct_differences(self, points, centroids):
+        points, centroids = np.array(points), np.array(centroids)
+        outcome = []
+        for kernel in (direct_nearest, cb.nearest_centroids):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                labels, sq_dists = kernel(points, centroids)
+            outcome.append((labels.tolist(), sq_dists.tobytes(), {str(w.message) for w in caught}))
+        assert outcome[1] == outcome[0]
+
     def test_chunked_matches_unchunked_expression(self):
         rng = np.random.default_rng(8)
         points = rng.integers(-3, 4, size=(2 * cb._ASSIGN_CHUNK + 37, 5)).astype(float)
