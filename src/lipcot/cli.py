@@ -31,11 +31,7 @@ DEFAULT_K = 64
 DEFAULT_SEED = 0
 DEFAULT_GRID_HZ = 0.1
 
-_METHODS = {
-    "lpc": latent.LatentMethod.lpc_coeff(),
-    "cepstrum": latent.LatentMethod(latent.TAG_CEPSTRUM),
-    "dsc": latent.LatentMethod.dsc(),
-}
+_METHODS = (latent.TAG_CEPSTRUM, latent.TAG_DSC, latent.TAG_LPC)
 
 # spreads per-line decode seeds so token indices never collide across lines
 _LINE_SEED_STRIDE = 1_000_003
@@ -104,7 +100,7 @@ def _check_codebook_flags(book: cb.Codebook, args) -> None:
         raise ConfigMismatchError(
             f"--lambda {args.lam} disagrees with codebook lambda {book.lam}"
         )
-    if args.method is not None and _METHODS[args.method].tag != book.method.tag:
+    if args.method is not None and args.method != book.method.tag:
         raise ConfigMismatchError(
             f"--method {args.method} disagrees with codebook method {book.method.tag}"
         )
@@ -115,10 +111,14 @@ def cmd_train(args) -> int:
     window = _window_samples(args.window_sec, sample_rate, "window")
     hop_sec = args.hop_sec if args.hop_sec is not None else args.window_sec
     hop = _window_samples(hop_sec, sample_rate, "hop")
-    method = _METHODS[args.method]
-    config = pipeline.TokenizerConfig(args.order, args.lam, window, hop, method)
+    if args.order < 1:
+        raise LipcotError(f"--order must be at least 1, got {args.order}")
     if args.k < 1:
         raise LipcotError(f"--k must be at least 1, got {args.k}")
+    # the cepstrum keeps 2 * order terms, as many values as the dsc space has
+    n_cepstra = 2 * args.order if args.method == latent.TAG_CEPSTRUM else None
+    method = latent.LatentMethod(args.method, n_cepstra=n_cepstra)
+    config = pipeline.TokenizerConfig(args.order, args.lam, window, hop, method)
 
     series_set = []
     for index, path in enumerate(args.inputs):
@@ -195,7 +195,10 @@ def cmd_decode(args) -> int:
     sample_rate = _resolve_sample_rate(args.tokens, args.sample_rate)
     window = _window_samples(args.window_sec, sample_rate, "window")
     with open(args.tokens) as fh:
-        lines = [line.split() for line in fh if line.strip()]
+        try:
+            lines = [line.split() for line in fh if line.strip()]
+        except UnicodeDecodeError as exc:
+            raise LipcotError(f"{args.tokens}: not {exc.encoding} text ({exc.reason})") from None
     columns = []
     for index, words in enumerate(lines):
         tokens = [_parse_token_word(word, book.k) for word in words]
@@ -305,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--vocab", default=None, help="vocabulary path (default: <out>.vocab)")
     train.add_argument("--order", type=int, default=DEFAULT_ORDER)
     train.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
-    train.add_argument("--method", choices=sorted(_METHODS), default="lpc")
+    train.add_argument("--method", choices=_METHODS, default=latent.TAG_LPC)
     train.add_argument("--k", type=int, default=DEFAULT_K)
     train.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_window_flags(train)
@@ -324,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     encode.add_argument("--order", type=int, default=None)
     encode.add_argument("--lambda", dest="lam", type=float, default=None)
-    encode.add_argument("--method", choices=sorted(_METHODS), default=None)
+    encode.add_argument("--method", choices=_METHODS, default=None)
     _add_window_flags(encode)
     _add_rate_flag(encode)
     encode.set_defaults(func=cmd_encode)

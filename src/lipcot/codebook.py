@@ -17,9 +17,10 @@ from .errors import (
     DimensionMismatchError,
     InvalidTokenError,
     LipcotError,
+    NonRealizableError,
     TooFewVectorsError,
 )
-from .latent import TAG_CEPSTRUM, LatentMethod, LatentVector, latent_to_model
+from .latent import LatentMethod, LatentVector, latent_to_model
 from .lpc_core import LpcModel
 
 CODEBOOK_FORMAT_VERSION = "1"
@@ -230,8 +231,9 @@ def train_codebook(
 
     Normalization statistics are fit on the training vectors and stored in
     the codebook; the same statistics are reused verbatim when encoding and
-    decoding. Deterministic for a fixed seed and input order. Vectors that
-    order-``order`` models cannot map to raise ``DimensionMismatchError``.
+    decoding. Deterministic for a fixed seed and input order. Vectors of more
+    than one method, or that order-``order`` models cannot map to, raise
+    ``DimensionMismatchError``.
     """
     vectors = list(vectors)
     k, order = int(k), int(order)
@@ -240,13 +242,10 @@ def train_codebook(
     if len(vectors) < k:
         raise TooFewVectorsError(f"need at least {k} vectors, got {len(vectors)}")
     method = vectors[0].method
-    dim = vectors[0].dimension
-    for vec in vectors:
-        if vec.method.tag != method.tag or vec.dimension != dim:
-            raise DimensionMismatchError("training vectors disagree in method or dimension")
-    # decode inverts centroids at this order; cepstrum inversion reads the first order + 1 values
-    if dim < order + 1 if method.tag == TAG_CEPSTRUM else dim != method.dimension(order):
-        raise DimensionMismatchError(f"{method.tag} vectors of {dim} values for order {order}")
+    dim = method.dimension(order)
+    # decode inverts centroids at this order, and every inverse reads order + 1 values
+    if dim <= order or any(vec.method != method or vec.dimension != dim for vec in vectors):
+        raise DimensionMismatchError(f"vectors disagree with {method} or order {order}")
     matrix = np.stack([vec.values for vec in vectors])
     stats = NormStats.fit(matrix)
     normalized = stats.normalize(matrix)
@@ -274,7 +273,7 @@ def encode_matrix(codebook: Codebook, matrix: np.ndarray) -> np.ndarray:
 
 def encode_vector(codebook: Codebook, vec: LatentVector) -> int:
     """Nearest-centroid token id in normalized space; ties go to the lowest id."""
-    if vec.method.tag != codebook.method.tag:
+    if vec.method != codebook.method:
         raise DimensionMismatchError("vector does not live in the codebook's space")
     return int(encode_matrix(codebook, vec.values[None])[0])
 
@@ -284,7 +283,10 @@ def decode_token(codebook: Codebook, token: int, sample_rate: float) -> LpcModel
     token = int(token)
     if not 0 <= token < codebook.k:
         raise InvalidTokenError(f"token {token} outside [0, {codebook.k})")
-    values = codebook.norm_stats.denormalize(codebook.centroids[token])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        values = codebook.norm_stats.denormalize(codebook.centroids[token])
+    if not np.all(np.isfinite(values)):
+        raise NonRealizableError(f"token {token} denormalizes past float64's range")
     vec = LatentVector(codebook.method, values)
     return latent_to_model(vec, codebook.order, codebook.lam, sample_rate)
 

@@ -31,10 +31,11 @@ _CEPSTRUM_BLOCK = 8  # cepstrum indices whose weighted coefficients are formed a
 
 @dataclass(frozen=True)
 class LatentMethod:
-    """Which feature map to use, with its parameters.
+    """Which feature map to use, with exactly the parameters that map reads.
 
-    ``weights`` applies to the coefficient map (None means unit weights)
-    and ``n_cepstra`` is the number of cepstrum terms kept.
+    ``weights`` belongs to the coefficient map (None means unit weights) and
+    ``n_cepstra``, the number of cepstrum terms kept, to the cepstrum map,
+    which requires it. A field the tag's map does not read is refused.
     """
 
     tag: str
@@ -45,14 +46,18 @@ class LatentMethod:
         if self.tag not in _TAGS:
             raise ValueError(f"unknown latent method tag {self.tag!r}")
         if self.weights is not None:
+            if self.tag != TAG_LPC:
+                raise ValueError(f"the {self.tag} map takes no weights")
             weights = tuple(float(w) for w in self.weights)
             if any(w <= 0 for w in weights):
                 raise ValueError("feature weights must all be positive")
             object.__setattr__(self, "weights", weights)
-        if self.n_cepstra is not None:
-            if int(self.n_cepstra) < 1:
-                raise ValueError("n_cepstra must be at least 1")
+        if self.tag == TAG_CEPSTRUM:
+            if self.n_cepstra is None or int(self.n_cepstra) < 1:
+                raise ValueError("the cepstrum map needs n_cepstra of at least 1")
             object.__setattr__(self, "n_cepstra", int(self.n_cepstra))
+        elif self.n_cepstra is not None:
+            raise ValueError(f"the {self.tag} map takes no n_cepstra")
 
     @classmethod
     def lpc_coeff(cls, weights=None) -> "LatentMethod":
@@ -67,17 +72,10 @@ class LatentMethod:
         return cls(TAG_DSC)
 
     def dimension(self, order: int) -> int:
-        """Nominal feature dimension for a model of the given order."""
+        """Feature dimension for a model of the given order."""
         if self.tag == TAG_CEPSTRUM:
-            # default keeps dimensionality comparable to the pole-based space
-            return (self.n_cepstra or 2 * order) + 1
+            return self.n_cepstra + 1
         return order + 1 if self.tag == TAG_LPC else 2 * order + 1
-
-    def resolve(self, order: int) -> "LatentMethod":
-        """The method as the vectors it maps from order-``order`` models record it."""
-        if self.tag == TAG_CEPSTRUM:
-            return LatentMethod.cepstrum(self.dimension(order) - 1)
-        return LatentMethod.lpc_coeff(self.weights) if self.tag == TAG_LPC else LatentMethod.dsc()
 
     def to_dict(self) -> dict:
         return {
@@ -171,7 +169,7 @@ def feature_matrix(coeffs, noise_power, method: LatentMethod, sample_rate: float
             raise DimensionMismatchError(f"expected {order} weights, got {w.size}")
         return np.concatenate([w * coeffs, log_power[:, None]], axis=1)  # 1.0 * a is exactly a
     if method.tag == TAG_CEPSTRUM:
-        count = method.dimension(order) - 1
+        count = method.n_cepstra
         return _cepstrum_rows(coeffs, log_power, count) * _sqrt_index_weights(count)
     return _dsc_rows(coeffs, log_power, sample_rate)
 
@@ -179,7 +177,7 @@ def feature_matrix(coeffs, noise_power, method: LatentMethod, sample_rate: float
 def features(model: lpc_core.LpcModel, method: LatentMethod) -> LatentVector:
     """Map a model into the feature space selected by ``method``."""
     values = feature_matrix(model.coeffs[None], [model.noise_power], method, model.sample_rate)
-    return LatentVector(method.resolve(model.order), values[0])
+    return LatentVector(method, values[0])
 
 
 def features_lpc_coeff(model: lpc_core.LpcModel, weights=None) -> LatentVector:
@@ -252,23 +250,6 @@ def cepstrum_to_lpc(ceps, order: int):
     return a, math.exp(c[0])
 
 
-def _dsc_to_model(
-    vec: LatentVector, order: int, lam: float, sample_rate: float
-) -> lpc_core.LpcModel:
-    u = vec.values[:order]
-    v = vec.values[order : 2 * order]
-    radii = 1.0 - np.exp(-v / 2.0)
-    angles = 2.0 * np.pi * u / sample_rate
-    rebuilt = radii * np.exp(1j * angles)
-    coeffs = lpc_core.poles_to_coeffs(rebuilt)
-    residue = np.max(np.abs(coeffs.imag)) if coeffs.size else 0.0
-    if residue >= 1e-6:
-        raise NonRealizableError(
-            f"pole expansion leaves imaginary residue {residue:.3g}"
-        )
-    return lpc_core.LpcModel(order, coeffs.real, math.exp(vec.values[-1]), lam, sample_rate)
-
-
 def latent_to_model(
     vec: LatentVector, order: int, lam: float, sample_rate: float
 ) -> lpc_core.LpcModel:
@@ -277,25 +258,36 @@ def latent_to_model(
     Coefficient vectors divide out their weights; cepstrum vectors strip the
     sqrt-index weighting and run the inverse recursion; dominant-spectral
     vectors rebuild poles from (u, v) and expand them, rejecting points whose
-    expansion is not a real-coefficient polynomial.
+    expansion is not a real-coefficient polynomial. A point whose model
+    overflows float64 raises ``NonRealizableError`` too.
     """
     method = vec.method
     order = int(order)
-    if method.tag != TAG_CEPSTRUM and vec.dimension != method.dimension(order):
+    if vec.dimension != method.dimension(order):
         raise DimensionMismatchError(
             f"expected {method.dimension(order)} values for order {order}, got {vec.dimension}"
         )
-    if method.tag == TAG_LPC:
-        if method.weights is None:
-            coeffs = vec.values[:order].copy()
-        else:
-            coeffs = vec.values[:order] / np.asarray(method.weights)
-        return lpc_core.LpcModel(
-            order, coeffs, math.exp(vec.values[-1]), lam, sample_rate
-        )
-    if method.tag == TAG_CEPSTRUM:
-        count = vec.dimension - 1
-        raw = vec.values / _sqrt_index_weights(count)
-        coeffs, noise_power = cepstrum_to_lpc(raw, order)
-        return lpc_core.LpcModel(order, coeffs, noise_power, lam, sample_rate)
-    return _dsc_to_model(vec, order, lam, sample_rate)
+    try:
+        # overflow is refused below, as a non-finite model, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            if method.tag == TAG_LPC:
+                weights = 1.0 if method.weights is None else np.asarray(method.weights)
+                coeffs, noise_power = vec.values[:order] / weights, math.exp(vec.values[-1])
+            elif method.tag == TAG_CEPSTRUM:
+                raw = vec.values / _sqrt_index_weights(method.n_cepstra)
+                coeffs, noise_power = cepstrum_to_lpc(raw, order)
+            else:
+                radii = 1.0 - np.exp(-vec.values[order : 2 * order] / 2.0)
+                angles = 2.0 * np.pi * vec.values[:order] / sample_rate
+                expanded = lpc_core.poles_to_coeffs(radii * np.exp(1j * angles))
+                residue = np.max(np.abs(expanded.imag)) if expanded.size else 0.0
+                if residue >= 1e-6:
+                    raise NonRealizableError(
+                        f"pole expansion leaves imaginary residue {residue:.3g}"
+                    )
+                coeffs, noise_power = expanded.real, math.exp(vec.values[-1])
+    except OverflowError:  # math.exp of a log power past float64's range
+        noise_power = math.inf
+    if not math.isfinite(noise_power) or not np.all(np.isfinite(coeffs)):
+        raise NonRealizableError("latent point maps to a model beyond float64's range")
+    return lpc_core.LpcModel(order, coeffs, noise_power, lam, sample_rate)

@@ -1,6 +1,7 @@
 """End-to-end passes over multichannel series: segment, fit, encode, decode.
 
-Also owns the CSV and token-file formats used by the command-line surface.
+Also owns the CSV format used by the command-line surface; the token-file
+format lives in ``cli``.
 """
 
 from __future__ import annotations
@@ -138,8 +139,7 @@ def fit_corpus(series_set, config: TokenizerConfig):
     Degenerate segments are skipped; returns ``(vectors, n_skipped)``.
     """
     fits = [_fit_cells(series, config) for series in series_set]
-    method = config.method.resolve(config.order)
-    vectors = [latent.LatentVector(method, row) for matrix, ok in fits for row in matrix[ok]]
+    vectors = [latent.LatentVector(config.method, row) for matrix, ok in fits for row in matrix[ok]]
     if not vectors:
         raise EmptyCorpusError("no latent vectors could be extracted")
     return vectors, sum(ok.size for _, ok in fits) - len(vectors)
@@ -196,24 +196,25 @@ def decode_sequence(
 def read_series_csv(path):
     """Read (channel_names, data) from a header+rows CSV; data is channels x N."""
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise LipcotError(f"{path}: missing header row")
-        names = [name.strip() for name in header]
-        malformed = (
-            f"{path}: expected {len(names)} numbers, one per header column, on every body line"
-        )
         try:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise LipcotError(f"{path}: missing header row")
+            names = [name.strip() for name in header]
             with warnings.catch_warnings():
                 # a header-only file is a valid empty series, not a warning
                 warnings.simplefilter("ignore", UserWarning)
                 rows = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
+        except UnicodeDecodeError as exc:
+            raise LipcotError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
         except ValueError:
-            raise LipcotError(malformed) from None
-    if rows.shape[0] == 0:
+            rows = None  # a body line that is not numbers
+    if rows is not None and rows.shape[0] == 0:
         return names, np.zeros((len(names), 0))
-    if rows.shape[1] != len(names):
-        raise LipcotError(malformed)
+    if rows is None or rows.shape[1] != len(names):
+        raise LipcotError(
+            f"{path}: expected {len(names)} numbers, one per header column, on every body line"
+        )
     if not np.all(np.isfinite(rows)):
         raise LipcotError(f"{path}: non-finite sample value (nan or inf)")
     return names, rows.T

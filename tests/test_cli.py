@@ -5,7 +5,8 @@ import pytest
 
 from conftest import AR2_SPECTRUM_SEED, ar2_coeffs, ar2_fixture_series, predictable_windows
 from lipcot import cli, pipeline, testkit
-from lipcot.errors import LipcotError
+from lipcot import codebook as cb
+from lipcot.errors import LipcotError, NonRealizableError
 
 FS = 500.0
 
@@ -102,6 +103,19 @@ class TestTrain:
             *common,
         ]) == 0
         assert [len(line.split()) for line in tokens_path.read_text().splitlines()] == [3] * 6
+
+    def test_cepstrum_keeps_twice_the_order(self, tmp_path):
+        # the library has no default term count; the CLI's --method cepstrum picks 2 * order
+        csv_path = tmp_path / "series.csv"
+        write_corpus_csv(csv_path)
+        book_path = tmp_path / "b.json"
+        status = cli.main([
+            "train", str(csv_path), "--out", str(book_path), "--method", "cepstrum",
+            "--k", "2", "--order", "8", "--window-sec", "2", "--seed", "0", "--sample-rate", "500",
+        ])
+        assert status == 0
+        method = json.loads(book_path.read_text())["method"]
+        assert method == {"tag": "cepstrum", "weights": None, "n_cepstra": 16}
 
     def test_sidecar_sample_rate(self, tmp_path):
         csv_path = tmp_path / "series.csv"
@@ -405,6 +419,20 @@ class TestBadInputs:
         assert status == 1
         assert_one_error_line(capsys, path)
 
+    @pytest.mark.parametrize(
+        "method",
+        [
+            {"tag": "cepstrum", "weights": None, "n_cepstra": None},
+            {"tag": "lpc", "weights": None, "n_cepstra": 8},
+            {"tag": "dsc", "weights": [1.0] * 4, "n_cepstra": None},
+        ],
+        ids=["cepstrum-without-count", "lpc-with-count", "dsc-with-weights"],
+    )
+    def test_codebook_method_with_fields_its_map_does_not_read(self, workspace, capsys, method):
+        status, path = self.encode_with_book(workspace, lambda p: p.update(method=method))
+        assert status == 1
+        assert "malformed codebook" in assert_one_error_line(capsys, path)
+
     def test_codebook_unsupported_version(self, workspace, capsys):
         status, path = self.encode_with_book(workspace, lambda p: p.update(version="2"))
         assert status == 1
@@ -470,6 +498,18 @@ class TestBadInputs:
         assert status == 1
         assert_one_error_line(capsys, sidecar)
 
+    @pytest.mark.parametrize("method", ["lpc", "cepstrum"])
+    @pytest.mark.parametrize("order", ["0", "-2"])
+    def test_order_below_one(self, tmp_path, capsys, method, order):
+        csv_path = tmp_path / "series.csv"
+        write_corpus_csv(csv_path)
+        status = cli.main([
+            "train", str(csv_path), "--out", str(tmp_path / "b.json"), "--method", method,
+            "--k", "2", "--order", order, "--window-sec", "2", "--sample-rate", "500",
+        ])
+        assert status == 1
+        assert "--order" in assert_one_error_line(capsys)
+
     def test_k_below_one(self, tmp_path, capsys):
         csv_path = tmp_path / "series.csv"
         write_corpus_csv(csv_path)
@@ -515,3 +555,92 @@ class TestBadInputs:
         ])
         assert status == 1
         assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["train", "encode", "spectrum"])
+    @pytest.mark.parametrize("line", [0, 7, 1500], ids=["header", "early-body", "late-body"])
+    def test_csv_that_is_not_utf8(self, workspace, capsys, command, line):
+        # a late line sits past the reader's first buffer, where numpy's parser meets it
+        tmp_path, _, book_path = workspace
+        csv_path = tmp_path / "bad.csv"
+        lines = [b"a,b"] + [f"{i}.0,{-i}.0".encode() for i in range(2000)]
+        lines[line] = lines[line][:1] + b"\xff" + lines[line][1:]
+        csv_path.write_bytes(b"\n".join(lines) + b"\n")
+        argv = {
+            "train": ["train", str(csv_path), "--out", str(tmp_path / "b.json"), "--k", "2"],
+            "encode": [
+                "encode", str(csv_path), "--codebook", str(book_path),
+                "--out", str(tmp_path / "t.txt"),
+            ],
+            "spectrum": ["spectrum", str(csv_path)],
+        }[command]
+        window = [] if command == "spectrum" else ["--window-sec", "2"]
+        status = cli.main([*argv, *window, "--order", "4", "--sample-rate", "500"])
+        assert status == 1
+        assert "not utf-8 text" in assert_one_error_line(capsys, csv_path)
+
+    def test_token_file_that_is_not_utf8(self, workspace, capsys):
+        tmp_path, _, book_path = workspace
+        token_file = tmp_path / "line.txt"
+        token_file.write_bytes(b"t0 t\xff1\n")
+        status = cli.main([
+            "decode", str(token_file), "--codebook", str(book_path),
+            "--out", str(tmp_path / "d.csv"), "--window-sec", "2", "--sample-rate", "500",
+        ])
+        assert status == 1
+        assert "not utf-8 text" in assert_one_error_line(capsys, token_file)
+
+
+def centroid_past_float64(payload):
+    payload["centroids"][0][0] = 1e308
+    payload["norm_std"][0] = 10.0  # 1e308 * 10 overflows on denormalization
+
+
+def log_power_past_exp(payload):
+    payload["norm_mean"][-1] = 1000.0  # exp(1000) is past float64's range
+
+
+def dsc_log_radius_past_exp(payload):
+    payload["norm_mean"][4] = -2000.0  # order 4: the first pole's radius is 1 - exp(1000)
+
+
+class TestUnrealizableTokens:
+    """A codebook that loads but whose token 0 has no float64 model.
+
+    ``synth`` and ``decode`` each end in one 'error:' line and exit 1. The
+    suite turns warnings into errors, so an overflow warning fails the test.
+    """
+
+    @pytest.mark.parametrize(
+        "method, edit",
+        [
+            ("lpc", centroid_past_float64),
+            ("lpc", log_power_past_exp),
+            ("dsc", dsc_log_radius_past_exp),
+        ],
+        ids=["non-finite-values", "log-power-overflow", "dsc-log-radius-overflow"],
+    )
+    def test_synth_and_decode_refuse(self, tmp_path, capsys, method, edit):
+        csv_path = tmp_path / "series.csv"
+        write_corpus_csv(csv_path)
+        book_path = tmp_path / "book.json"
+        common = ["--window-sec", "2", "--sample-rate", "500"]
+        assert cli.main([
+            "train", str(csv_path), "--out", str(book_path), "--method", method,
+            "--k", "4", "--order", "4", "--seed", "3", *common,
+        ]) == 0
+        payload = json.loads(book_path.read_text())
+        edit(payload)
+        book_path.write_text(json.dumps(payload))
+        with pytest.raises(NonRealizableError):
+            cb.decode_token(cb.load_codebook(book_path), 0, 500.0)
+        token_file = tmp_path / "line.txt"
+        token_file.write_text("t1 t0\n")
+        capsys.readouterr()
+        for argv in (
+            ["synth", "--token", "0", "--seconds", "2", "--sample-rate", "500"],
+            ["decode", str(token_file), *common],
+        ):
+            status = cli.main([*argv, "--codebook", str(book_path), "--out", str(tmp_path / "o")])
+            assert status == 1
+            assert_one_error_line(capsys)
+            assert not (tmp_path / "o").exists()

@@ -300,6 +300,15 @@ class TestTraining:
         with pytest.raises(DimensionMismatchError):
             cb.train_codebook(vectors, 1, seed=0, order=1, lam=0.0)
 
+    def test_mixed_weights_rejected(self):
+        # one codebook space per method: the same tag with other weights is another space
+        vectors = [
+            latent.LatentVector(latent.LatentMethod.lpc_coeff(weights), [1.0, float(i), 0.0])
+            for i, weights in enumerate([None, None, (2.0, 1.0), None])
+        ]
+        with pytest.raises(DimensionMismatchError):
+            cb.train_codebook(vectors, 2, seed=0, order=2, lam=0.0)
+
     @pytest.mark.parametrize(
         "method, fit_order, order",
         [
@@ -368,6 +377,12 @@ class TestEncodeDecode:
 
     def test_wrong_space_rejected(self, trained):
         vec = latent.LatentVector(latent.LatentMethod.dsc(), [0.0, 0.0, 0.0])
+        with pytest.raises(DimensionMismatchError):
+            cb.encode_vector(trained, vec)
+
+    def test_differently_weighted_vector_rejected(self, trained):
+        # same tag and dimension as the unit-weight codebook, but another space
+        vec = latent.LatentVector(latent.LatentMethod.lpc_coeff((2.0, 2.0)), [0.0, 0.0, 0.0])
         with pytest.raises(DimensionMismatchError):
             cb.encode_vector(trained, vec)
 

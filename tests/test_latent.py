@@ -84,6 +84,26 @@ class TestCepstrum:
 
 
 class TestMethodPayload:
+    @pytest.mark.parametrize(
+        "tag, fields",
+        [
+            ("cepstrum", {}),
+            ("cepstrum", {"n_cepstra": 0}),
+            ("cepstrum", {"n_cepstra": 4, "weights": (1.0,)}),
+            ("lpc", {"n_cepstra": 4}),
+            ("lpc", {"weights": (1.0, 0.0)}),
+            ("dsc", {"n_cepstra": 4}),
+            ("dsc", {"weights": (1.0,)}),
+        ],
+        ids=[
+            "cepstrum-without-count", "cepstrum-zero-count", "cepstrum-with-weights",
+            "lpc-with-count", "lpc-zero-weight", "dsc-with-count", "dsc-with-weights",
+        ],
+    )
+    def test_method_refuses_fields_its_map_does_not_read(self, tag, fields):
+        with pytest.raises(ValueError):
+            latent.LatentMethod(tag, **fields)
+
     def test_retired_reduced_flag(self):
         # older codebooks store "reduced": false, which still loads; reduced
         # dominant-spectral mode no longer exists, so true is refused
@@ -182,8 +202,9 @@ class TestLatentToModel:
             (latent.LatentMethod.lpc_coeff(), [0.3, 0.0], 2),
             (latent.LatentMethod.dsc(), [10.0, 0.1, 0.2, 0.0], 2),  # even size
             (latent.LatentMethod.dsc(), [10.0, -10.0, 0.1, 0.1, 0.0], 3),  # order 2's size
+            (latent.LatentMethod.cepstrum(5), [0.1] * 9, 4),  # not n_cepstra + 1 values
         ],
-        ids=["lpc", "dsc-even-size", "dsc-wrong-order"],
+        ids=["lpc", "dsc-even-size", "dsc-wrong-order", "cepstrum-wrong-count"],
     )
     def test_dimension_mismatch(self, method, values, order):
         vec = latent.LatentVector(method, values)

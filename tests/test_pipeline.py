@@ -50,7 +50,7 @@ def reference_features(a, noise_power, method, sample_rate):
         weights = np.asarray(method.weights) if method.weights else np.ones(order)
         return np.concatenate([weights * a, [log_power]])
     if method.tag == latent.TAG_CEPSTRUM:
-        count = method.n_cepstra or 2 * order
+        count = method.n_cepstra
         c = np.empty(count + 1)
         c[0] = log_power
         for n in range(1, count + 1):
@@ -110,7 +110,7 @@ def mixed_channel(rng, kind, n):
 class TestBatchedFit:
     @settings(max_examples=60, deadline=None)
     @given(
-        method=st.sampled_from(["lpc", "weighted", "cepstrum", "cepstrum-default", "dsc"]),
+        method=st.sampled_from(["lpc", "weighted", "cepstrum", "cepstrum-2-order", "dsc"]),
         order=st.integers(1, 20),
         lam=st.one_of(st.just(0.0), st.floats(-0.6, 0.6)),
         window_extra=st.integers(1, 60),
@@ -134,7 +134,7 @@ class TestBatchedFit:
             "lpc": latent.LatentMethod.lpc_coeff(),
             "weighted": latent.LatentMethod.lpc_coeff(tuple(rng.uniform(0.5, 2.0, order))),
             "cepstrum": latent.LatentMethod.cepstrum(int(rng.integers(1, 3 * order + 2))),
-            "cepstrum-default": latent.LatentMethod(latent.TAG_CEPSTRUM),
+            "cepstrum-2-order": latent.LatentMethod.cepstrum(2 * order),  # the CLI's choice
             "dsc": latent.LatentMethod.dsc(),
         }[method]
         series = pipeline.MultichannelSeries(data, 100.0, [f"c{i}" for i in range(len(kinds))])
