@@ -30,6 +30,7 @@ DEFAULT_WINDOW_SEC = 5.0
 DEFAULT_K = 64
 DEFAULT_SEED = 0
 DEFAULT_GRID_HZ = 0.1
+_MAX_GRID_POINTS = 1_000_000  # spectrum rows; a finer grid is refused before it is built
 
 _METHODS = (latent.TAG_CEPSTRUM, latent.TAG_DSC, latent.TAG_LPC)
 
@@ -237,6 +238,13 @@ def cmd_spectrum(args) -> int:
     from . import testkit  # test oracles; only this command needs the periodogram
 
     sample_rate = _resolve_sample_rate(args.input, args.sample_rate)
+    step, nyquist = args.grid_hz, sample_rate / 2.0
+    if not 0 < step < math.inf:
+        raise LipcotError("--grid-hz must be positive and finite")
+    if nyquist / step >= _MAX_GRID_POINTS:  # the grid has int(nyquist / step) + 1 points
+        raise LipcotError(
+            f"--grid-hz {step} gives more than {_MAX_GRID_POINTS} points up to {nyquist} Hz"
+        )
     names, data = pipeline.read_series_csv(args.input)
     if data.shape[1] < 2:
         raise LipcotError("spectrum needs at least two samples")
@@ -245,10 +253,6 @@ def cmd_spectrum(args) -> int:
 
     segment = lpc_core.Segment(samples, sample_rate)
     model = lpc_core.fit_burg_warped(segment, args.order, args.lam)
-    step = args.grid_hz
-    if not step > 0:
-        raise LipcotError("--grid-hz must be positive")
-    nyquist = sample_rate / 2.0
     grid = np.arange(int(nyquist / step) + 1) * step
     lpc_psd = lpc_core.power_spectrum(model, grid)
     per_freqs, per_power = testkit.periodogram(samples - samples.mean(), sample_rate)

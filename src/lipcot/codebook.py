@@ -8,7 +8,7 @@ encoding and decoding see exactly the space the vocabulary was built in.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,7 +64,12 @@ class NormStats:
 
 @dataclass(frozen=True)
 class Codebook:
-    """K centroids in normalized latent space plus the model configuration."""
+    """K centroids in normalized latent space plus the model configuration.
+
+    ``centroid_sq_norms``, each centroid's squared norm for
+    ``nearest_centroids``, is derived here once and never serialized. An
+    ``lpc`` method's weights must number ``order``.
+    """
 
     k: int
     centroids: np.ndarray
@@ -74,6 +79,7 @@ class Codebook:
     lam: float
     seed: int
     version: str = CODEBOOK_FORMAT_VERSION
+    centroid_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         centroids = np.asarray(self.centroids, dtype=float)
@@ -81,7 +87,12 @@ class Codebook:
             raise ValueError("centroid matrix shape disagrees with k and stats")
         if not np.all(np.isfinite(centroids)):
             raise ValueError("centroids must be finite")
+        weights = self.method.weights
+        if weights is not None and len(weights) != self.order:
+            raise DimensionMismatchError(f"{len(weights)} lpc weights for order {self.order}")
         object.__setattr__(self, "centroids", centroids)
+        with np.errstate(over="ignore"):  # an infinite norm is the shortlist's to handle
+            object.__setattr__(self, "centroid_sq_norms", np.vecdot(centroids, centroids))
 
     @property
     def dimension(self) -> int:
@@ -94,8 +105,11 @@ _ASSIGN_CHUNK = 256
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
-def nearest_centroids(points: np.ndarray, centroids: np.ndarray):
+def nearest_centroids(points: np.ndarray, centroids: np.ndarray, c_sq=None):
     """Each row's nearest centroid and squared distance: ``(labels, sq_dists)``.
+
+    ``c_sq`` is ``np.vecdot(centroids, centroids)``, computed here when not
+    given; a codebook passes the norms it holds.
 
     The answer is bit for bit that of direct differences,
     ``((x - c) ** 2).sum()`` over every centroid with ties to the lowest id,
@@ -132,7 +146,8 @@ def nearest_centroids(points: np.ndarray, centroids: np.ndarray):
     ambiguous = []
     # only the shortlist is silenced: refined rows warn as direct differences do
     with np.errstate(over="ignore", invalid="ignore"):
-        c_sq = np.vecdot(centroids, centroids)
+        if c_sq is None:
+            c_sq = np.vecdot(centroids, centroids)
         # 2B = 2 (d + 2) eps 4 (N + tiny / eps), infinite wherever 4N overflows
         two_b = np.vecdot(points, points) + (c_sq.max(initial=0.0) + _TINY / _EPS)
         two_b *= 4.0
@@ -268,7 +283,8 @@ def encode_matrix(codebook: Codebook, matrix: np.ndarray) -> np.ndarray:
     """
     if matrix.shape[1] != codebook.dimension:
         raise DimensionMismatchError("vector does not live in the codebook's space")
-    return nearest_centroids(codebook.norm_stats.normalize(matrix), codebook.centroids)[0]
+    points = codebook.norm_stats.normalize(matrix)
+    return nearest_centroids(points, codebook.centroids, codebook.centroid_sq_norms)[0]
 
 
 def encode_vector(codebook: Codebook, vec: LatentVector) -> int:
@@ -331,7 +347,7 @@ def codebook_from_dict(payload: dict) -> Codebook:
         )
     except KeyError as exc:
         raise LipcotError(f"codebook is missing key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, DimensionMismatchError) as exc:
         raise LipcotError(f"malformed codebook ({exc})") from None
 
 

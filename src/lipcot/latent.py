@@ -128,6 +128,14 @@ def _log_powers(noise_power) -> np.ndarray:
 def _cepstrum_rows(coeffs: np.ndarray, log_power: np.ndarray, count: int) -> np.ndarray:
     # lpc_to_cepstrum on every row at once, each element in the same float order
     n_rows, order = coeffs.shape
+    if n_rows == 1:  # plain floats: per-term numpy calls would cost more than the terms
+        a, c = coeffs[0].tolist(), log_power.tolist()
+        for n in range(1, count + 1):
+            acc = 0.0  # the blocked fold's start, then its terms in m order
+            for m in range(1, min(n - 1, order) + 1):
+                acc += (1.0 - m / n) * a[m - 1] * c[n - m]
+            c.append((-a[n - 1] if n <= order else -0.0) - acc)
+        return np.array([c])
     c = np.empty((count + 1, n_rows))
     c[0] = log_power
     neg_a = -coeffs.T

@@ -433,6 +433,62 @@ class TestBadInputs:
         assert status == 1
         assert "malformed codebook" in assert_one_error_line(capsys, path)
 
+    def test_lpc_codebook_with_fewer_weights_than_its_order(self, workspace, capsys):
+        tmp_path, _, book_path = workspace
+        payload = json.loads(book_path.read_text())
+        payload["method"]["weights"] = [1.0] * (payload["order"] - 1)
+        bad_book = tmp_path / "bad.json"
+        bad_book.write_text(json.dumps(payload))
+        token_file = tmp_path / "line.txt"
+        token_file.write_text("t1 t0\n")
+        common = ["--codebook", str(bad_book), "--out", str(tmp_path / "o"), "--sample-rate", "500"]
+        for argv in (
+            ["synth", "--token", "0", "--seconds", "2"],
+            ["decode", str(token_file), "--window-sec", "2"],
+        ):
+            assert cli.main([*argv, *common]) == 1
+            assert "malformed codebook" in assert_one_error_line(capsys, bad_book)
+            assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("step", ["inf", "nan", "0", "-0.5"])
+    def test_spectrum_grid_step_that_is_not_positive_and_finite(self, tmp_path, capsys, step):
+        csv_path = tmp_path / "noise.csv"
+        write_corpus_csv(csv_path, n_channels=1, n_samples=1000)
+        out = tmp_path / "spec.csv"
+        status = cli.main([
+            "spectrum", str(csv_path), "--sample-rate", "500", "--grid-hz", step,
+            "--out", str(out),
+        ])
+        assert status == 1
+        assert "--grid-hz" in assert_one_error_line(capsys)
+        assert not out.exists()
+
+    def test_spectrum_grid_too_fine_is_refused_before_it_is_built(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 250 Hz / 1e-13 is 2.5e15 points; building them would end in MemoryError
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("the grid was built")
+
+        csv_path = tmp_path / "noise.csv"
+        write_corpus_csv(csv_path, n_channels=1, n_samples=1000)
+        monkeypatch.setattr(cli.np, "arange", no_allocation)
+        status = cli.main(["spectrum", str(csv_path), "--sample-rate", "500", "--grid-hz", "1e-13"])
+        assert status == 1
+        assert "--grid-hz" in assert_one_error_line(capsys)
+
+    def test_spectrum_grid_cap_counts_points(self, tmp_path, capsys, monkeypatch):
+        # 250 Hz in steps of 25 is int(10) + 1 = 11 points; steps of 22.5 give 12
+        csv_path = tmp_path / "noise.csv"
+        write_corpus_csv(csv_path, n_channels=1, n_samples=1000)
+        monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 11)
+        out = tmp_path / "spec.csv"
+        argv = ["spectrum", str(csv_path), "--sample-rate", "500", "--out", str(out)]
+        assert cli.main([*argv, "--grid-hz", "25"]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 11
+        assert cli.main([*argv, "--grid-hz", "22.5"]) == 1
+        assert "more than 11 points" in assert_one_error_line(capsys)
+
     def test_codebook_unsupported_version(self, workspace, capsys):
         status, path = self.encode_with_book(workspace, lambda p: p.update(version="2"))
         assert status == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -13,6 +14,7 @@ from lipcot import latent
 from lipcot.errors import (
     DimensionMismatchError,
     InvalidTokenError,
+    LipcotError,
     TooFewVectorsError,
 )
 
@@ -79,6 +81,13 @@ def reference_kmeans_fit(points, k, seed, events):
     return centroids, labels, np.asarray(inertia_history)
 
 
+def held_norms(centroids):
+    """The squared centroid norms a codebook over ``centroids`` derives and holds."""
+    k, d = centroids.shape
+    stats = cb.NormStats(np.zeros(d), np.ones(d))
+    return cb.Codebook(k, centroids, stats, latent.LatentMethod.dsc(), 1, 0.0, 0).centroid_sq_norms
+
+
 def direct_nearest(points, centroids):
     """Labels and squared distances from the full (n, k, d) difference tensor."""
     full = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
@@ -113,10 +122,11 @@ class TestNearestCentroids:
     @given(quarter_grid_cases())
     def test_matches_direct_differences_on_tie_heavy_grids(self, case):
         points, centroids = case
-        labels, sq_dists = cb.nearest_centroids(points, centroids)
         want_labels, want_sq_dists = direct_nearest(points, centroids)
-        np.testing.assert_array_equal(labels, want_labels)
-        np.testing.assert_array_equal(sq_dists, want_sq_dists)
+        for c_sq in (None, held_norms(centroids)):
+            labels, sq_dists = cb.nearest_centroids(points, centroids, c_sq)
+            np.testing.assert_array_equal(labels, want_labels)
+            np.testing.assert_array_equal(sq_dists, want_sq_dists)
 
     @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e-160])
     def test_matches_direct_differences_at_extreme_scales(self, scale):
@@ -125,10 +135,11 @@ class TestNearestCentroids:
         points = rng.integers(-4, 5, size=(300, 6)) / 4.0 * scale
         centroids = rng.integers(-4, 5, size=(40, 6)) / 4.0 * scale
         centroids[7] = centroids[30]
-        labels, sq_dists = cb.nearest_centroids(points, centroids)
         want_labels, want_sq_dists = direct_nearest(points, centroids)
-        np.testing.assert_array_equal(labels, want_labels)
-        np.testing.assert_array_equal(sq_dists, want_sq_dists)
+        for c_sq in (None, held_norms(centroids)):
+            labels, sq_dists = cb.nearest_centroids(points, centroids, c_sq)
+            np.testing.assert_array_equal(labels, want_labels)
+            np.testing.assert_array_equal(sq_dists, want_sq_dists)
 
     def test_integer_rows_match_direct_differences(self):
         points = np.random.default_rng(3).integers(-3, 4, size=(50, 3))
@@ -446,6 +457,35 @@ class TestPersistence:
             "version", "method", "order", "lambda", "k",
             "norm_mean", "norm_std", "centroids", "seed",
         }
+
+    def test_held_norms_change_no_bytes_equality_or_repr(self, tmp_path):
+        book = _tiny_book(k=3)
+        norms = np.vecdot(book.centroids, book.centroids)
+        assert book.centroid_sq_norms.tobytes() == norms.tobytes()
+        # the same fields again: the derived norms are a new array, which == never reads
+        fields = {f.name: getattr(book, f.name) for f in dataclasses.fields(book) if f.init}
+        twin = cb.Codebook(**fields)
+        assert twin.centroid_sq_norms is not book.centroid_sq_norms
+        assert twin == book
+        assert repr(twin) == repr(book) and "centroid_sq_norms" not in repr(book)
+        path = tmp_path / "book.json"
+        cb.save_codebook(book, path)
+        assert path.read_text() == json.dumps(cb.codebook_to_dict(book), indent=2) + "\n"
+        cb.save_codebook(cb.load_codebook(path), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    def test_lpc_weights_must_number_the_order(self, tmp_path):
+        book = _tiny_book(k=2)  # order 2
+        with pytest.raises(DimensionMismatchError, match="3 lpc weights for order 2"):
+            dataclasses.replace(book, method=latent.LatentMethod.lpc_coeff([1.0, 2.0, 3.0]))
+        weighted = dataclasses.replace(book, method=latent.LatentMethod.lpc_coeff([1.0, 2.0]))
+        path = tmp_path / "book.json"
+        cb.save_codebook(weighted, path)
+        payload = json.loads(path.read_text())
+        payload["method"]["weights"] = [1.0]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(LipcotError, match="malformed codebook"):
+            cb.load_codebook(path)
 
 
 def _tiny_book(k):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import FS, random_stable_model
 from lipcot import latent, lpc_core
@@ -81,6 +84,48 @@ class TestCepstrum:
     def test_too_few_coefficients(self):
         with pytest.raises(InsufficientCoefficientsError):
             latent.cepstrum_to_lpc([0.0, 0.5], 2)
+
+
+@st.composite
+def stacked_models(draw):
+    """Coefficient rows with many exact zeros of either sign, their powers,
+    and a method for them: lpc with unit or drawn weights, cepstrum with a
+    term count below, equal to or above the order, or dsc.
+    """
+    order = draw(st.integers(1, 10))
+    rows = draw(st.integers(2, 5))
+    element = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.5, 1.5))
+    coeffs = draw(hnp.arrays(float, (rows, order), elements=element))
+    for row in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
+        coeffs[row] = draw(st.sampled_from([0.0, -0.0]))
+    powers = draw(hnp.arrays(float, rows, elements=st.floats(1e-6, 1e6)))
+    weights = st.lists(st.floats(0.1, 4.0), min_size=order, max_size=order)
+    method = draw(st.one_of(
+        st.just(latent.LatentMethod.lpc_coeff()),
+        weights.map(latent.LatentMethod.lpc_coeff),
+        st.integers(1, max(1, order - 1)).map(latent.LatentMethod.cepstrum),
+        st.just(latent.LatentMethod.cepstrum(order)),
+        st.integers(order + 1, 3 * order).map(latent.LatentMethod.cepstrum),
+        st.just(latent.LatentMethod.dsc()),
+    ))
+    return coeffs, powers, method
+
+
+class TestBatchMatchesOneRow:
+    @settings(max_examples=300, deadline=None)
+    @given(stacked_models())
+    def test_feature_matrix_rows_are_one_row_features(self, case):
+        # the README's contract: a window maps to the same bytes alone or in a batch
+        coeffs, powers, method = case
+        matrix = latent.feature_matrix(coeffs, powers, method, FS)
+        for row, power, values in zip(coeffs, powers, matrix):
+            one = latent.features(model_from(row, power), method).values
+            assert one.tobytes() == values.tobytes()
+        if method.tag == latent.TAG_CEPSTRUM:
+            count = method.n_cepstra
+            raw = latent._cepstrum_rows(coeffs, latent._log_powers(powers), count)
+            for row, power, values in zip(coeffs, powers, raw):
+                assert latent.lpc_to_cepstrum(row, power, count).tobytes() == values.tobytes()
 
 
 class TestMethodPayload:

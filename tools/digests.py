@@ -1,0 +1,206 @@
+"""sha256 digests of lipcot's outputs on the benchmark's own seeded inputs.
+
+usage: python3 tools/digests.py SRC_DIR [--seeds 101 102 103] [--workloads NAME ...]
+
+SRC_DIR is the directory that holds the ``lipcot`` package to digest (the
+``src`` of a checkout). The inputs come from ``perfbench/inputs.generate``
+of the checkout this script sits in, so two checkouts are compared on the
+same data:
+
+    python3 tools/digests.py /path/to/parent/src > parent.txt
+    python3 tools/digests.py src > change.txt
+    diff parent.txt change.txt
+
+Each line reads ``workload seed key digest``. Per workload and seed it covers
+every trained codebook (``book.json`` bytes), tokens in both layouts,
+``decoded.csv`` and the ``train`` report (cli-eeg), and the single-window
+encodes and single-token decodes the benchmark runs: each token, each
+refusal with its error type, and each realization's samples.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _book_bytes(codebook, book, work: Path) -> bytes:
+    path = work / "digest-book.json"
+    codebook.save_codebook(book, path)
+    return path.read_bytes()
+
+
+def _single_ops(books, windows, rate: float, base_seed: int) -> dict:
+    """The benchmark's closed loop: op ``i`` on book ``i % len(books)``."""
+    from lipcot import LipcotError, codebook, latent, lpc_core
+
+    def outcome(function, *args):
+        try:
+            return function(*args)
+        except LipcotError as exc:
+            return type(exc).__name__
+
+    def encode(book, samples):
+        model = lpc_core.fit_burg_warped(lpc_core.Segment(samples, rate), book.order, book.lam)
+        return codebook.encode_vector(book, latent.features(model, book.method))
+
+    def decode(book, token, seed):
+        model = codebook.decode_token(book, token, rate)
+        return lpc_core.synthesize(model, windows.shape[1], seed).samples
+
+    tokens, refusals, samples = [], [], hashlib.sha256()
+    for i, window in enumerate(windows):
+        tokens.append(outcome(encode, books[i % len(books)], window))
+    for i in range(len(windows)):
+        book = books[i % len(books)]
+        result = outcome(decode, book, i // len(books) % book.k, base_seed + i)
+        refusals.append(result if isinstance(result, str) else None)
+        if not isinstance(result, str):
+            samples.update(result.tobytes())
+    return {
+        "single.tokens": _sha(json.dumps(tokens).encode()),
+        "single.refusals": _sha(json.dumps(refusals).encode()),
+        "single.samples": samples.hexdigest(),
+    }
+
+
+def cli_eeg(spec: dict, work: Path) -> dict:
+    from lipcot import cli, codebook
+
+    csv, book_path = work / spec["csv"], work / "book.json"
+    common = ["--window-sec", str(spec["window_sec"]), "--sample-rate", str(spec["rate"])]
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        status = cli.main([
+            "train", str(csv), "--out", str(book_path), "--order", str(spec["order"]),
+            "--lambda", str(spec["lam"]), "--k", str(spec["k"]), "--method", spec["method"],
+            "--seed", str(spec["seed"]), *common,
+        ])
+    out = {"train.status": str(status), "train.stdout": _sha(printed.getvalue().encode())}
+    out["book.json"] = _sha(book_path.read_bytes())
+    out["book.json.vocab"] = _sha((work / "book.json.vocab").read_bytes())
+    for layout in ("positions", "temporal"):
+        tokens = work / f"tokens-{layout}.txt"
+        status = cli.main([
+            "encode", str(csv), "--codebook", str(book_path), "--out", str(tokens),
+            "--layout", layout, "--json", str(tokens) + ".json", *common,
+        ])
+        out[f"tokens.{layout}"] = _sha(f"{status}\n".encode() + tokens.read_bytes())
+        out[f"tokens.{layout}.json"] = _sha((work / f"tokens-{layout}.txt.json").read_bytes())
+    decoded = work / "decoded.csv"
+    status = cli.main([
+        "decode", str(work / "tokens-temporal.txt"), "--codebook", str(book_path),
+        "--out", str(decoded), "--seed", str(spec["seed"]), *common,
+    ])
+    out["decoded.csv"] = _sha(f"{status}\n".encode() + decoded.read_bytes())
+
+    data = np.load(work / spec["npy"])
+    window = int(spec["window_sec"] * spec["rate"])
+    n_windows = data.shape[1] // window
+    windows = data[:, : n_windows * window].reshape(-1, window)[: spec["latency_ops"]]
+    book = codebook.load_codebook(book_path)
+    out.update(_single_ops([book], windows, spec["rate"], spec["seed"]))
+    return out
+
+
+def scale_k256(spec: dict, work: Path) -> dict:
+    from lipcot import LatentMethod, codebook, pipeline
+
+    data = np.load(work / spec["npy"])
+    series = pipeline.MultichannelSeries(data, spec["rate"], [f"c{i}" for i in range(len(data))])
+    window = spec["window"]
+    config = pipeline.TokenizerConfig(
+        spec["order"], spec["lam"], window, window, LatentMethod.cepstrum(spec["n_cepstra"])
+    )
+    vectors, skipped = pipeline.fit_corpus([series], config)
+    matrix = np.stack([v.values for v in vectors])
+    out = {"fit_corpus": _sha(matrix.tobytes() + f"{skipped}".encode())}
+    windows = data[:, : (data.shape[1] // window) * window].reshape(-1, window)
+    windows = windows[: spec["latency_ops"]]
+    for restart in range(spec["restarts"]):
+        book = codebook.train_codebook(
+            vectors, spec["k"], spec["seed"] * spec["restarts"] + restart,
+            order=spec["order"], lam=spec["lam"],
+        )
+        out[f"book{restart}.json"] = _sha(_book_bytes(codebook, book, work))
+        for layout in ("positions", "temporal"):
+            sequences = pipeline.encode_series(series, book, window, window, layout)
+            out[f"book{restart}.tokens.{layout}"] = _sha(
+                json.dumps([s.tokens for s in sequences]).encode()
+            )
+        ops = _single_ops([book], windows, spec["rate"], spec["seed"])
+        out.update({f"book{restart}.{key}": value for key, value in ops.items()})
+    return out
+
+
+def dsc_stream(spec: dict, work: Path) -> dict:
+    from lipcot import LatentMethod, codebook, pipeline
+
+    train = np.load(work / spec["train_npy"])
+    series = pipeline.MultichannelSeries(train, spec["rate"], [f"c{i}" for i in range(len(train))])
+    window = spec["window"]
+    config = pipeline.TokenizerConfig(
+        spec["order"], spec["lam"], window, window, LatentMethod.dsc()
+    )
+    vectors, _ = pipeline.fit_corpus([series], config)
+    out, books = {}, []
+    for c in range(spec["codebooks"]):
+        book = codebook.train_codebook(
+            vectors, spec["k"], spec["seed"] * spec["codebooks"] + c,
+            order=spec["order"], lam=spec["lam"],
+        )
+        books.append(book)
+        out[f"book{c}.json"] = _sha(_book_bytes(codebook, book, work))
+    for layout in ("positions", "temporal"):
+        sequences = pipeline.encode_series(series, books[0], window, window, layout)
+        out[f"book0.tokens.{layout}"] = _sha(json.dumps([s.tokens for s in sequences]).encode())
+    stream = np.load(work / spec["stream_npy"])
+    out.update(_single_ops(books, stream, spec["rate"], spec["seed"]))
+    return out
+
+
+WORKLOADS = {"cli-eeg": cli_eeg, "scale-k256": scale_k256, "dsc-stream": dsc_stream}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src_dir", help="directory holding the lipcot package")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[101, 102, 103])
+    parser.add_argument("--workloads", nargs="+", choices=list(WORKLOADS), default=list(WORKLOADS))
+    args = parser.parse_args(argv)
+
+    src = Path(args.src_dir).resolve()
+    sys.path.insert(0, str(src))
+    sys.path.insert(1, str(ROOT / "perfbench"))
+    import inputs
+    import lipcot
+
+    if Path(lipcot.__file__).resolve().parent != src / "lipcot":
+        raise SystemExit(f"imported lipcot from {lipcot.__file__}, not from {src}")
+
+    for name in args.workloads:
+        for seed in args.seeds:
+            with tempfile.TemporaryDirectory() as tmp:
+                work = Path(tmp)
+                spec = json.loads(inputs.generate(name, seed, work).read_text())
+                for key, value in WORKLOADS[name](spec, work).items():
+                    print(name, seed, key, value, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
