@@ -81,6 +81,15 @@ def _window_samples(seconds: float, sample_rate: float, name: str) -> int:
     return count
 
 
+def _hop_samples(args, sample_rate: float) -> int:
+    """``--hop-sec`` in whole samples, the window when not given; at least one."""
+    seconds = args.window_sec if args.hop_sec is None else args.hop_sec
+    count = _sample_count(seconds, sample_rate)
+    if count < 1:
+        raise LipcotError(f"hop of {seconds} s is below one sample at {sample_rate} Hz")
+    return count
+
+
 def _read_series(path: str, sample_rate: float):
     names, data = pipeline.read_series_csv(path)
     if data.shape[1] == 0:
@@ -110,8 +119,7 @@ def _check_codebook_flags(book: cb.Codebook, args) -> None:
 def cmd_train(args) -> int:
     sample_rate = _resolve_sample_rate(args.inputs[0], args.sample_rate)
     window = _window_samples(args.window_sec, sample_rate, "window")
-    hop_sec = args.hop_sec if args.hop_sec is not None else args.window_sec
-    hop = _window_samples(hop_sec, sample_rate, "hop")
+    hop = _hop_samples(args, sample_rate)
     if args.order < 1:
         raise LipcotError(f"--order must be at least 1, got {args.order}")
     if args.k < 1:
@@ -155,8 +163,7 @@ def cmd_encode(args) -> int:
     _check_codebook_flags(book, args)
     sample_rate = _resolve_sample_rate(args.input, args.sample_rate)
     window = _window_samples(args.window_sec, sample_rate, "window")
-    hop_sec = args.hop_sec if args.hop_sec is not None else args.window_sec
-    hop = _window_samples(hop_sec, sample_rate, "hop")
+    hop = _hop_samples(args, sample_rate)
 
     names, series = _read_series(args.input, sample_rate)
     if series is None:
@@ -186,7 +193,7 @@ def _parse_token_word(word: str, k: int) -> int:
     digits = word[1:]
     if word.startswith("t") and digits.isascii() and digits.isdigit():
         token = int(digits)
-        if token < k:
+        if token < k and word == f"t{token}":  # the vocabulary's spelling: no leading zeros
             return token
     raise UnknownWordError(f"unknown token word {word!r}")
 

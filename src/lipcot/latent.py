@@ -241,21 +241,26 @@ def _sqrt_index_weights(count: int) -> np.ndarray:
 
 
 def cepstrum_to_lpc(ceps, order: int):
-    """Invert raw (unweighted) cepstrum coefficients to (coeffs, noise_power)."""
+    """Invert raw (unweighted) cepstrum coefficients to (coeffs, noise_power).
+
+    The recursion runs over Python floats, since numpy scalars cost more
+    than the order^2 / 2 terms; each term is formed and summed in the same
+    float order as numpy scalars would, so the bytes are unchanged.
+    """
     c = np.asarray(ceps, dtype=float)
     order = int(order)
     if c.size < order + 1:
         raise InsufficientCoefficientsError(
             f"need at least {order + 1} cepstrum coefficients, got {c.size}"
         )
-    a = np.empty(order)
-    a[0] = -c[1]
-    for i in range(2, order + 1):
+    c = c.tolist()
+    a = []
+    for i in range(1, order + 1):
         acc = 0.0
         for m in range(1, i):
             acc += (1.0 - m / i) * a[m - 1] * c[i - m]
-        a[i - 1] = -c[i] - acc
-    return a, math.exp(c[0])
+        a.append(-c[i] - acc)  # -c[1] - 0.0 is exactly -c[1] for i = 1
+    return np.array(a), math.exp(c[0])
 
 
 def latent_to_model(

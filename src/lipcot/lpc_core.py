@@ -188,6 +188,13 @@ def fit_burg_warped(segment: Segment, order: int, lam: float) -> LpcModel:
     return LpcModel(int(order), coeffs, noise_power, lam, segment.sample_rate)
 
 
+def _eigvals(companion: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"companion eigenvalues did not converge ({exc})") from None
+
+
 def pole_matrix(coeffs) -> np.ndarray:
     """Poles of each row of a models x order coefficient matrix, each row sorted.
 
@@ -198,18 +205,23 @@ def pole_matrix(coeffs) -> np.ndarray:
     """
     coeffs = np.asarray(coeffs, dtype=float)
     rows, order = coeffs.shape
-    # companion size: the count of coefficients up to the last nonzero one
-    sizes = np.max((coeffs != 0.0) * np.arange(1, order + 1), axis=1, initial=0)
     roots = np.zeros((rows, order), dtype=complex)
-    for size in set(sizes.tolist()) - {0}:
-        pick = sizes == size
-        companion = np.zeros((np.count_nonzero(pick), size, size))
-        companion[:, 0] = -coeffs[pick, :size]
-        companion.reshape(-1, size * size)[:, size :: size + 1] = 1.0  # subdiagonal
-        try:
-            roots[pick, :size] = np.linalg.eigvals(companion)
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergenceError(f"companion eigenvalues did not converge ({exc})") from None
+    if rows == 1:  # one 2-D companion matrix: no size groups, no mask scatter
+        nonzero = np.flatnonzero(coeffs[0])
+        if nonzero.size:
+            size = int(nonzero[-1]) + 1  # the count of coefficients up to the last nonzero one
+            companion = np.eye(size, k=-1)  # ones on the subdiagonal
+            companion[0] = -coeffs[0, :size]
+            roots[0, :size] = _eigvals(companion)
+    else:
+        # companion size: the count of coefficients up to the last nonzero one
+        sizes = np.max((coeffs != 0.0) * np.arange(1, order + 1), axis=1, initial=0)
+        for size in set(sizes.tolist()) - {0}:
+            pick = sizes == size
+            companion = np.zeros((np.count_nonzero(pick), size, size))
+            companion[:, 0] = -coeffs[pick, :size]
+            companion.reshape(-1, size * size)[:, size :: size + 1] = 1.0  # subdiagonal
+            roots[pick, :size] = _eigvals(companion)
     roots = np.where(np.abs(roots.imag) < _REAL_SNAP, roots.real + 0.0j, roots)
     return np.sort_complex(roots)
 
@@ -297,17 +309,27 @@ def to_conventional_tf(model: LpcModel):
     with a_0 = 1. Returns ``(numerator, denominator)`` coefficient arrays in
     ascending powers of z^-1 (exact trailing zeros trimmed); for ``lam = 0``
     this is (1) over (1, a_1, ..., a_L).
+
+    The Horner steps run over Python floats, since numpy calls on arrays of
+    at most L + 1 terms cost more than the terms. Each two-tap convolution
+    term is ``x * (-lam) + y``: one rounded product, since the other tap's
+    product by 1 is exact, and one sum, the float order of ``np.convolve``.
+    So the bytes are those of the ``np.convolve`` expansion. (Signed zeros
+    may differ along the way, but not in the result: the last step adds
+    1 * (1 - lam*z^-1)^L, which holds no -0.0, to every coefficient.)
     """
-    up = np.array([1.0, -model.lam])  # 1 - lam*z^-1
-    down = np.array([-model.lam, 1.0])  # z^-1 - lam
-    # Horner from a_L down: after step k, numerator = up^(L-k) and
-    # denominator = sum_{j>=k} a_j down^(j-k) up^(L-j)
-    a_full = np.concatenate(([1.0], model.coeffs))
-    numerator, denominator = np.ones(1), a_full[-1:]
-    for a_k in a_full[-2::-1]:
-        numerator = np.convolve(numerator, up)
-        denominator = np.convolve(denominator, down) + a_k * numerator
-    return _trim_trailing_zeros(numerator), _trim_trailing_zeros(denominator)
+    neg_lam, a = -model.lam, model.coeffs.tolist()
+    # Horner from a_L down, in place: after step s, numerator[:s + 1] holds
+    # (1 - lam*z^-1)^s and denominator[:s + 1] holds
+    # sum_{j>=L-s} a_j (z^-1 - lam)^(j-L+s) (1 - lam*z^-1)^(L-j)
+    numerator = [1.0] + [0.0] * len(a)
+    denominator = [a[-1]] + [0.0] * len(a)
+    for s, a_k in enumerate(a[-2::-1] + [1.0], 1):
+        for j in range(s, 0, -1):  # top down, so index j - 1 still holds step s - 1
+            n = numerator[j] = numerator[j - 1] * neg_lam + numerator[j]
+            denominator[j] = denominator[j] * neg_lam + denominator[j - 1] + a_k * n
+        denominator[0] = denominator[0] * neg_lam + a_k  # a_k * numerator[0] is a_k
+    return _trim_trailing_zeros(np.array(numerator)), _trim_trailing_zeros(np.array(denominator))
 
 
 def synthesize(model: LpcModel, n_samples: int, seed: int) -> Segment:

@@ -1,5 +1,7 @@
 """Shared fixtures and generators for the test suite."""
 
+import math
+
 import numpy as np
 import scipy.signal
 
@@ -39,6 +41,48 @@ def reference_burg_warped(x, order, lam):
         padded = np.append(a, 0.0)
         a = padded + k * padded[::-1]
     return a[1:], power, np.array(powers), np.array(ks)
+
+
+def reference_horner_tf(model):
+    """The warped-to-conventional Horner expansion over numpy arrays.
+
+    Each step is two ``np.convolve`` calls on two-tap kernels, as
+    ``lpc_core.to_conventional_tf`` computed it before it ran over Python
+    floats. Returns ``(numerator, denominator)`` with exact trailing zeros
+    trimmed, keeping at least one coefficient.
+    """
+    up = np.array([1.0, -model.lam])  # 1 - lam*z^-1
+    down = np.array([-model.lam, 1.0])  # z^-1 - lam
+    a_full = np.concatenate(([1.0], model.coeffs))
+    numerator, denominator = np.ones(1), a_full[-1:]
+    for a_k in a_full[-2::-1]:
+        numerator = np.convolve(numerator, up)
+        denominator = np.convolve(denominator, down) + a_k * numerator
+
+    def trim(coeffs):
+        last = coeffs.size
+        while last > 1 and coeffs[last - 1] == 0.0:
+            last -= 1
+        return coeffs[:last]
+
+    return trim(numerator), trim(denominator)
+
+
+def reference_cepstrum_to_lpc(ceps, order):
+    """The cepstrum-to-LPC recursion over numpy scalars, as it ran before.
+
+    a_1 = -c_1 and a_i = -c_i - sum_{m<i} (1 - m/i) a_m c_{i-m}, the sum
+    folded from 0.0 in m order. Returns ``(coeffs, noise_power)``.
+    """
+    c = np.asarray(ceps, dtype=float)
+    a = np.empty(order)
+    a[0] = -c[1]
+    for i in range(2, order + 1):
+        acc = 0.0
+        for m in range(1, i):
+            acc += (1.0 - m / i) * a[m - 1] * c[i - m]
+        a[i - 1] = -c[i] - acc
+    return a, math.exp(c[0])
 
 
 def ar2_coeffs(pole_hz: float, radius: float = 0.9, fs: float = FS) -> tuple:

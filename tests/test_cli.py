@@ -182,6 +182,22 @@ class TestEncode:
         assert status == 1
         assert "disagrees" in capsys.readouterr().err
 
+    def test_one_sample_hop(self, tmp_path):
+        # the library takes any hop of 1 <= hop <= window; so do train and encode
+        csv_path, book_path, tokens = tmp_path / "short.csv", tmp_path / "b.json", tmp_path / "t.txt"
+        write_corpus_csv(csv_path, n_samples=60)
+        rate = ["--window-sec", "0.5", "--hop-sec", "0.01", "--sample-rate", "100"]
+        assert cli.main([
+            "train", str(csv_path), "--out", str(book_path), "--k", "2", "--order", "2", *rate,
+        ]) == 0
+        assert cli.main([
+            "encode", str(csv_path), "--codebook", str(book_path), "--out", str(tokens),
+            "--layout", "positions", *rate,
+        ]) == 0
+        lines = tokens.read_text().splitlines()
+        assert len(lines) == 11  # (60 - 50) / 1 + 1 windows of 50 samples
+        assert all(len(line.split()) == 3 for line in lines)
+
     def test_empty_csv_body(self, workspace):
         tmp_path, _, book_path = workspace
         empty = tmp_path / "empty.csv"
@@ -450,6 +466,25 @@ class TestBadInputs:
             assert "malformed codebook" in assert_one_error_line(capsys, bad_book)
             assert not (tmp_path / "o").exists()
 
+    def test_cepstrum_codebook_of_order_zero(self, tmp_path, capsys):
+        # an order-0 cepstrum book passes the dimension check; the model refuses it
+        csv_path, book_path = tmp_path / "s.csv", tmp_path / "b.json"
+        write_corpus_csv(csv_path, n_samples=1000)
+        assert cli.main([
+            "train", str(csv_path), "--out", str(book_path), "--k", "2", "--order", "2",
+            "--method", "cepstrum", "--window-sec", "1", "--sample-rate", "500",
+        ]) == 0
+        capsys.readouterr()
+        payload = json.loads(book_path.read_text())
+        payload["order"] = 0
+        book_path.write_text(json.dumps(payload))
+        status = cli.main([
+            "synth", "--codebook", str(book_path), "--token", "0", "--seconds", "1",
+            "--sample-rate", "500", "--out", str(tmp_path / "o.csv"),
+        ])
+        assert status == 1
+        assert "order must be at least 1" in assert_one_error_line(capsys)
+
     @pytest.mark.parametrize("step", ["inf", "nan", "0", "-0.5"])
     def test_spectrum_grid_step_that_is_not_positive_and_finite(self, tmp_path, capsys, step):
         csv_path = tmp_path / "noise.csv"
@@ -602,6 +637,34 @@ class TestBadInputs:
         ])
         assert status == 1
         assert "t\u00b2" in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("word", ["t01", "t00", "t0001"])
+    def test_token_word_with_leading_zeros(self, workspace, capsys, word):
+        # the vocabulary spells token 1 as t1 only, so t01 is not one of its words
+        tmp_path, _, book_path = workspace
+        token_file = tmp_path / "line.txt"
+        token_file.write_text(f"t1 {word}\n")
+        status = cli.main([
+            "decode", str(token_file), "--codebook", str(book_path),
+            "--out", str(tmp_path / "d.csv"), "--window-sec", "2", "--sample-rate", "500",
+        ])
+        assert status == 1
+        assert f"unknown token word {word!r}" in assert_one_error_line(capsys)
+        assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("command", ["train", "encode"])
+    def test_hop_below_one_sample(self, workspace, capsys, command):
+        tmp_path, csv_path, book_path = workspace
+        argv = {
+            "train": ["train", str(csv_path), "--k", "2"],
+            "encode": ["encode", str(csv_path), "--codebook", str(book_path)],
+        }[command]
+        status = cli.main([
+            *argv, "--out", str(tmp_path / "out"), "--window-sec", "2",
+            "--hop-sec", "0.001", "--sample-rate", "500",
+        ])
+        assert status == 1
+        assert "hop of 0.001 s is below one sample at 500.0 Hz" in assert_one_error_line(capsys)
 
     def test_spectrum_of_a_predictable_channel(self, tmp_path, capsys):
         csv_path = tmp_path / "alternating.csv"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import FS, random_stable_model
+from conftest import FS, random_stable_model, reference_cepstrum_to_lpc
 from lipcot import latent, lpc_core
 from lipcot.errors import (
     DimensionMismatchError,
@@ -84,6 +84,18 @@ class TestCepstrum:
     def test_too_few_coefficients(self):
         with pytest.raises(InsufficientCoefficientsError):
             latent.cepstrum_to_lpc([0.0, 0.5], 2)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_inverse_bytes_equal_the_numpy_scalar_loop(self, data):
+        order = data.draw(st.integers(1, 24))
+        count = data.draw(st.integers(order + 1, order + 4))
+        element = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+        ceps = data.draw(hnp.arrays(float, count, elements=element))
+        coeffs, noise_power = latent.cepstrum_to_lpc(ceps, order)
+        want_coeffs, want_power = reference_cepstrum_to_lpc(ceps, order)
+        assert coeffs.tobytes() == want_coeffs.tobytes()
+        assert noise_power == want_power
 
 
 @st.composite

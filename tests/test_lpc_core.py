@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.polynomial import polynomial as npoly
 
 from conftest import (
@@ -12,6 +13,7 @@ from conftest import (
     predictable_windows,
     random_stable_model,
     reference_burg_warped,
+    reference_horner_tf,
 )
 from lipcot import lpc_core, testkit
 from lipcot.errors import (
@@ -40,6 +42,34 @@ def stable_pole_sets(draw):
             if len(pole_set) + len(group) <= order:
                 pole_set.extend(group)
     return pole_set
+
+
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def horner_models(draw):
+    """Orders 1-24 and |lam| < 0.9 (exact 0.0 and -0.0 included); coefficients
+    with exact zeros of either sign, and a run of 0-order trailing zeros.
+    """
+    order = draw(st.integers(1, 24))
+    coeffs = draw(hnp.arrays(float, order, elements=st.one_of(SIGNED_ZEROS, st.floats(-4, 4))))
+    zeros = draw(st.integers(0, order))
+    coeffs[order - zeros :] = draw(hnp.arrays(float, zeros, elements=SIGNED_ZEROS))
+    lam = draw(st.one_of(SIGNED_ZEROS, st.floats(-0.9, 0.9, exclude_min=True, exclude_max=True)))
+    return lpc_core.LpcModel(order, coeffs, 1.0, lam, FS)
+
+
+@st.composite
+def mixed_size_rows(draw):
+    """2-6 coefficient rows, each cut to its own companion size (0 to the order)."""
+    order = draw(st.integers(1, 12))
+    rows = draw(st.integers(2, 6))
+    element = st.one_of(SIGNED_ZEROS, st.floats(-1.5, 1.5))
+    coeffs = draw(hnp.arrays(float, (rows, order), elements=element))
+    for row in range(rows):
+        coeffs[row, draw(st.integers(0, order)) :] = draw(SIGNED_ZEROS)
+    return coeffs
 
 
 @st.composite
@@ -246,6 +276,14 @@ class TestPoles:
         back = lpc_core.poles_to_coeffs(found)
         assert np.max(np.abs(back - coeffs)) <= 1e-10 * max(1.0, np.max(np.abs(coeffs)))
 
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_size_rows())
+    def test_one_model_equals_its_row_of_a_stack(self, coeffs):
+        stacked = lpc_core.pole_matrix(coeffs)
+        for row, want in zip(coeffs, stacked):
+            model = lpc_core.LpcModel(row.size, row, 1.0, 0.0, FS)
+            assert lpc_core.poles(model).poles.tobytes() == want.tobytes()
+
     def test_eigenvalue_failure_surfaces_nonconvergence(self, monkeypatch):
         def fail(_):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -359,6 +397,13 @@ class TestToConventionalTf:
                 # relative to the largest one
                 assert got.shape == want.shape
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @settings(max_examples=500, deadline=None)
+    @given(horner_models())
+    def test_bytes_equal_the_convolve_expansion(self, model):
+        got = lpc_core.to_conventional_tf(model)
+        want = reference_horner_tf(model)
+        assert [part.tobytes() for part in got] == [part.tobytes() for part in want]
 
     def test_lambda_zero_passthrough(self):
         model = lpc_core.LpcModel(1, [-0.5], 1.0, 0.0, FS)

@@ -15,7 +15,10 @@ Each line reads ``workload seed key digest``. Per workload and seed it covers
 every trained codebook (``book.json`` bytes), tokens in both layouts,
 ``decoded.csv`` and the ``train`` report (cli-eeg), and the single-window
 encodes and single-token decodes the benchmark runs: each token, each
-refusal with its error type, and each realization's samples.
+refusal with its error type, and each realization's samples. Per codebook it
+also covers every token's decode: the model's coefficients and noise power,
+its poles, and its ``to_conventional_tf`` numerator and denominator, each
+part or its refusal with the error type (``synthesize``'s for the filter).
 """
 
 from __future__ import annotations
@@ -44,15 +47,42 @@ def _book_bytes(codebook, book, work: Path) -> bytes:
     return path.read_bytes()
 
 
+def _outcome(function, *args):
+    from lipcot import LipcotError
+
+    try:
+        return function(*args)
+    except LipcotError as exc:
+        return type(exc).__name__
+
+
+def _token_models(prefix: str, book, rate: float) -> dict:
+    """Every token's decoded model, poles and conventional filter, or the refusal."""
+    from lipcot import codebook, lpc_core
+
+    def filter_bytes(model):
+        lpc_core.synthesize(model, 2, 0)  # refuses what synthesize refuses
+        numerator, denominator = lpc_core.to_conventional_tf(model)
+        return numerator.tobytes().hex() + "/" + denominator.tobytes().hex()
+
+    parts = {"models": [], "poles": [], "filters": []}
+    for token in range(book.k):
+        model = _outcome(codebook.decode_token, book, token, rate)
+        if isinstance(model, str):
+            for entries in parts.values():
+                entries.append(model)
+            continue
+        power = np.float64(model.noise_power).tobytes()
+        parts["models"].append(model.coeffs.tobytes().hex() + "/" + power.hex())
+        pole_set = _outcome(lpc_core.poles, model)
+        parts["poles"].append(pole_set if isinstance(pole_set, str) else pole_set.poles.tobytes().hex())
+        parts["filters"].append(_outcome(filter_bytes, model))
+    return {f"{prefix}.{key}": _sha(json.dumps(entries).encode()) for key, entries in parts.items()}
+
+
 def _single_ops(books, windows, rate: float, base_seed: int) -> dict:
     """The benchmark's closed loop: op ``i`` on book ``i % len(books)``."""
-    from lipcot import LipcotError, codebook, latent, lpc_core
-
-    def outcome(function, *args):
-        try:
-            return function(*args)
-        except LipcotError as exc:
-            return type(exc).__name__
+    from lipcot import codebook, latent, lpc_core
 
     def encode(book, samples):
         model = lpc_core.fit_burg_warped(lpc_core.Segment(samples, rate), book.order, book.lam)
@@ -64,10 +94,10 @@ def _single_ops(books, windows, rate: float, base_seed: int) -> dict:
 
     tokens, refusals, samples = [], [], hashlib.sha256()
     for i, window in enumerate(windows):
-        tokens.append(outcome(encode, books[i % len(books)], window))
+        tokens.append(_outcome(encode, books[i % len(books)], window))
     for i in range(len(windows)):
         book = books[i % len(books)]
-        result = outcome(decode, book, i // len(books) % book.k, base_seed + i)
+        result = _outcome(decode, book, i // len(books) % book.k, base_seed + i)
         refusals.append(result if isinstance(result, str) else None)
         if not isinstance(result, str):
             samples.update(result.tobytes())
@@ -113,6 +143,7 @@ def cli_eeg(spec: dict, work: Path) -> dict:
     n_windows = data.shape[1] // window
     windows = data[:, : n_windows * window].reshape(-1, window)[: spec["latency_ops"]]
     book = codebook.load_codebook(book_path)
+    out.update(_token_models("book", book, spec["rate"]))
     out.update(_single_ops([book], windows, spec["rate"], spec["seed"]))
     return out
 
@@ -142,6 +173,7 @@ def scale_k256(spec: dict, work: Path) -> dict:
             out[f"book{restart}.tokens.{layout}"] = _sha(
                 json.dumps([s.tokens for s in sequences]).encode()
             )
+        out.update(_token_models(f"book{restart}", book, spec["rate"]))
         ops = _single_ops([book], windows, spec["rate"], spec["seed"])
         out.update({f"book{restart}.{key}": value for key, value in ops.items()})
     return out
@@ -165,6 +197,7 @@ def dsc_stream(spec: dict, work: Path) -> dict:
         )
         books.append(book)
         out[f"book{c}.json"] = _sha(_book_bytes(codebook, book, work))
+        out.update(_token_models(f"book{c}", book, spec["rate"]))
     for layout in ("positions", "temporal"):
         sequences = pipeline.encode_series(series, books[0], window, window, layout)
         out[f"book0.tokens.{layout}"] = _sha(json.dumps([s.tokens for s in sequences]).encode())
