@@ -46,10 +46,10 @@ def reference_burg_warped(x, order, lam):
 def reference_horner_tf(model):
     """The warped-to-conventional Horner expansion over numpy arrays.
 
-    Each step is two ``np.convolve`` calls on two-tap kernels, as
-    ``lpc_core.to_conventional_tf`` computed it before it ran over Python
-    floats. Returns ``(numerator, denominator)`` with exact trailing zeros
-    trimmed, keeping at least one coefficient.
+    Each step is two ``np.convolve`` calls on two-tap kernels;
+    ``lpc_core.to_conventional_tf`` must give the same bytes. Returns
+    ``(numerator, denominator)`` with exact trailing zeros trimmed, keeping
+    at least one coefficient.
     """
     up = np.array([1.0, -model.lam])  # 1 - lam*z^-1
     down = np.array([-model.lam, 1.0])  # z^-1 - lam
@@ -69,10 +69,11 @@ def reference_horner_tf(model):
 
 
 def reference_cepstrum_to_lpc(ceps, order):
-    """The cepstrum-to-LPC recursion over numpy scalars, as it ran before.
+    """The cepstrum-to-LPC recursion over numpy scalars.
 
     a_1 = -c_1 and a_i = -c_i - sum_{m<i} (1 - m/i) a_m c_{i-m}, the sum
-    folded from 0.0 in m order. Returns ``(coeffs, noise_power)``.
+    folded from 0.0 in m order; ``latent.cepstrum_to_lpc`` must give the
+    same bytes. Returns ``(coeffs, noise_power)``.
     """
     c = np.asarray(ceps, dtype=float)
     a = np.empty(order)

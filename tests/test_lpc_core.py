@@ -50,7 +50,7 @@ SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
 @st.composite
 def horner_models(draw):
     """Orders 1-24 and |lam| < 0.9 (exact 0.0 and -0.0 included); coefficients
-    with exact zeros of either sign, and a run of 0-order trailing zeros.
+    with exact zeros of either sign, ending in a run of 0 to order zeros.
     """
     order = draw(st.integers(1, 24))
     coeffs = draw(hnp.arrays(float, order, elements=st.one_of(SIGNED_ZEROS, st.floats(-4, 4))))
