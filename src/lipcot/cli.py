@@ -149,7 +149,7 @@ def cmd_train(args) -> int:
     write_text_atomic(vocab_path, "\n".join(cb.export_vocabulary(book)) + "\n")
 
     normalized = book.norm_stats.normalize(np.stack([vec.values for vec in vectors]))
-    assignments, _ = cb.nearest_centroids(normalized, book.centroids)
+    assignments = cb.nearest_centroids(normalized, book.centroids)
     inertia = float(((normalized - book.centroids[assignments]) ** 2).sum())
     print(f"k {book.k}")
     print(f"inertia {inertia:.6f}")
@@ -279,9 +279,7 @@ def cmd_synth(args) -> int:
     book = cb.load_codebook(args.codebook)
     if not args.sample_rate or not args.sample_rate > 0:
         raise LipcotError("--sample-rate must be positive")
-    n_samples = _sample_count(args.seconds, args.sample_rate)
-    if n_samples < 1:
-        raise LipcotError("--seconds too short for one sample")
+    n_samples = _window_samples(args.seconds, args.sample_rate, "duration")
     model = cb.decode_token(book, args.token, args.sample_rate)
     segment = lpc_core.synthesize(model, n_samples, args.seed)
     write_text_atomic(

@@ -67,8 +67,7 @@ class Codebook:
     """K centroids in normalized latent space plus the model configuration.
 
     ``centroid_sq_norms``, each centroid's squared norm for
-    ``nearest_centroids``, is derived here once and never serialized. An
-    ``lpc`` method's weights must number ``order``.
+    ``nearest_centroids``, is derived here once and never serialized.
     """
 
     k: int
@@ -78,7 +77,6 @@ class Codebook:
     order: int
     lam: float
     seed: int
-    version: str = CODEBOOK_FORMAT_VERSION
     centroid_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -87,9 +85,6 @@ class Codebook:
             raise ValueError("centroid matrix shape disagrees with k and stats")
         if not np.all(np.isfinite(centroids)):
             raise ValueError("centroids must be finite")
-        weights = self.method.weights
-        if weights is not None and len(weights) != self.order:
-            raise DimensionMismatchError(f"{len(weights)} lpc weights for order {self.order}")
         object.__setattr__(self, "centroids", centroids)
         with np.errstate(over="ignore"):  # an infinite norm is the shortlist's to handle
             object.__setattr__(self, "centroid_sq_norms", np.vecdot(centroids, centroids))
@@ -106,7 +101,7 @@ _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
 def nearest_centroids(points: np.ndarray, centroids: np.ndarray, c_sq=None):
-    """Each row's nearest centroid and squared distance: ``(labels, sq_dists)``.
+    """Each row's nearest centroid, as an array of labels.
 
     ``c_sq`` is ``np.vecdot(centroids, centroids)``, computed here when not
     given; a codebook passes the norms it holds.
@@ -136,8 +131,7 @@ def nearest_centroids(points: np.ndarray, centroids: np.ndarray, c_sq=None):
     differences over all k centroids: exact ties, and, for k > 1, every row
     whose G or B is not finite. B is computed from 4N, which bounds every
     direct value, so it is infinite wherever direct differences could
-    overflow, and their warnings are kept. Each returned distance is the
-    direct difference to the chosen centroid, so neither output depends on
+    overflow, and their warnings are kept. So the labels do not depend on
     how BLAS rounds or how many threads it runs.
     """
     n, d = points.shape
@@ -166,7 +160,7 @@ def nearest_centroids(points: np.ndarray, centroids: np.ndarray, c_sq=None):
     for rows in ambiguous:
         block = ((points[rows, None, :] - centroids) ** 2).sum(axis=2)
         labels[rows] = np.argmin(block, axis=1)
-    return labels, ((points - centroids.take(labels, axis=0)) ** 2).sum(axis=1)
+    return labels
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -185,14 +179,18 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centroids
 
 
-def _reseed_empty(points, centroids, labels, own_sq_dists):
+def _reseed_empty(points, centroids, labels):
     """Move each empty centroid onto the point farthest from its own centroid.
 
     A point that is the only member of its cluster is never taken, so a
     reseed never empties another cluster.
     """
     counts = np.bincount(labels, minlength=centroids.shape[0])
-    for c in np.flatnonzero(counts == 0):
+    empty = np.flatnonzero(counts == 0)
+    if not empty.size:
+        return centroids, labels
+    own_sq_dists = ((points - centroids[labels]) ** 2).sum(axis=1)  # before any moves
+    for c in empty:
         far = int(np.argmax(np.where(counts[labels] > 1, own_sq_dists, -1.0)))
         counts[labels[far]] -= 1
         counts[c] = 1
@@ -218,8 +216,8 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int):
     centroids = _kmeans_pp_init(points, k, rng)
     inertia_history = []
     for _ in range(_KMEANS_MAX_ITER):
-        labels, own = nearest_centroids(points, centroids)
-        centroids, labels = _reseed_empty(points, centroids, labels, own)
+        labels = nearest_centroids(points, centroids)
+        centroids, labels = _reseed_empty(points, centroids, labels)
         inertia_history.append(float(((points - centroids[labels]) ** 2).sum()))
         # np.add.at sums each cluster in row order, as a masked mean would
         sums = np.zeros_like(centroids)
@@ -230,12 +228,12 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int):
         if shift < _KMEANS_TOL:
             break
     # final assignment against the final centroids; patch any stragglers
-    labels, own = nearest_centroids(points, centroids)
+    labels = nearest_centroids(points, centroids)
     for _ in range(k):
         if np.bincount(labels, minlength=k).all():
             break
-        centroids, labels = _reseed_empty(points, centroids, labels, own)
-        labels, own = nearest_centroids(points, centroids)
+        centroids, labels = _reseed_empty(points, centroids, labels)
+        labels = nearest_centroids(points, centroids)
     return centroids, labels, np.asarray(inertia_history)
 
 
@@ -284,7 +282,7 @@ def encode_matrix(codebook: Codebook, matrix: np.ndarray) -> np.ndarray:
     if matrix.shape[1] != codebook.dimension:
         raise DimensionMismatchError("vector does not live in the codebook's space")
     points = codebook.norm_stats.normalize(matrix)
-    return nearest_centroids(points, codebook.centroids, codebook.centroid_sq_norms)[0]
+    return nearest_centroids(points, codebook.centroids, codebook.centroid_sq_norms)
 
 
 def encode_vector(codebook: Codebook, vec: LatentVector) -> int:
@@ -314,7 +312,7 @@ def export_vocabulary(codebook: Codebook) -> list:
 
 def codebook_to_dict(codebook: Codebook) -> dict:
     return {
-        "version": codebook.version,
+        "version": CODEBOOK_FORMAT_VERSION,
         "method": codebook.method.to_dict(),
         "order": codebook.order,
         "lambda": codebook.lam,
@@ -343,11 +341,10 @@ def codebook_from_dict(payload: dict) -> Codebook:
             order=int(payload["order"]),
             lam=float(payload["lambda"]),
             seed=int(payload["seed"]),
-            version=version,
         )
     except KeyError as exc:
         raise LipcotError(f"codebook is missing key {exc}") from None
-    except (AttributeError, TypeError, ValueError, DimensionMismatchError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise LipcotError(f"malformed codebook ({exc})") from None
 
 

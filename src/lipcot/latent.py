@@ -1,7 +1,7 @@
 """Latent feature spaces over LPC models.
 
 Three reversible maps take a fitted model into a Euclidean feature space:
-weighted coefficients plus log error power, weighted cepstrum coefficients,
+coefficients plus log error power, weighted cepstrum coefficients,
 and dominant spectral components built from pole angles and radii. Each map
 has an exact algebraic inverse used when decoding tokens back into models.
 """
@@ -33,25 +33,16 @@ _CEPSTRUM_BLOCK = 8  # cepstrum indices whose weighted coefficients are formed a
 class LatentMethod:
     """Which feature map to use, with exactly the parameters that map reads.
 
-    ``weights`` belongs to the coefficient map (None means unit weights) and
-    ``n_cepstra``, the number of cepstrum terms kept, to the cepstrum map,
-    which requires it. A field the tag's map does not read is refused.
+    ``n_cepstra``, the number of cepstrum terms kept, belongs to the cepstrum
+    map, which requires it; the other maps refuse it.
     """
 
     tag: str
-    weights: tuple | None = None
     n_cepstra: int | None = None
 
     def __post_init__(self):
         if self.tag not in _TAGS:
             raise ValueError(f"unknown latent method tag {self.tag!r}")
-        if self.weights is not None:
-            if self.tag != TAG_LPC:
-                raise ValueError(f"the {self.tag} map takes no weights")
-            weights = tuple(float(w) for w in self.weights)
-            if any(w <= 0 for w in weights):
-                raise ValueError("feature weights must all be positive")
-            object.__setattr__(self, "weights", weights)
         if self.tag == TAG_CEPSTRUM:
             if self.n_cepstra is None or int(self.n_cepstra) < 1:
                 raise ValueError("the cepstrum map needs n_cepstra of at least 1")
@@ -60,8 +51,8 @@ class LatentMethod:
             raise ValueError(f"the {self.tag} map takes no n_cepstra")
 
     @classmethod
-    def lpc_coeff(cls, weights=None) -> "LatentMethod":
-        return cls(TAG_LPC, weights=weights)
+    def lpc_coeff(cls) -> "LatentMethod":
+        return cls(TAG_LPC)
 
     @classmethod
     def cepstrum(cls, n_cepstra: int) -> "LatentMethod":
@@ -78,23 +69,17 @@ class LatentMethod:
         return order + 1 if self.tag == TAG_LPC else 2 * order + 1
 
     def to_dict(self) -> dict:
-        return {
-            "tag": self.tag,
-            "weights": list(self.weights) if self.weights is not None else None,
-            "n_cepstra": self.n_cepstra,
-        }
+        # "weights" is always null: the key keeps format "1" books byte for byte
+        return {"tag": self.tag, "weights": None, "n_cepstra": self.n_cepstra}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "LatentMethod":
         # older codebooks store "reduced": false; reduced DSC mode no longer exists
         if payload.get("reduced", False):
             raise LipcotError("reduced dominant-spectral codebooks are no longer supported")
-        weights = payload.get("weights")
-        return cls(
-            payload["tag"],
-            weights=tuple(weights) if weights is not None else None,
-            n_cepstra=payload.get("n_cepstra"),
-        )
+        if payload.get("weights") is not None:
+            raise ValueError("no latent map takes weights")
+        return cls(payload["tag"], n_cepstra=payload.get("n_cepstra"))
 
 
 @dataclass(frozen=True)
@@ -170,12 +155,8 @@ def feature_matrix(coeffs, noise_power, method: LatentMethod, sample_rate: float
     """
     coeffs = np.asarray(coeffs, dtype=float)
     log_power = _log_powers(noise_power)
-    order = coeffs.shape[1]
     if method.tag == TAG_LPC:
-        w = np.ones(order) if method.weights is None else np.asarray(method.weights)
-        if w.size != order:
-            raise DimensionMismatchError(f"expected {order} weights, got {w.size}")
-        return np.concatenate([w * coeffs, log_power[:, None]], axis=1)  # 1.0 * a is exactly a
+        return np.concatenate([coeffs, log_power[:, None]], axis=1)
     if method.tag == TAG_CEPSTRUM:
         count = method.n_cepstra
         return _cepstrum_rows(coeffs, log_power, count) * _sqrt_index_weights(count)
@@ -188,9 +169,9 @@ def features(model: lpc_core.LpcModel, method: LatentMethod) -> LatentVector:
     return LatentVector(method, values[0])
 
 
-def features_lpc_coeff(model: lpc_core.LpcModel, weights=None) -> LatentVector:
-    """Weighted coefficients extended with the log prediction-error power."""
-    return features(model, LatentMethod.lpc_coeff(weights))
+def features_lpc_coeff(model: lpc_core.LpcModel) -> LatentVector:
+    """Coefficients extended with the log prediction-error power."""
+    return features(model, LatentMethod.lpc_coeff())
 
 
 def features_cepstrum(model: lpc_core.LpcModel, n_cepstra: int) -> LatentVector:
@@ -268,7 +249,7 @@ def latent_to_model(
 ) -> lpc_core.LpcModel:
     """Invert a latent vector back into an LPC model.
 
-    Coefficient vectors divide out their weights; cepstrum vectors strip the
+    Coefficient vectors are read back as they are; cepstrum vectors strip the
     sqrt-index weighting and run the inverse recursion; dominant-spectral
     vectors rebuild poles from (u, v) and expand them, rejecting points whose
     expansion is not a real-coefficient polynomial. A point whose model
@@ -284,8 +265,7 @@ def latent_to_model(
         # overflow is refused below, as a non-finite model, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             if method.tag == TAG_LPC:
-                weights = 1.0 if method.weights is None else np.asarray(method.weights)
-                coeffs, noise_power = vec.values[:order] / weights, math.exp(vec.values[-1])
+                coeffs, noise_power = vec.values[:order], math.exp(vec.values[-1])
             elif method.tag == TAG_CEPSTRUM:
                 raw = vec.values / _sqrt_index_weights(method.n_cepstra)
                 coeffs, noise_power = cepstrum_to_lpc(raw, order)

@@ -345,8 +345,8 @@ def synthesize(model: LpcModel, n_samples: int, seed: int) -> Segment:
     filter transients. Deterministic for a fixed seed.
     """
     n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+    if n_samples < 2:
+        raise ValueError("synthesis needs at least two samples")
     pole_values = poles(model).poles
     radii = np.abs(pole_values)
     if np.any(radii > 1.0 + STABILITY_TOL):

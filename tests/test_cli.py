@@ -367,6 +367,18 @@ class TestSynth:
         assert status == 1
         assert "--sample-rate" in assert_one_error_line(capsys)
 
+    def test_one_sample_is_one_error_line(self, workspace, capsys):
+        # 0.01 s at 100 Hz is one sample; a realization needs two
+        tmp_path, _, book_path = workspace
+        out = tmp_path / "s.csv"
+        status = cli.main([
+            "synth", "--codebook", str(book_path), "--token", "0",
+            "--seconds", "0.01", "--sample-rate", "100", "--out", str(out),
+        ])
+        assert status == 1
+        assert "below two samples" in assert_one_error_line(capsys)
+        assert not out.exists()
+
     def test_sample_rate_help_promises_no_sidecar(self, capsys):
         # synth has no input file, so there is no <input>.json to fall back to
         with pytest.raises(SystemExit):
@@ -441,8 +453,9 @@ class TestBadInputs:
             {"tag": "cepstrum", "weights": None, "n_cepstra": None},
             {"tag": "lpc", "weights": None, "n_cepstra": 8},
             {"tag": "dsc", "weights": [1.0] * 4, "n_cepstra": None},
+            {"tag": "lpc", "weights": [1.0] * 4, "n_cepstra": None},
         ],
-        ids=["cepstrum-without-count", "lpc-with-count", "dsc-with-weights"],
+        ids=["cepstrum-without-count", "lpc-with-count", "dsc-with-weights", "lpc-with-weights"],
     )
     def test_codebook_method_with_fields_its_map_does_not_read(self, workspace, capsys, method):
         status, path = self.encode_with_book(workspace, lambda p: p.update(method=method))

@@ -450,6 +450,11 @@ class TestSynthesize:
         with pytest.raises(UnstableModelError):
             lpc_core.synthesize(model, 100, seed=0)
 
+    def test_one_sample_is_refused(self):
+        model = lpc_core.LpcModel(1, [-0.5], 1.0, 0.0, FS)
+        with pytest.raises(ValueError, match="synthesis needs at least two samples"):
+            lpc_core.synthesize(model, 1, seed=0)
+
     def test_fidelity_across_random_stable_models(self):
         # pole radii <= 0.95, both warped and unwarped; a 10k-sample
         # synthesis must refit back to the source coefficients
