@@ -98,7 +98,7 @@ def _read_series(path: str, sample_rate: float):
 
 
 def _token_lines(sequences) -> str:
-    return "".join(" ".join(f"t{t}" for t in seq.tokens) + "\n" for seq in sequences)
+    return "".join(" ".join(map(cb.token_word, seq.tokens)) + "\n" for seq in sequences)
 
 
 def _check_codebook_flags(book: cb.Codebook, args) -> None:
@@ -154,7 +154,7 @@ def cmd_train(args) -> int:
     print(f"k {book.k}")
     print(f"inertia {inertia:.6f}")
     for token, count in enumerate(np.bincount(assignments, minlength=book.k)):
-        print(f"t{token} {count}")
+        print(f"{cb.token_word(token)} {count}")
     return 0
 
 
@@ -189,15 +189,6 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _parse_token_word(word: str, k: int) -> int:
-    digits = word[1:]
-    if word.startswith("t") and digits.isascii() and digits.isdigit():
-        token = int(digits)
-        if token < k and word == f"t{token}":  # the vocabulary's spelling: no leading zeros
-            return token
-    raise UnknownWordError(f"unknown token word {word!r}")
-
-
 def cmd_decode(args) -> int:
     book = cb.load_codebook(args.codebook)
     sample_rate = _resolve_sample_rate(args.tokens, args.sample_rate)
@@ -207,9 +198,13 @@ def cmd_decode(args) -> int:
             lines = [line.split() for line in fh if line.strip()]
         except UnicodeDecodeError as exc:
             raise LipcotError(f"{args.tokens}: not {exc.encoding} text ({exc.reason})") from None
+    ids = {cb.token_word(token): token for token in range(book.k)}
     columns = []
     for index, words in enumerate(lines):
-        tokens = [_parse_token_word(word, book.k) for word in words]
+        try:
+            tokens = [ids[word] for word in words]
+        except KeyError as exc:
+            raise UnknownWordError(f"unknown token word {exc.args[0]!r}") from None
         seq = pipeline.TokenSequence(tokens, pipeline.LAYOUT_TEMPORAL)
         columns.append(
             pipeline.decode_sequence(
@@ -283,7 +278,7 @@ def cmd_synth(args) -> int:
     model = cb.decode_token(book, args.token, args.sample_rate)
     segment = lpc_core.synthesize(model, n_samples, args.seed)
     write_text_atomic(
-        args.out, pipeline.format_series_csv([f"t{args.token}"], segment.samples[None, :])
+        args.out, pipeline.format_series_csv([cb.token_word(args.token)], segment.samples[None, :])
     )
     return 0
 
@@ -381,8 +376,8 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise LipcotError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
-    except (LipcotError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (LipcotError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -3,6 +3,7 @@
 Training z-scores the latent vectors, clusters them with seeded k-means++,
 and freezes the normalization statistics alongside the centroids so that
 encoding and decoding see exactly the space the vocabulary was built in.
+The module also owns the codebook file, ``book.json``, and the token words.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ class NormStats:
         std = np.asarray(self.std, dtype=float)
         if mean.shape != std.shape or mean.ndim != 1:
             raise ValueError("mean and std must be matching one-dimensional arrays")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
+            raise ValueError("mean and std must be finite")
         if np.any(std <= 0):
             raise ValueError("std entries must be positive")
         object.__setattr__(self, "mean", mean)
@@ -50,8 +53,10 @@ class NormStats:
 
     @classmethod
     def fit(cls, matrix: np.ndarray) -> "NormStats":
-        mean = matrix.mean(axis=0)
-        std = matrix.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+            mean, std = matrix.mean(axis=0), matrix.std(axis=0)
+        if not np.all(np.isfinite(std)):  # an infinite mean leaves no finite std
+            raise LipcotError("the vectors' mean or spread is past float64's range")
         std = np.where(std == 0.0, 1.0, std)  # degenerate dimensions pass through
         return cls(mean, std)
 
@@ -305,15 +310,22 @@ def decode_token(codebook: Codebook, token: int, sample_rate: float) -> LpcModel
     return latent_to_model(vec, codebook.order, codebook.lam, sample_rate)
 
 
+def token_word(token: int) -> str:
+    """The vocabulary's word for a token id."""
+    return f"t{token}"
+
+
 def export_vocabulary(codebook: Codebook) -> list:
     """Reserved words followed by one word per token id."""
-    return list(RESERVED_WORDS) + [f"t{i}" for i in range(codebook.k)]
+    return list(RESERVED_WORDS) + [token_word(i) for i in range(codebook.k)]
 
 
-def codebook_to_dict(codebook: Codebook) -> dict:
-    return {
+def save_codebook(codebook: Codebook, path) -> None:
+    """Write a format-"1" ``book.json``; the method's ``weights`` is always null."""
+    method = codebook.method
+    payload = {
         "version": CODEBOOK_FORMAT_VERSION,
-        "method": codebook.method.to_dict(),
+        "method": {"tag": method.tag, "weights": None, "n_cepstra": method.n_cepstra},
         "order": codebook.order,
         "lambda": codebook.lam,
         "k": codebook.k,
@@ -322,43 +334,37 @@ def codebook_to_dict(codebook: Codebook) -> dict:
         "centroids": codebook.centroids.tolist(),
         "seed": codebook.seed,
     }
-
-
-def codebook_from_dict(payload: dict) -> Codebook:
-    """Rebuild a codebook; any malformed payload raises ``LipcotError``."""
-    try:
-        version = str(payload["version"])
-        if version != CODEBOOK_FORMAT_VERSION:
-            raise LipcotError(f"unsupported codebook version {version!r}")
-        return Codebook(
-            k=int(payload["k"]),
-            centroids=np.asarray(payload["centroids"], dtype=float),
-            norm_stats=NormStats(
-                np.asarray(payload["norm_mean"], dtype=float),
-                np.asarray(payload["norm_std"], dtype=float),
-            ),
-            method=LatentMethod.from_dict(payload["method"]),
-            order=int(payload["order"]),
-            lam=float(payload["lambda"]),
-            seed=int(payload["seed"]),
-        )
-    except KeyError as exc:
-        raise LipcotError(f"codebook is missing key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise LipcotError(f"malformed codebook ({exc})") from None
-
-
-def save_codebook(codebook: Codebook, path) -> None:
-    write_text_atomic(path, json.dumps(codebook_to_dict(codebook), indent=2) + "\n")
+    write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
 
 
 def load_codebook(path) -> Codebook:
+    """Read a ``book.json``; any malformed file raises ``LipcotError`` naming ``path``."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
         except ValueError as exc:
             raise LipcotError(f"{path}: not valid JSON ({exc})") from None
     try:
-        return codebook_from_dict(payload)
-    except LipcotError as exc:
-        raise LipcotError(f"{path}: {exc}") from None
+        version = str(payload["version"])
+        if version != CODEBOOK_FORMAT_VERSION:
+            raise LipcotError(f"{path}: unsupported codebook version {version!r}")
+        method = payload["method"]
+        if method.get("reduced", False):  # older books store "reduced": false, which loads
+            raise LipcotError(
+                f"{path}: reduced dominant-spectral codebooks are no longer supported"
+            )
+        if method.get("weights") is not None:
+            raise ValueError("no latent map takes weights")
+        return Codebook(
+            k=int(payload["k"]),
+            centroids=payload["centroids"],
+            norm_stats=NormStats(payload["norm_mean"], payload["norm_std"]),
+            method=LatentMethod(method["tag"], n_cepstra=method.get("n_cepstra")),
+            order=int(payload["order"]),
+            lam=float(payload["lambda"]),
+            seed=int(payload["seed"]),
+        )
+    except KeyError as exc:
+        raise LipcotError(f"{path}: codebook is missing key {exc}") from None
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+        raise LipcotError(f"{path}: malformed codebook ({exc})") from None

@@ -17,7 +17,6 @@ from . import lpc_core
 from .errors import (
     DimensionMismatchError,
     InsufficientCoefficientsError,
-    LipcotError,
     NonRealizableError,
     ZeroNoisePowerError,
 )
@@ -67,19 +66,6 @@ class LatentMethod:
         if self.tag == TAG_CEPSTRUM:
             return self.n_cepstra + 1
         return order + 1 if self.tag == TAG_LPC else 2 * order + 1
-
-    def to_dict(self) -> dict:
-        # "weights" is always null: the key keeps format "1" books byte for byte
-        return {"tag": self.tag, "weights": None, "n_cepstra": self.n_cepstra}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "LatentMethod":
-        # older codebooks store "reduced": false; reduced DSC mode no longer exists
-        if payload.get("reduced", False):
-            raise LipcotError("reduced dominant-spectral codebooks are no longer supported")
-        if payload.get("weights") is not None:
-            raise ValueError("no latent map takes weights")
-        return cls(payload["tag"], n_cepstra=payload.get("n_cepstra"))
 
 
 @dataclass(frozen=True)
@@ -224,9 +210,8 @@ def _sqrt_index_weights(count: int) -> np.ndarray:
 def cepstrum_to_lpc(ceps, order: int):
     """Invert raw (unweighted) cepstrum coefficients to (coeffs, noise_power).
 
-    The recursion runs over Python floats, since numpy scalars cost more
-    than the order^2 / 2 terms; each term is formed and summed in the same
-    float order as numpy scalars would, so the bytes are unchanged.
+    The recursion runs over Python floats: its order^2 / 2 terms are too
+    few for numpy calls to pay for themselves.
     """
     c = np.asarray(ceps, dtype=float)
     order = int(order)

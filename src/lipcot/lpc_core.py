@@ -152,6 +152,14 @@ def warped_burg(samples, order: int, lam: float):
     return a[..., 1:], powers[..., -1], powers, ks
 
 
+def check_order(order: int, n_samples: int) -> None:
+    """Refuse an order below 1, or one that ``n_samples`` samples cannot fit."""
+    if order < 1:
+        raise InvalidOrderError("order must be at least 1")
+    if n_samples <= order:
+        raise InvalidOrderError(f"need more samples ({n_samples}) than the order ({order})")
+
+
 def fit_windows(windows, order: int, lam: float):
     """Fit a warped-Burg model to each row of a windows x samples matrix.
 
@@ -164,10 +172,7 @@ def fit_windows(windows, order: int, lam: float):
     order, n = int(order), windows.shape[-1]
     if not -1.0 < lam < 1.0:
         raise InvalidLambdaError(f"|lam| must be < 1, got {lam}")
-    if order < 1:
-        raise InvalidOrderError("order must be at least 1")
-    if n <= order:
-        raise InvalidOrderError(f"need more samples ({n}) than the order ({order})")
+    check_order(order, n)
     constant = np.all(windows == windows[..., :1], axis=-1)
     windows = np.where(constant[..., None], 0.0, windows)  # no arithmetic, and power 0
     centred = windows - windows.mean(axis=-1, keepdims=True)

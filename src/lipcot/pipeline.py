@@ -85,6 +85,7 @@ class TokenizerConfig:
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "window", int(self.window))
         object.__setattr__(self, "hop", int(self.hop))
+        lpc_core.check_order(self.order, self.window)  # before any matrix is sized from it
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -379,6 +380,28 @@ class TestSynth:
         assert "below two samples" in assert_one_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["synth", "decode"])
+    def test_out_of_memory_is_one_error_line(self, workspace, capsys, monkeypatch, command):
+        # synth --seconds 1e9 at 500 Hz asks numpy for 3.64 TiB; nothing is allocated here
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 3.64 TiB for an array")
+
+        tmp_path, _, book_path = workspace
+        token_file = tmp_path / "line.txt"
+        token_file.write_text("t0\n")
+        monkeypatch.setattr(cli.lpc_core, "synthesize", refuse)
+        out = tmp_path / "s.csv"
+        argv = {
+            "synth": ["synth", "--token", "0", "--seconds", "1e9"],
+            "decode": ["decode", str(token_file), "--window-sec", "1e9"],
+        }[command]
+        status = cli.main([
+            *argv, "--codebook", str(book_path), "--sample-rate", "500", "--out", str(out),
+        ])
+        assert status == 1
+        assert "3.64 TiB" in assert_one_error_line(capsys)
+        assert not out.exists()
+
     def test_sample_rate_help_promises_no_sidecar(self, capsys):
         # synth has no input file, so there is no <input>.json to fall back to
         with pytest.raises(SystemExit):
@@ -461,6 +484,46 @@ class TestBadInputs:
         status, path = self.encode_with_book(workspace, lambda p: p.update(method=method))
         assert status == 1
         assert "malformed codebook" in assert_one_error_line(capsys, path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda p: p["norm_mean"].__setitem__(0, math.nan),
+            lambda p: p["norm_std"].__setitem__(0, math.inf),
+            lambda p: p.update(k=math.inf),
+            lambda p: p.update(order=math.inf),
+            lambda p: p.update(seed=math.inf),
+        ],
+        ids=["nan-mean", "inf-std", "inf-k", "inf-order", "inf-seed"],
+    )
+    def test_codebook_non_finite_field(self, workspace, capsys, edit):
+        # a NaN mean would encode every window as t0
+        status, path = self.encode_with_book(workspace, edit)
+        assert status == 1
+        assert "malformed codebook" in assert_one_error_line(capsys, path)
+        assert not (workspace[0] / "t.txt").exists()
+
+    def test_codebook_negative_order_is_refused_before_it_sizes_a_matrix(self, workspace, capsys):
+        status, _ = self.encode_with_book(workspace, lambda p: p.update(order=-5))
+        assert status == 1
+        assert "order must be at least 1" in assert_one_error_line(capsys)
+
+    def test_huge_order_is_refused_before_it_sizes_a_matrix(self, tmp_path, capsys, monkeypatch):
+        # an order of 1e9 would size a 119 GiB latent matrix
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("a matrix was sized from the order")
+
+        csv_path = tmp_path / "series.csv"
+        write_corpus_csv(csv_path, n_samples=1000)
+        monkeypatch.setattr(pipeline.np, "zeros", no_allocation)
+        status = cli.main([
+            "train", str(csv_path), "--out", str(tmp_path / "b.json"), "--k", "2",
+            "--order", "1000000000", "--window-sec", "1", "--sample-rate", "500",
+        ])
+        assert status == 1
+        assert "need more samples (500) than the order (1000000000)" in assert_one_error_line(
+            capsys
+        )
 
     def test_lpc_codebook_with_fewer_weights_than_its_order(self, workspace, capsys):
         tmp_path, _, book_path = workspace

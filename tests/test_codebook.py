@@ -404,6 +404,23 @@ class TestNormStats:
         stats = cb.NormStats.fit(matrix)
         assert stats.std[0] == 1.0
 
+    @pytest.mark.parametrize(
+        "mean, std", [([np.nan, 0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, np.inf])],
+        ids=["nan-mean", "inf-std"],
+    )
+    def test_non_finite_stats_are_refused(self, mean, std):
+        with pytest.raises(ValueError, match="finite"):
+            cb.NormStats(np.array(mean), np.array(std))
+
+    def test_spread_past_float64_is_refused_at_training(self):
+        # squared deviations of +-1e300 overflow, so the std would be inf
+        vectors = [
+            latent.LatentVector(latent.LatentMethod.lpc_coeff(), [sign * 1e300, float(i), 0.0])
+            for i, sign in enumerate([1.0, -1.0] * 4)
+        ]
+        with pytest.raises(LipcotError, match="float64"):
+            cb.train_codebook(vectors, 2, seed=0, order=2, lam=0.0)
+
 
 class TestVocabulary:
     def test_reserved_words_then_tokens(self):
@@ -462,7 +479,9 @@ class TestPersistence:
         assert repr(twin) == repr(book) and "centroid_sq_norms" not in repr(book)
         path = tmp_path / "book.json"
         cb.save_codebook(book, path)
-        assert path.read_text() == json.dumps(cb.codebook_to_dict(book), indent=2) + "\n"
+        payload = json.loads(path.read_text())
+        assert "centroid_sq_norms" not in payload
+        assert path.read_text() == json.dumps(payload, indent=2) + "\n"
         cb.save_codebook(cb.load_codebook(path), tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
@@ -485,7 +504,8 @@ class TestPersistence:
         path = tmp_path / "book.json"
         cb.save_codebook(book, path)
         assert json.loads(path.read_text())["version"] == cb.CODEBOOK_FORMAT_VERSION
-        assert cb.codebook_to_dict(cb.load_codebook(path)) == cb.codebook_to_dict(book)
+        cb.save_codebook(cb.load_codebook(path), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 def _tiny_book(k):

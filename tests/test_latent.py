@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import FS, random_stable_model, reference_cepstrum_to_lpc
+from lipcot import codebook as cb
 from lipcot import latent, lpc_core
 from lipcot.errors import (
     DimensionMismatchError,
@@ -135,6 +137,21 @@ class TestBatchMatchesOneRow:
 
 
 class TestMethodPayload:
+    """The ``method`` object of a ``book.json``, read by ``codebook.load_codebook``."""
+
+    @staticmethod
+    def load_with_method(tmp_path, method):
+        path = tmp_path / "book.json"
+        book = cb.Codebook(
+            k=1, centroids=np.zeros((1, 3)), norm_stats=cb.NormStats(np.zeros(3), np.ones(3)),
+            method=latent.LatentMethod.lpc_coeff(), order=2, lam=0.0, seed=0,
+        )
+        cb.save_codebook(book, path)
+        payload = json.loads(path.read_text())
+        payload["method"] = method
+        path.write_text(json.dumps(payload))
+        return cb.load_codebook(path)
+
     @pytest.mark.parametrize(
         "tag, fields",
         [
@@ -153,18 +170,18 @@ class TestMethodPayload:
             "dsc-with-weights",
         ],
     )
-    def test_method_refuses_fields_its_map_does_not_read(self, tag, fields):
+    def test_method_refuses_fields_its_map_does_not_read(self, tmp_path, tag, fields):
         # a codebook's method payload: weights, of any map, are refused too
-        with pytest.raises(ValueError):
-            latent.LatentMethod.from_dict({"tag": tag, **fields})
+        with pytest.raises(LipcotError, match="malformed codebook"):
+            self.load_with_method(tmp_path, {"tag": tag, **fields})
 
-    def test_retired_reduced_flag(self):
+    def test_retired_reduced_flag(self, tmp_path):
         # older codebooks store "reduced": false, which still loads; reduced
         # dominant-spectral mode no longer exists, so true is refused
         payload = {"tag": "dsc", "weights": None, "n_cepstra": None, "reduced": False}
-        assert latent.LatentMethod.from_dict(payload) == latent.LatentMethod.dsc()
-        with pytest.raises(LipcotError):
-            latent.LatentMethod.from_dict(dict(payload, reduced=True))
+        assert self.load_with_method(tmp_path, payload).method == latent.LatentMethod.dsc()
+        with pytest.raises(LipcotError, match="reduced dominant-spectral"):
+            self.load_with_method(tmp_path, dict(payload, reduced=True))
 
 
 class TestDominantSpectral:

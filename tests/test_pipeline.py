@@ -13,6 +13,7 @@ from lipcot import latent, lpc_core, pipeline, testkit
 from lipcot.errors import (
     DegenerateInputError,
     EmptyCorpusError,
+    InvalidOrderError,
     InvalidWindowError,
     LayoutUnsupportedError,
     LipcotError,
@@ -199,6 +200,12 @@ class TestSegmentation:
         for window, hop in [(0, 1), (5, 6), (5, 0)]:
             with pytest.raises(InvalidWindowError):
                 pipeline.TokenizerConfig(4, 0.2, window, hop, latent.LatentMethod.lpc_coeff())
+
+    def test_order_the_window_cannot_fit(self):
+        # refused with fit_windows' message, before any window is fitted
+        for order, message in [(0, "at least 1"), (-5, "at least 1"), (5, r"samples \(5\)")]:
+            with pytest.raises(InvalidOrderError, match=message):
+                pipeline.TokenizerConfig(order, 0.2, 5, 5, latent.LatentMethod.lpc_coeff())
 
     def test_count_identity_over_random_shapes(self):
         rng = np.random.default_rng(1)

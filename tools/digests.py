@@ -12,8 +12,9 @@ same data:
     diff parent.txt change.txt
 
 Each line reads ``workload seed key digest``. Per workload and seed it covers
-every trained codebook (``book.json`` bytes), tokens in both layouts,
-``decoded.csv`` and the ``train`` report (cli-eeg), and the single-window
+every trained codebook (``book.json`` bytes, and as ``bookN.reload`` the bytes
+of a save, load and second save), tokens in both layouts, ``decoded.csv``
+and the ``train`` report (cli-eeg), and the single-window
 encodes and single-token decodes the benchmark runs: each token, each
 refusal with its error type, and each realization's samples. Per codebook it
 also covers every token's decode: the model's coefficients and noise power,
@@ -41,10 +42,15 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _book_bytes(codebook, book, work: Path) -> bytes:
+def _book_digests(prefix: str, book, work: Path) -> dict:
+    """``book.json`` bytes as saved, and again after a load and a second save."""
+    from lipcot import codebook
+
     path = work / "digest-book.json"
     codebook.save_codebook(book, path)
-    return path.read_bytes()
+    saved = path.read_bytes()
+    codebook.save_codebook(codebook.load_codebook(path), path)
+    return {f"{prefix}.json": _sha(saved), f"{prefix}.reload": _sha(path.read_bytes())}
 
 
 def _outcome(function, *args):
@@ -143,6 +149,7 @@ def cli_eeg(spec: dict, work: Path) -> dict:
     n_windows = data.shape[1] // window
     windows = data[:, : n_windows * window].reshape(-1, window)[: spec["latency_ops"]]
     book = codebook.load_codebook(book_path)
+    out["book.reload"] = _book_digests("book", book, work)["book.reload"]
     out.update(_token_models("book", book, spec["rate"]))
     out.update(_single_ops([book], windows, spec["rate"], spec["seed"]))
     return out
@@ -167,7 +174,7 @@ def scale_k256(spec: dict, work: Path) -> dict:
             vectors, spec["k"], spec["seed"] * spec["restarts"] + restart,
             order=spec["order"], lam=spec["lam"],
         )
-        out[f"book{restart}.json"] = _sha(_book_bytes(codebook, book, work))
+        out.update(_book_digests(f"book{restart}", book, work))
         for layout in ("positions", "temporal"):
             sequences = pipeline.encode_series(series, book, window, window, layout)
             out[f"book{restart}.tokens.{layout}"] = _sha(
@@ -196,7 +203,7 @@ def dsc_stream(spec: dict, work: Path) -> dict:
             order=spec["order"], lam=spec["lam"],
         )
         books.append(book)
-        out[f"book{c}.json"] = _sha(_book_bytes(codebook, book, work))
+        out.update(_book_digests(f"book{c}", book, work))
         out.update(_token_models(f"book{c}", book, spec["rate"]))
     for layout in ("positions", "temporal"):
         sequences = pipeline.encode_series(series, books[0], window, window, layout)
