@@ -337,6 +337,13 @@ def save_codebook(codebook: Codebook, path) -> None:
     write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
 
 
+def _json_int(value, key: str) -> int:
+    """A JSON integer field; a float such as 2.9 or 2.0, or a boolean, is malformed."""
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def load_codebook(path) -> Codebook:
     """Read a ``book.json``; any malformed file raises ``LipcotError`` naming ``path``."""
     with open(path) as fh:
@@ -355,14 +362,18 @@ def load_codebook(path) -> Codebook:
             )
         if method.get("weights") is not None:
             raise ValueError("no latent map takes weights")
+        n_cepstra = method.get("n_cepstra")
         return Codebook(
-            k=int(payload["k"]),
+            k=_json_int(payload["k"], "k"),
             centroids=payload["centroids"],
             norm_stats=NormStats(payload["norm_mean"], payload["norm_std"]),
-            method=LatentMethod(method["tag"], n_cepstra=method.get("n_cepstra")),
-            order=int(payload["order"]),
+            method=LatentMethod(
+                method["tag"],
+                n_cepstra=None if n_cepstra is None else _json_int(n_cepstra, "n_cepstra"),
+            ),
+            order=_json_int(payload["order"], "order"),
             lam=float(payload["lambda"]),
-            seed=int(payload["seed"]),
+            seed=_json_int(payload["seed"], "seed"),
         )
     except KeyError as exc:
         raise LipcotError(f"{path}: codebook is missing key {exc}") from None

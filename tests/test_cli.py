@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import AR2_SPECTRUM_SEED, ar2_coeffs, ar2_fixture_series, predictable_windows
-from lipcot import cli, pipeline, testkit
+from lipcot import cli, lpc_core, pipeline, testkit
 from lipcot import codebook as cb
 from lipcot.errors import LipcotError, NonRealizableError
 
@@ -493,11 +493,19 @@ class TestBadInputs:
             lambda p: p.update(k=math.inf),
             lambda p: p.update(order=math.inf),
             lambda p: p.update(seed=math.inf),
+            lambda p: p.update(order=4.9),
+            lambda p: p.update(k=True),
+            lambda p: p.update(seed=True),
+            lambda p: p.update(seed=3.0),
+            lambda p: p.update(method={"tag": "cepstrum", "weights": None, "n_cepstra": 4.0}),
         ],
-        ids=["nan-mean", "inf-std", "inf-k", "inf-order", "inf-seed"],
+        ids=[
+            "nan-mean", "inf-std", "inf-k", "inf-order", "inf-seed",
+            "fractional-order", "boolean-k", "boolean-seed", "float-seed", "float-n-cepstra",
+        ],
     )
     def test_codebook_non_finite_field(self, workspace, capsys, edit):
-        # a NaN mean would encode every window as t0
+        # a NaN mean would encode every window as t0; an order of 4.9 would load as 4
         status, path = self.encode_with_book(workspace, edit)
         assert status == 1
         assert "malformed codebook" in assert_one_error_line(capsys, path)
@@ -540,6 +548,25 @@ class TestBadInputs:
         ):
             assert cli.main([*argv, *common]) == 1
             assert "malformed codebook" in assert_one_error_line(capsys, bad_book)
+            assert not (tmp_path / "o").exists()
+
+    def test_token_with_a_pole_outside_the_unit_circle(self, workspace, capsys):
+        tmp_path, _, book_path = workspace
+        payload = json.loads(book_path.read_text())
+        # the lpc map of the workspace's order-4 book: a_1..a_4, then log power
+        values = np.append(lpc_core.poles_to_coeffs([1.1, 0.3, 0.2, 0.1]).real, 0.0)
+        centroid = (values - np.array(payload["norm_mean"])) / np.array(payload["norm_std"])
+        payload["centroids"][0] = centroid.tolist()
+        book_path.write_text(json.dumps(payload))
+        token_file = tmp_path / "line.txt"
+        token_file.write_text("t1 t0\n")
+        common = ["--codebook", str(book_path), "--out", str(tmp_path / "o"), "--sample-rate", "500"]
+        for argv in (
+            ["synth", "--token", "0", "--seconds", "2"],
+            ["decode", str(token_file), "--window-sec", "2"],
+        ):
+            assert cli.main([*argv, *common]) == 1
+            assert "exceeds the unit circle" in assert_one_error_line(capsys)
             assert not (tmp_path / "o").exists()
 
     def test_cepstrum_codebook_of_order_zero(self, tmp_path, capsys):

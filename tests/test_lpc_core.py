@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,18 +29,20 @@ from lipcot.errors import (
 
 
 @st.composite
-def stable_pole_sets(draw):
-    """Orders 1-32 of real poles and conjugate pairs, each repeated 1-3 times."""
-    order = draw(st.integers(1, 32))
+def stable_pole_sets(draw, max_order=32, max_radius=0.95, max_repeats=3):
+    """Orders 1-32 of real poles and conjugate pairs of radius up to 0.95,
+    each repeated 1-3 times (by default).
+    """
+    order = draw(st.integers(1, max_order))
     pole_set = []
     while len(pole_set) < order:
-        radius = draw(st.floats(0.0, 0.95))
+        radius = draw(st.floats(0.0, max_radius))
         if order - len(pole_set) >= 2 and draw(st.booleans()):
             pole = radius * np.exp(1j * draw(st.floats(0.0, np.pi)))
             group = [pole, pole.conjugate()]
         else:
             group = [complex(draw(st.sampled_from([radius, -radius])))]
-        for _ in range(draw(st.integers(1, 3))):
+        for _ in range(draw(st.integers(1, max_repeats))):
             if len(pole_set) + len(group) <= order:
                 pole_set.extend(group)
     return pole_set
@@ -467,3 +471,49 @@ class TestSynthesize:
             refit = lpc_core.fit_burg_warped(segment, 6, lam)
             worst = max(worst, float(np.max(np.abs(refit.coeffs - model.coeffs))))
         assert worst <= 0.1
+
+    @pytest.mark.parametrize("coeff", [-1.0, -(1.0 + 5e-10)], ids=["on-circle", "within-tol"])
+    def test_root_on_the_unit_circle_is_clamped(self, coeff):
+        # the step-down refuses both, so the eigenvalue path clamps the root
+        model = lpc_core.LpcModel(1, [coeff], 1.0, 0.0, FS)
+        assert not lpc_core.certified_stable([coeff])
+        segment = lpc_core.synthesize(model, 500, seed=4)
+        assert np.all(np.isfinite(segment.samples))
+
+    def test_root_past_the_tolerance_is_refused(self):
+        model = lpc_core.LpcModel(1, [-(1.0 + 2e-9)], 1.0, 0.0, FS)
+        with pytest.raises(UnstableModelError, match="pole radius 1.000000002"):
+            lpc_core.synthesize(model, 100, seed=0)
+
+    def test_certified_model_skips_the_eigenvalue_problem(self, monkeypatch):
+        def no_poles(model):
+            raise AssertionError("poles was called")
+
+        model = lpc_core.LpcModel(2, list(AR2_COEFFS), 1.0, 0.0, FS)
+        monkeypatch.setattr(lpc_core, "poles", no_poles)
+        assert np.all(np.isfinite(lpc_core.synthesize(model, 100, seed=0).samples))
+
+    @pytest.mark.parametrize(
+        "pole_set",
+        [[0.99995], [0.9999 * np.exp(0.3j), 0.9999 * np.exp(-0.3j)], [0.99] * 8],
+        ids=["past-radius", "pair-past-radius", "eight-fold"],
+    )
+    def test_roots_near_the_radius_or_clustered_are_not_certified(self, pole_set):
+        # the companion eigenvalues of the eight-fold root at 0.99 reach 1.009
+        assert not lpc_core.certified_stable(lpc_core.poles_to_coeffs(pole_set).real.tolist())
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stable_pole_sets(max_order=24, max_radius=0.99999, max_repeats=4),
+        st.floats(-0.9, 0.9, exclude_min=True, exclude_max=True),
+    )
+    def test_certified_model_synthesizes_as_the_eigenvalue_path_does(self, pole_set, lam):
+        coeffs = lpc_core.poles_to_coeffs(pole_set).real
+        if not lpc_core.certified_stable(coeffs.tolist()):
+            return
+        model = lpc_core.LpcModel(len(pole_set), coeffs, 1.0, lam, FS)
+        assert np.abs(lpc_core.poles(model).poles).max() <= lpc_core.MAX_POLE_RADIUS
+        fast = lpc_core.synthesize(model, 64, seed=5).samples
+        with mock.patch.object(lpc_core, "certified_stable", return_value=False):
+            slow = lpc_core.synthesize(model, 64, seed=5).samples
+        assert fast.tobytes() == slow.tobytes()

@@ -18,8 +18,10 @@ and the ``train`` report (cli-eeg), and the single-window
 encodes and single-token decodes the benchmark runs: each token, each
 refusal with its error type, and each realization's samples. Per codebook it
 also covers every token's decode: the model's coefficients and noise power,
-its poles, and its ``to_conventional_tf`` numerator and denominator, each
-part or its refusal with the error type (``synthesize``'s for the filter).
+its poles, its ``to_conventional_tf`` numerator and denominator, and the
+samples of ``synthesize(model, 64, token)`` (so the clamp decision is seen on
+every token), each part or its refusal with the error type (``synthesize``'s
+for the filter).
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def _outcome(function, *args):
 
 
 def _token_models(prefix: str, book, rate: float) -> dict:
-    """Every token's decoded model, poles and conventional filter, or the refusal."""
+    """Every token's decoded model, poles, conventional filter and realization, or the refusal."""
     from lipcot import codebook, lpc_core
 
     def filter_bytes(model):
@@ -71,7 +73,7 @@ def _token_models(prefix: str, book, rate: float) -> dict:
         numerator, denominator = lpc_core.to_conventional_tf(model)
         return numerator.tobytes().hex() + "/" + denominator.tobytes().hex()
 
-    parts = {"models": [], "poles": [], "filters": []}
+    parts = {"models": [], "poles": [], "filters": [], "realizations": []}
     for token in range(book.k):
         model = _outcome(codebook.decode_token, book, token, rate)
         if isinstance(model, str):
@@ -83,6 +85,10 @@ def _token_models(prefix: str, book, rate: float) -> dict:
         pole_set = _outcome(lpc_core.poles, model)
         parts["poles"].append(pole_set if isinstance(pole_set, str) else pole_set.poles.tobytes().hex())
         parts["filters"].append(_outcome(filter_bytes, model))
+        realization = _outcome(lpc_core.synthesize, model, 64, token)
+        parts["realizations"].append(
+            realization if isinstance(realization, str) else realization.samples.tobytes().hex()
+        )
     return {f"{prefix}.{key}": _sha(json.dumps(entries).encode()) for key, entries in parts.items()}
 
 
