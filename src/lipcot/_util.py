@@ -1,7 +1,16 @@
 """Small shared helpers."""
 
+import numbers
 import os
 import tempfile
+
+
+def whole(value, name: str) -> int:
+    """``value`` as a plain int; a bool, a fraction or any non-integer raises ``ValueError``."""
+    # int first: for an int, the ABC check alone is several times slower than int()
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def write_text_atomic(path, text: str) -> None:

@@ -9,11 +9,12 @@ The module also owns the codebook file, ``book.json``, and the token words.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import write_text_atomic
+from ._util import whole, write_text_atomic
 from .errors import (
     DimensionMismatchError,
     InvalidTokenError,
@@ -67,6 +68,20 @@ class NormStats:
         return values * self.std + self.mean
 
 
+def check_space(k, method: LatentMethod, order, lam, seed, width: int):
+    """The codebook rule for ``width`` values per centroid; returns k, order, lam, seed, plain."""
+    k, order, seed = fields = whole(k, "k"), whole(order, "order"), whole(seed, "seed")
+    for name, value, least in zip(("k", "order", "seed"), fields, (1, 1, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}")
+    if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not -1.0 < lam < 1.0:
+        raise ValueError(f"lambda must be a number in (-1, 1), got {lam!r}")
+    # decode inverts centroids at this order, and every inverse reads order + 1 values
+    if width != method.dimension(order) or width <= order:
+        raise DimensionMismatchError(f"{width} values disagree with {method} at order {order}")
+    return k, order, float(lam), seed
+
+
 @dataclass(frozen=True)
 class Codebook:
     """K centroids in normalized latent space plus the model configuration.
@@ -85,8 +100,12 @@ class Codebook:
     centroid_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        width = self.norm_stats.mean.size
+        fields = check_space(self.k, self.method, self.order, self.lam, self.seed, width)
+        for name, value in zip(("k", "order", "lam", "seed"), fields):
+            object.__setattr__(self, name, value)
         centroids = np.asarray(self.centroids, dtype=float)
-        if centroids.shape != (self.k, self.norm_stats.mean.size):
+        if centroids.shape != (self.k, width):
             raise ValueError("centroid matrix shape disagrees with k and stats")
         if not np.all(np.isfinite(centroids)):
             raise ValueError("centroids must be finite")
@@ -254,15 +273,13 @@ def train_codebook(
     ``DimensionMismatchError``.
     """
     vectors = list(vectors)
-    k, order = int(k), int(order)
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    if not vectors:
+        raise TooFewVectorsError("need at least one vector")
+    method, dim = vectors[0].method, vectors[0].dimension
+    k, order, lam, seed = check_space(k, method, order, lam, seed, dim)
     if len(vectors) < k:
         raise TooFewVectorsError(f"need at least {k} vectors, got {len(vectors)}")
-    method = vectors[0].method
-    dim = method.dimension(order)
-    # decode inverts centroids at this order, and every inverse reads order + 1 values
-    if dim <= order or any(vec.method != method or vec.dimension != dim for vec in vectors):
+    if any(vec.method != method or vec.dimension != dim for vec in vectors):
         raise DimensionMismatchError(f"vectors disagree with {method} or order {order}")
     matrix = np.stack([vec.values for vec in vectors])
     stats = NormStats.fit(matrix)
@@ -274,8 +291,8 @@ def train_codebook(
         norm_stats=stats,
         method=method,
         order=order,
-        lam=float(lam),
-        seed=int(seed),
+        lam=lam,
+        seed=seed,
     )
 
 
@@ -286,8 +303,12 @@ def encode_matrix(codebook: Codebook, matrix: np.ndarray) -> np.ndarray:
     """
     if matrix.shape[1] != codebook.dimension:
         raise DimensionMismatchError("vector does not live in the codebook's space")
-    points = codebook.norm_stats.normalize(matrix)
-    return nearest_centroids(points, codebook.centroids, codebook.centroid_sq_norms)
+    try:  # the kernel's shortlist silences its own overflow; any other is refused
+        with np.errstate(over="raise", invalid="raise"):
+            points = codebook.norm_stats.normalize(matrix)
+            return nearest_centroids(points, codebook.centroids, codebook.centroid_sq_norms)
+    except FloatingPointError:
+        raise LipcotError("a row is past float64's range in the codebook's space") from None
 
 
 def encode_vector(codebook: Codebook, vec: LatentVector) -> int:
@@ -299,7 +320,7 @@ def encode_vector(codebook: Codebook, vec: LatentVector) -> int:
 
 def decode_token(codebook: Codebook, token: int, sample_rate: float) -> LpcModel:
     """Invert a token to the LPC model at its denormalized cluster center."""
-    token = int(token)
+    token = whole(token, "token")
     if not 0 <= token < codebook.k:
         raise InvalidTokenError(f"token {token} outside [0, {codebook.k})")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
@@ -337,13 +358,6 @@ def save_codebook(codebook: Codebook, path) -> None:
     write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
 
 
-def _json_int(value, key: str) -> int:
-    """A JSON integer field; a float such as 2.9 or 2.0, or a boolean, is malformed."""
-    if type(value) is not int:
-        raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
-    return value
-
-
 def load_codebook(path) -> Codebook:
     """Read a ``book.json``; any malformed file raises ``LipcotError`` naming ``path``."""
     with open(path) as fh:
@@ -362,20 +376,16 @@ def load_codebook(path) -> Codebook:
             )
         if method.get("weights") is not None:
             raise ValueError("no latent map takes weights")
-        n_cepstra = method.get("n_cepstra")
         return Codebook(
-            k=_json_int(payload["k"], "k"),
+            k=payload["k"],
             centroids=payload["centroids"],
             norm_stats=NormStats(payload["norm_mean"], payload["norm_std"]),
-            method=LatentMethod(
-                method["tag"],
-                n_cepstra=None if n_cepstra is None else _json_int(n_cepstra, "n_cepstra"),
-            ),
-            order=_json_int(payload["order"], "order"),
-            lam=float(payload["lambda"]),
-            seed=_json_int(payload["seed"], "seed"),
+            method=LatentMethod(method["tag"], n_cepstra=method.get("n_cepstra")),
+            order=payload["order"],
+            lam=payload["lambda"],
+            seed=payload["seed"],
         )
     except KeyError as exc:
         raise LipcotError(f"{path}: codebook is missing key {exc}") from None
-    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+    except (AttributeError, DimensionMismatchError, OverflowError, TypeError, ValueError) as exc:
         raise LipcotError(f"{path}: malformed codebook ({exc})") from None

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lpc_core
+from ._util import whole
 from .errors import (
     DimensionMismatchError,
     InsufficientCoefficientsError,
@@ -43,9 +44,9 @@ class LatentMethod:
         if self.tag not in _TAGS:
             raise ValueError(f"unknown latent method tag {self.tag!r}")
         if self.tag == TAG_CEPSTRUM:
-            if self.n_cepstra is None or int(self.n_cepstra) < 1:
+            object.__setattr__(self, "n_cepstra", whole(self.n_cepstra, "n_cepstra"))
+            if self.n_cepstra < 1:
                 raise ValueError("the cepstrum map needs n_cepstra of at least 1")
-            object.__setattr__(self, "n_cepstra", int(self.n_cepstra))
         elif self.n_cepstra is not None:
             raise ValueError(f"the {self.tag} map takes no n_cepstra")
 
@@ -214,7 +215,7 @@ def cepstrum_to_lpc(ceps, order: int):
     few for numpy calls to pay for themselves.
     """
     c = np.asarray(ceps, dtype=float)
-    order = int(order)
+    order = whole(order, "order")
     if c.size < order + 1:
         raise InsufficientCoefficientsError(
             f"need at least {order + 1} cepstrum coefficients, got {c.size}"
@@ -241,7 +242,7 @@ def latent_to_model(
     overflows float64 raises ``NonRealizableError`` too.
     """
     method = vec.method
-    order = int(order)
+    order = whole(order, "order")
     if vec.dimension != method.dimension(order):
         raise DimensionMismatchError(
             f"expected {method.dimension(order)} values for order {order}, got {vec.dimension}"

@@ -14,6 +14,7 @@ import numpy as np
 import scipy.signal
 from numpy.polynomial import polynomial as npoly
 
+from ._util import whole
 from .errors import (
     DegenerateInputError,
     FrequencyOutOfRangeError,
@@ -91,7 +92,7 @@ class LpcModel:
     sample_rate: float
 
     def __post_init__(self):
-        order = int(self.order)
+        order = whole(self.order, "order")
         if order < 1:
             raise InvalidOrderError("model order must be at least 1")
         coeffs = _as_float_vector(self.coeffs, "coeffs")
@@ -164,12 +165,14 @@ def warped_burg(samples, order: int, lam: float):
     return a[..., 1:], powers[..., -1], powers, ks
 
 
-def check_order(order: int, n_samples: int) -> None:
-    """Refuse an order below 1, or one that ``n_samples`` samples cannot fit."""
+def check_order(order: int, n_samples: int) -> int:
+    """``order`` as a whole number; refuse one below 1, or one ``n_samples`` samples cannot fit."""
+    order = whole(order, "order")
     if order < 1:
         raise InvalidOrderError("order must be at least 1")
     if n_samples <= order:
         raise InvalidOrderError(f"need more samples ({n_samples}) than the order ({order})")
+    return order
 
 
 def fit_windows(windows, order: int, lam: float):
@@ -181,10 +184,9 @@ def fit_windows(windows, order: int, lam: float):
     error power, so no log-power feature).
     """
     windows = np.asarray(windows, dtype=float)
-    order, n = int(order), windows.shape[-1]
     if not -1.0 < lam < 1.0:
         raise InvalidLambdaError(f"|lam| must be < 1, got {lam}")
-    check_order(order, n)
+    order = check_order(order, windows.shape[-1])
     constant = np.all(windows == windows[..., :1], axis=-1)
     windows = np.where(constant[..., None], 0.0, windows)  # no arithmetic, and power 0
     centred = windows - windows.mean(axis=-1, keepdims=True)
@@ -202,7 +204,7 @@ def fit_burg_warped(segment: Segment, order: int, lam: float) -> LpcModel:
     coeffs, noise_power, ok = fit_windows(segment.samples, order, lam)
     if not ok:
         raise DegenerateInputError("constant segment, or one predicted without error")
-    return LpcModel(int(order), coeffs, noise_power, lam, segment.sample_rate)
+    return LpcModel(order, coeffs, noise_power, lam, segment.sample_rate)
 
 
 def _eigvals(companion: np.ndarray) -> np.ndarray:
@@ -397,7 +399,7 @@ def synthesize(model: LpcModel, n_samples: int, seed: int) -> Segment:
     ``STABILITY_TOL``) raises ``UnstableModelError``, and radii past
     ``MAX_POLE_RADIUS`` are pulled in to it.
     """
-    n_samples = int(n_samples)
+    n_samples = whole(n_samples, "n_samples")
     if n_samples < 2:
         raise ValueError("synthesis needs at least two samples")
     if not certified_stable(model.coeffs.tolist()):

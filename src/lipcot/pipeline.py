@@ -16,6 +16,7 @@ import numpy as np
 from . import codebook as cb
 from . import latent
 from . import lpc_core
+from ._util import whole
 from .errors import (
     EmptyCorpusError,
     InvalidWindowError,
@@ -77,15 +78,15 @@ class TokenizerConfig:
     method: latent.LatentMethod
 
     def __post_init__(self):
-        if int(self.window) < 1:
+        object.__setattr__(self, "window", whole(self.window, "window"))
+        object.__setattr__(self, "hop", whole(self.hop, "hop"))
+        if self.window < 1:
             raise InvalidWindowError("window must be at least one sample")
-        if not 1 <= int(self.hop) <= int(self.window):
+        if not 1 <= self.hop <= self.window:
             raise InvalidWindowError("hop must satisfy 1 <= hop <= window")
-        object.__setattr__(self, "order", int(self.order))
         object.__setattr__(self, "lam", float(self.lam))
-        object.__setattr__(self, "window", int(self.window))
-        object.__setattr__(self, "hop", int(self.hop))
-        lpc_core.check_order(self.order, self.window)  # before any matrix is sized from it
+        # checked before any matrix is sized from it
+        object.__setattr__(self, "order", lpc_core.check_order(self.order, self.window))
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ class TokenSequence:
     def __post_init__(self):
         if self.layout not in _LAYOUTS:
             raise ValueError(f"unknown layout {self.layout!r}")
-        object.__setattr__(self, "tokens", tuple(int(t) for t in self.tokens))
+        object.__setattr__(self, "tokens", tuple(whole(t, "token") for t in self.tokens))
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -168,8 +169,8 @@ def encode_series(
     matrix[~ok] = latent.feature_matrix(*zero_signal, codebook.method, series.sample_rate)
     grid = cb.encode_matrix(codebook, matrix).reshape(series.n_channels, -1)
     if layout == LAYOUT_TEMPORAL:
-        return [TokenSequence(row, LAYOUT_TEMPORAL) for row in grid]
-    return [TokenSequence(column, LAYOUT_POSITIONS) for column in grid.T]
+        return [TokenSequence(row, LAYOUT_TEMPORAL) for row in grid.tolist()]
+    return [TokenSequence(column, LAYOUT_POSITIONS) for column in grid.T.tolist()]
 
 
 def decode_sequence(
@@ -184,7 +185,6 @@ def decode_sequence(
         raise LayoutUnsupportedError(
             "only temporal (per-channel-window) sequences decode to a signal"
         )
-    window = int(window)
     pieces = []
     for index, token in enumerate(seq.tokens):
         model = cb.decode_token(codebook, token, sample_rate)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.signal
 
+from ._util import whole
 from .errors import DegenerateInputError, InvalidOrderError, UnstableModelError
 
 
@@ -50,7 +51,7 @@ def reference_burg(samples, order: int):
     """
     x = np.asarray(samples, dtype=float)
     n = x.size
-    order = int(order)
+    order = whole(order, "order")
     if order < 1 or n <= order:
         raise InvalidOrderError(f"need more samples ({n}) than the order ({order})")
     if np.all(x == x[0]):
@@ -72,7 +73,7 @@ def reference_burg(samples, order: int):
 
 def generate_ar(spec: ArSpec, n: int) -> np.ndarray:
     """Seeded realization of the AR source, warm-up prefix discarded."""
-    n = int(n)
+    n = whole(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     order = len(spec.coeffs)

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import AR2_SPECTRUM_SEED, ar2_coeffs, ar2_fixture_series, predictable_windows
 from lipcot import cli, lpc_core, pipeline, testkit
@@ -866,3 +870,91 @@ class TestUnrealizableTokens:
             assert status == 1
             assert_one_error_line(capsys)
             assert not (tmp_path / "o").exists()
+
+
+# each field of a book.json that an edit can reach, as a path of keys and indices
+BOOK_FIELDS = [
+    ("version",), ("method",), ("method", "tag"), ("method", "weights"),
+    ("method", "n_cepstra"), ("method", "reduced"), ("order",), ("lambda",), ("k",),
+    ("seed",), ("norm_mean",), ("norm_mean", 0), ("norm_std",), ("norm_std", -1),
+    ("centroids",), ("centroids", 0), ("centroids", -1, 0),
+]
+JSON_VALUES = [
+    None, True, False, 0, 1, -1, 2**63, -(2**63), 1e308, -1e308, 0.5, 1.5, -1.5, 1e-320,
+    "", "0.2", "lpc", [], [1.0], [[0.0]], {}, {"tag": "dsc"}, math.nan, math.inf, -math.inf,
+]
+# values that fill a field in its own shape: a book whose numbers reach past float64
+EXTREMES = [1e300, -1e300, 1e-300, 1e308, -1e308, 1e-320, 0.0, -1.0, math.nan, math.inf]
+
+
+@st.composite
+def book_edits(draw):
+    """(book, field, kind, value): set the field to a JSON value, fill it in its own
+    shape with an extreme, drop the last entry of its last row, or delete it."""
+    book = draw(st.sampled_from(["lpc", "cepstrum", "dsc"]))
+    field = draw(st.sampled_from(BOOK_FIELDS))
+    kind = draw(st.sampled_from(["set", "fill", "ragged", "drop"]))
+    value = None
+    if kind in ("set", "fill"):
+        value = draw(st.sampled_from(JSON_VALUES if kind == "set" else EXTREMES))
+    return book, field, kind, value
+
+
+def edit_book(payload, field, kind, value):
+    *parents, key = field
+    for part in parents:
+        payload = payload[part]
+    if isinstance(payload, dict):  # "reduced" is absent from new books
+        payload.setdefault(key, None)
+    old = payload[key]
+    if kind == "drop":
+        del payload[key]
+    elif kind == "set":
+        payload[key] = value
+    elif kind == "fill":
+        payload[key] = np.full(np.shape(old), value).tolist()
+    elif isinstance(old, list) and old and isinstance(old[-1], list):  # ragged, as the rest
+        payload[key] = old[:-1] + [old[-1][:-1]]
+    else:
+        payload[key] = old[:-1] if isinstance(old, list) else [old]
+
+
+@pytest.fixture(scope="module")
+def trained_books(tmp_path_factory):
+    """A directory with a small CSV, a token line, and lpc.json, cepstrum.json and dsc.json."""
+    work = tmp_path_factory.mktemp("books")
+    write_corpus_csv(work / "series.csv", n_channels=2, n_samples=1000)
+    (work / "line.txt").write_text("t0 t1\n")
+    for method in ("lpc", "cepstrum", "dsc"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([
+                "train", str(work / "series.csv"), "--out", str(work / f"{method}.json"),
+                "--method", method, "--k", "3", "--order", "4", "--window-sec", "0.5",
+                "--sample-rate", "500",
+            ]) == 0
+    return work
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(edit=book_edits())
+@example(edit=("cepstrum", ("method", "n_cepstra"), "set", 2**63))
+@example(edit=("lpc", ("norm_std",), "fill", 1e-300))
+def test_edited_books_run_or_end_in_one_error_line(trained_books, edit):
+    # the commands run in-process: a warning, or a traceback, fails the draw
+    work = trained_books
+    book, field, kind, value = edit
+    payload = json.loads((work / f"{book}.json").read_text())
+    edit_book(payload, field, kind, value)
+    (work / "bad.json").write_text(json.dumps(payload))
+    common = ["--codebook", str(work / "bad.json"), "--sample-rate", "500"]
+    for argv in (
+        ["encode", str(work / "series.csv"), "--window-sec", "0.5"],
+        ["decode", str(work / "line.txt"), "--window-sec", "0.5"],
+        ["synth", "--token", "0", "--seconds", "0.5"],
+    ):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = cli.main([*argv, *common, "--out", str(work / "out")])
+        lines = err.getvalue().splitlines()
+        one_error = status == 1 and len(lines) == 1 and lines[0].startswith("error: ")
+        assert (status == 0 and not lines) or one_error, (argv[0], status, lines)

@@ -82,10 +82,18 @@ def reference_kmeans_fit(points, k, seed, events):
 
 
 def held_norms(centroids):
-    """The squared centroid norms a codebook over ``centroids`` derives and holds."""
+    """The squared centroid norms a codebook over ``centroids`` derives and holds.
+
+    An lpc codebook of order d - 1 holds d values per centroid. No codebook
+    holds one value, since its order would be 0; for d = 1 this returns
+    None, and the kernel computes the norms itself.
+    """
     k, d = centroids.shape
+    if d == 1:
+        return None
     stats = cb.NormStats(np.zeros(d), np.ones(d))
-    return cb.Codebook(k, centroids, stats, latent.LatentMethod.dsc(), 1, 0.0, 0).centroid_sq_norms
+    method = latent.LatentMethod.lpc_coeff()
+    return cb.Codebook(k, centroids, stats, method, d - 1, 0.0, 0).centroid_sq_norms
 
 
 def direct_nearest(points, centroids):

@@ -141,10 +141,11 @@ class TestMethodPayload:
 
     @staticmethod
     def load_with_method(tmp_path, method):
+        # three values per centroid at order 1: the dsc space, which the payload's method replaces
         path = tmp_path / "book.json"
         book = cb.Codebook(
             k=1, centroids=np.zeros((1, 3)), norm_stats=cb.NormStats(np.zeros(3), np.ones(3)),
-            method=latent.LatentMethod.lpc_coeff(), order=2, lam=0.0, seed=0,
+            method=latent.LatentMethod.dsc(), order=1, lam=0.0, seed=0,
         )
         cb.save_codebook(book, path)
         payload = json.loads(path.read_text())

@@ -222,6 +222,65 @@ def test_every_export_resolves():
     assert missing == []
 
 
+def _whole_book(k):
+    """An lpc codebook of order 2 whose k tokens all decode."""
+    centroids = np.arange(3.0 * k).reshape(k, 3) / 10.0
+    stats = cb.NormStats(np.zeros(3), np.ones(3))
+    return cb.Codebook(k, centroids, stats, latent.LatentMethod.lpc_coeff(), 2, 0.0, 0)
+
+
+def _distinct_lpc_vectors(count):
+    method = latent.LatentMethod.lpc_coeff()
+    return [latent.LatentVector(method, [i / 10.0, (i % 3) / 10.0, 0.0]) for i in range(count)]
+
+
+@pytest.mark.parametrize(
+    "make, fraction, integer",
+    [
+        (latent.LatentMethod.cepstrum, (2.9,), (np.int64(2),)),
+        (
+            lambda order: lpc_core.LpcModel(order, [-0.5, 0.1], 1.0, 0.0, FS),
+            (2.7,), (np.int64(2),),
+        ),
+        (
+            lambda k: cb.train_codebook(_distinct_lpc_vectors(6), k=k, seed=0, order=2, lam=0.0),
+            (2.5,), (np.int64(2),),
+        ),
+        (
+            lambda *sizes: pipeline.TokenizerConfig(
+                sizes[0], 0.0, *sizes[1:], latent.LatentMethod.lpc_coeff()
+            ),
+            (4.5, 100.7, 50.2), (np.int64(4), np.int64(100), np.int64(50)),
+        ),
+        (
+            lambda token: pipeline.TokenSequence([token], pipeline.LAYOUT_TEMPORAL),
+            (1.9,), (np.int64(1),),
+        ),
+        (lambda token: cb.decode_token(_whole_book(3), token, FS), (2.7,), (np.int64(2),)),
+        (
+            lambda n: lpc_core.synthesize(lpc_core.LpcModel(1, [-0.5], 1.0, 0.0, FS), n, 0),
+            (100.9,), (np.int64(100),),
+        ),
+        (
+            lambda k: cb.Codebook(
+                k, np.zeros((1, 2)), cb.NormStats(np.zeros(2), np.ones(2)),
+                latent.LatentMethod.lpc_coeff(), 1, 0.0, 0,
+            ),
+            (True,), (np.int64(1),),
+        ),
+    ],
+    ids=[
+        "cepstrum-count", "model-order", "train-k", "config-sizes", "sequence-token",
+        "decode-token", "synth-samples", "codebook-boolean-k",
+    ],
+)
+def test_fractional_or_boolean_integer_arguments_are_refused(make, fraction, integer):
+    # each was once truncated: decode_token(book, 2.7) decoded token 2
+    make(*integer)
+    with pytest.raises(ValueError, match="must be an integer"):
+        make(*fraction)
+
+
 class TestFitCorpus:
     def test_vector_count_and_order(self):
         series = small_series()
