@@ -1,6 +1,7 @@
 """sha256 digests of lipcot's outputs on the benchmark's own seeded inputs.
 
 usage: python3 tools/digests.py SRC_DIR [--seeds 101 102 103] [--workloads NAME ...]
+                                [--write FILE]
 
 SRC_DIR is the directory that holds the ``lipcot`` package to digest (the
 ``src`` of a checkout). The inputs come from ``perfbench/inputs.generate``
@@ -10,6 +11,12 @@ same data:
     python3 tools/digests.py /path/to/parent/src > parent.txt
     python3 tools/digests.py src > change.txt
     diff parent.txt change.txt
+
+``--write FILE`` writes the lines to FILE instead, after a line naming the
+numpy, scipy and BLAS builds they came from. ``tests/digests-101.txt`` is
+such a file, and ``tests/test_digests.py`` recomputes it:
+
+    python3 tools/digests.py src --seeds 101 --write tests/digests-101.txt
 
 Each line reads ``workload seed key digest``. Per workload and seed it covers
 every trained codebook (``book.json`` bytes, and as ``bookN.reload`` the bytes
@@ -29,6 +36,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import sys
@@ -222,29 +230,51 @@ def dsc_stream(spec: dict, work: Path) -> dict:
 WORKLOADS = {"cli-eeg": cli_eeg, "scale-k256": scale_k256, "dsc-stream": dsc_stream}
 
 
+def environment() -> str:
+    """The numpy, scipy and BLAS builds that compute the digests; ``poles`` depend on LAPACK."""
+    import scipy
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    blas = f"{blas['name']} {blas['version']}"
+    return f"numpy {np.__version__}, scipy {scipy.__version__}, blas {blas}"
+
+
+def digest_lines(seeds, workloads):
+    """Yield the ``workload seed key digest`` lines of the importable lipcot package."""
+    spec = importlib.util.spec_from_file_location("inputs", ROOT / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    for name in workloads:
+        for seed in seeds:
+            with tempfile.TemporaryDirectory() as tmp:
+                work = Path(tmp)
+                spec = json.loads(inputs.generate(name, seed, work).read_text())
+                for key, value in WORKLOADS[name](spec, work).items():
+                    yield f"{name} {seed} {key} {value}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src_dir", help="directory holding the lipcot package")
     parser.add_argument("--seeds", type=int, nargs="+", default=[101, 102, 103])
     parser.add_argument("--workloads", nargs="+", choices=list(WORKLOADS), default=list(WORKLOADS))
+    parser.add_argument("--write", metavar="FILE", help="write the lines, after their environment")
     args = parser.parse_args(argv)
 
     src = Path(args.src_dir).resolve()
     sys.path.insert(0, str(src))
-    sys.path.insert(1, str(ROOT / "perfbench"))
-    import inputs
     import lipcot
 
     if Path(lipcot.__file__).resolve().parent != src / "lipcot":
         raise SystemExit(f"imported lipcot from {lipcot.__file__}, not from {src}")
 
-    for name in args.workloads:
-        for seed in args.seeds:
-            with tempfile.TemporaryDirectory() as tmp:
-                work = Path(tmp)
-                spec = json.loads(inputs.generate(name, seed, work).read_text())
-                for key, value in WORKLOADS[name](spec, work).items():
-                    print(name, seed, key, value, flush=True)
+    lines = digest_lines(args.seeds, args.workloads)
+    if args.write:
+        text = "".join(f"{line}\n" for line in lines)
+        Path(args.write).write_text(f"# environment: {environment()}\n{text}")
+        return 0
+    for line in lines:
+        print(line, flush=True)
     return 0
 
 
