@@ -9,7 +9,6 @@ The module also owns the codebook file, ``book.json``, and the token words.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,13 +16,14 @@ import numpy as np
 from ._util import whole, write_text_atomic
 from .errors import (
     DimensionMismatchError,
+    InvalidLambdaError,
     InvalidTokenError,
     LipcotError,
     NonRealizableError,
     TooFewVectorsError,
 )
 from .latent import LatentMethod, LatentVector, latent_to_model
-from .lpc_core import LpcModel
+from .lpc_core import LpcModel, _as_float_vector, check_lam
 
 CODEBOOK_FORMAT_VERSION = "1"
 
@@ -41,12 +41,9 @@ class NormStats:
     std: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        std = np.asarray(self.std, dtype=float)
-        if mean.shape != std.shape or mean.ndim != 1:
-            raise ValueError("mean and std must be matching one-dimensional arrays")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
-            raise ValueError("mean and std must be finite")
+        mean, std = _as_float_vector(self.mean, "mean"), _as_float_vector(self.std, "std")
+        if mean.shape != std.shape:
+            raise ValueError("mean and std must have the same length")
         if np.any(std <= 0):
             raise ValueError("std entries must be positive")
         object.__setattr__(self, "mean", mean)
@@ -74,12 +71,10 @@ def check_space(k, method: LatentMethod, order, lam, seed, width: int):
     for name, value, least in zip(("k", "order", "seed"), fields, (1, 1, 0)):
         if value < least:
             raise ValueError(f"{name} must be at least {least}")
-    if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not -1.0 < lam < 1.0:
-        raise ValueError(f"lambda must be a number in (-1, 1), got {lam!r}")
     # decode inverts centroids at this order, and every inverse reads order + 1 values
     if width != method.dimension(order) or width <= order:
         raise DimensionMismatchError(f"{width} values disagree with {method} at order {order}")
-    return k, order, float(lam), seed
+    return k, order, check_lam(lam), seed
 
 
 @dataclass(frozen=True)
@@ -299,16 +294,19 @@ def train_codebook(
 def encode_matrix(codebook: Codebook, matrix: np.ndarray) -> np.ndarray:
     """Token id of each row of a matrix in the codebook's latent space.
 
-    The nearest centroid in normalized space; ties go to the lowest id.
+    The nearest centroid in normalized space; ties go to the lowest id. A
+    row that is not finite there raises ``LipcotError``.
     """
     if matrix.shape[1] != codebook.dimension:
         raise DimensionMismatchError("vector does not live in the codebook's space")
     try:  # the kernel's shortlist silences its own overflow; any other is refused
         with np.errstate(over="raise", invalid="raise"):
-            points = codebook.norm_stats.normalize(matrix)
-            return nearest_centroids(points, codebook.centroids, codebook.centroid_sq_norms)
+            points = codebook.norm_stats.normalize(matrix)  # NaN and inf pass quietly
+            if np.isfinite(points).all():
+                return nearest_centroids(points, codebook.centroids, codebook.centroid_sq_norms)
     except FloatingPointError:
-        raise LipcotError("a row is past float64's range in the codebook's space") from None
+        pass
+    raise LipcotError("a row is not finite, or past float64's range, in the codebook's space")
 
 
 def encode_vector(codebook: Codebook, vec: LatentVector) -> int:
@@ -358,6 +356,11 @@ def save_codebook(codebook: Codebook, path) -> None:
     write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
 
 
+def _numbers_only(value) -> bool:
+    """Whether nested JSON lists hold nothing but numbers; a bool is not one."""
+    return all(map(_numbers_only, value)) if type(value) is list else type(value) in (int, float)
+
+
 def load_codebook(path) -> Codebook:
     """Read a ``book.json``; any malformed file raises ``LipcotError`` naming ``path``."""
     with open(path) as fh:
@@ -366,9 +369,11 @@ def load_codebook(path) -> Codebook:
         except ValueError as exc:
             raise LipcotError(f"{path}: not valid JSON ({exc})") from None
     try:
-        version = str(payload["version"])
+        version = payload["version"]
         if version != CODEBOOK_FORMAT_VERSION:
             raise LipcotError(f"{path}: unsupported codebook version {version!r}")
+        if not _numbers_only([payload["norm_mean"], payload["norm_std"], payload["centroids"]]):
+            raise ValueError("norm_mean, norm_std and centroids must hold JSON numbers only")
         method = payload["method"]
         if method.get("reduced", False):  # older books store "reduced": false, which loads
             raise LipcotError(
@@ -387,5 +392,6 @@ def load_codebook(path) -> Codebook:
         )
     except KeyError as exc:
         raise LipcotError(f"{path}: codebook is missing key {exc}") from None
-    except (AttributeError, DimensionMismatchError, OverflowError, TypeError, ValueError) as exc:
+    except (AttributeError, OverflowError, TypeError, ValueError,
+            DimensionMismatchError, InvalidLambdaError) as exc:
         raise LipcotError(f"{path}: malformed codebook ({exc})") from None

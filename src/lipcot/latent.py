@@ -26,7 +26,6 @@ TAG_LPC = "lpc"
 TAG_CEPSTRUM = "cepstrum"
 TAG_DSC = "dsc"
 _TAGS = (TAG_LPC, TAG_CEPSTRUM, TAG_DSC)
-_CEPSTRUM_BLOCK = 8  # cepstrum indices whose weighted coefficients are formed at once
 
 
 @dataclass(frozen=True)
@@ -77,12 +76,7 @@ class LatentVector:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError("latent values must be one-dimensional")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("latent values must be finite")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", lpc_core._as_float_vector(self.values, "latent values"))
 
     @property
     def dimension(self) -> int:
@@ -98,30 +92,18 @@ def _log_powers(noise_power) -> np.ndarray:
 
 
 def _cepstrum_rows(coeffs: np.ndarray, log_power: np.ndarray, count: int) -> np.ndarray:
-    # lpc_to_cepstrum on every row at once, each element in the same float order
-    n_rows, order = coeffs.shape
-    if n_rows == 1:  # plain floats: per-term numpy calls would cost more than the terms
+    # lpc_to_cepstrum on every row at once, each term in one float order
+    rows, order = coeffs.shape
+    if rows == 1:  # plain floats: numpy calls would cost more than the terms
         a, c = coeffs[0].tolist(), log_power.tolist()
-        for n in range(1, count + 1):
-            acc = 0.0  # the blocked fold's start, then its terms in m order
-            for m in range(1, min(n - 1, order) + 1):
-                acc += (1.0 - m / n) * a[m - 1] * c[n - m]
-            c.append((-a[n - 1] if n <= order else -0.0) - acc)
-        return np.array([c])
-    c = np.empty((count + 1, n_rows))
-    c[0] = log_power
-    neg_a = -coeffs.T
-    factors = 1.0 - np.arange(1, order + 1)[:, None] / np.arange(1, count + 1)[:, None, None]
-    terms = np.zeros((order + 1, n_rows))  # row 0 stays 0.0, the fold's start
+    else:  # one array per coefficient index, over all rows
+        a, c = list(coeffs.T), [log_power]
     for n in range(1, count + 1):
-        j = (n - 1) % _CEPSTRUM_BLOCK
-        if j == 0:  # (1 - m/n) * a_m for the next block of n; memory stays order x rows
-            weighted = factors[n - 1 : n - 1 + _CEPSTRUM_BLOCK] * coeffs.T
-        m = min(n - 1, order)
-        np.multiply(weighted[j, :m], c[n - 1 : n - 1 - m : -1], terms[1 : m + 1])
-        acc = np.add.accumulate(terms[: m + 1])[m]  # summed in m order, as a loop would
-        np.subtract(neg_a[n - 1] if n <= order else -0.0, acc, c[n])  # -0.0 - acc is -acc
-    return np.ascontiguousarray(c.T)
+        acc = 0.0
+        for m in range(1, min(n - 1, order) + 1):
+            acc += (1.0 - m / n) * a[m - 1] * c[n - m]
+        c.append((-a[n - 1] if n <= order else -0.0) - acc)  # -0.0 - acc is -acc
+    return np.array(c).reshape(count + 1, rows).T
 
 
 def _dsc_rows(coeffs: np.ndarray, log_power: np.ndarray, sample_rate: float) -> np.ndarray:

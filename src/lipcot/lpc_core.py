@@ -8,6 +8,7 @@ realizations by filtering seeded white noise.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,31 @@ _REAL_SNAP = 1e-9  # |imag| below this collapses onto the real axis
 _FREQ_SLACK = 1e-12  # relative slack so grids built by repeated addition pass
 
 
+def _real(value) -> bool:
+    # float first: for a float, the ABC check alone is several times slower
+    return type(value) is float or (type(value) is not bool and isinstance(value, numbers.Real))
+
+
+def check_lam(lam) -> float:
+    """``lam`` as a float; ``InvalidLambdaError`` unless it is a number in (-1, 1), not a bool."""
+    if not (_real(lam) and -1.0 < lam < 1.0):
+        raise InvalidLambdaError(f"lambda must be a number in (-1, 1), got {lam!r}")
+    return float(lam)
+
+
+def check_rate(sample_rate) -> float:
+    """``sample_rate`` as a float; ``ValueError`` unless it is a number in (0, inf), not a bool."""
+    if not (_real(sample_rate) and 0.0 < sample_rate < math.inf):
+        raise ValueError(f"sample_rate must be a positive finite number, got {sample_rate!r}")
+    return float(sample_rate)
+
+
+def _check_band(freqs: np.ndarray, sample_rate: float) -> None:
+    nyquist = sample_rate / 2.0
+    if np.any(np.abs(freqs) > nyquist * (1.0 + _FREQ_SLACK)):
+        raise FrequencyOutOfRangeError(f"|f| must not exceed {nyquist} Hz")
+
+
 def _as_float_vector(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
@@ -68,10 +94,8 @@ class Segment:
         samples = _as_float_vector(self.samples, "samples")
         if samples.size < 2:
             raise ValueError("a segment needs at least two samples")
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be positive")
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", float(self.sample_rate))
+        object.__setattr__(self, "sample_rate", check_rate(self.sample_rate))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -100,15 +124,11 @@ class LpcModel:
             raise ValueError(f"expected {order} coefficients, got {coeffs.size}")
         if not (math.isfinite(self.noise_power) and self.noise_power >= 0):
             raise ValueError("noise_power must be finite and non-negative")
-        if not -1.0 < self.lam < 1.0:
-            raise InvalidLambdaError(f"|lam| must be < 1, got {self.lam}")
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be positive")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "noise_power", float(self.noise_power))
-        object.__setattr__(self, "lam", float(self.lam))
-        object.__setattr__(self, "sample_rate", float(self.sample_rate))
+        object.__setattr__(self, "lam", check_lam(self.lam))
+        object.__setattr__(self, "sample_rate", check_rate(self.sample_rate))
 
 
 @dataclass(frozen=True)
@@ -184,8 +204,7 @@ def fit_windows(windows, order: int, lam: float):
     error power, so no log-power feature).
     """
     windows = np.asarray(windows, dtype=float)
-    if not -1.0 < lam < 1.0:
-        raise InvalidLambdaError(f"|lam| must be < 1, got {lam}")
+    lam = check_lam(lam)
     order = check_order(order, windows.shape[-1])
     constant = np.all(windows == windows[..., :1], axis=-1)
     windows = np.where(constant[..., None], 0.0, windows)  # no arithmetic, and power 0
@@ -300,14 +319,9 @@ def warp_frequency(f, lam: float, sample_rate: float):
     two-argument arctangent, making the map continuous and strictly
     increasing from 0 to the Nyquist frequency; ``lam = 0`` is the identity.
     """
-    if not -1.0 < lam < 1.0:
-        raise InvalidLambdaError(f"|lam| must be < 1, got {lam}")
-    if not sample_rate > 0:
-        raise ValueError("sample_rate must be positive")
+    lam, sample_rate = check_lam(lam), check_rate(sample_rate)
     freqs = np.asarray(f, dtype=float)
-    nyquist = sample_rate / 2.0
-    if np.any(np.abs(freqs) > nyquist * (1.0 + _FREQ_SLACK)):
-        raise FrequencyOutOfRangeError(f"|f| must not exceed {nyquist} Hz")
+    _check_band(freqs, sample_rate)
     theta = 2.0 * np.pi * freqs / sample_rate
     warped = (sample_rate / (2.0 * np.pi)) * np.arctan2(
         (1.0 - lam * lam) * np.sin(theta),
@@ -334,9 +348,7 @@ def power_spectrum(model: LpcModel, freqs) -> np.ndarray:
     circle.
     """
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
-    nyquist = model.sample_rate / 2.0
-    if np.any(np.abs(freqs) > nyquist * (1.0 + _FREQ_SLACK)):
-        raise FrequencyOutOfRangeError(f"|f| must not exceed {nyquist} Hz")
+    _check_band(freqs, model.sample_rate)
     d = _warped_delay(freqs, model.lam, model.sample_rate)
     denom = npoly.polyval(d, np.concatenate(([1.0], model.coeffs)))
     return model.noise_power / np.abs(denom) ** 2

@@ -49,13 +49,11 @@ class MultichannelSeries:
             raise ValueError("series data must be a non-empty channels-by-samples matrix")
         if not np.all(np.isfinite(data)):
             raise ValueError("series data must be finite")
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be positive")
         names = tuple(str(n) for n in self.channel_names)
         if len(names) != data.shape[0]:
             raise ValueError("one channel name per data row required")
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "sample_rate", float(self.sample_rate))
+        object.__setattr__(self, "sample_rate", lpc_core.check_rate(self.sample_rate))
         object.__setattr__(self, "channel_names", names)
 
     @property
@@ -84,7 +82,7 @@ class TokenizerConfig:
             raise InvalidWindowError("window must be at least one sample")
         if not 1 <= self.hop <= self.window:
             raise InvalidWindowError("hop must satisfy 1 <= hop <= window")
-        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "lam", lpc_core.check_lam(self.lam))
         # checked before any matrix is sized from it
         object.__setattr__(self, "order", lpc_core.check_order(self.order, self.window))
 

@@ -636,6 +636,22 @@ class TestBadInputs:
         assert status == 1
         assert_one_error_line(capsys, path)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda p: p["norm_mean"].__setitem__(0, str(p["norm_mean"][0])),
+            lambda p: p["centroids"][0].__setitem__(0, True),
+            lambda p: p.update(version=1),
+        ],
+        ids=["string-mean", "boolean-centroid", "integer-version"],
+    )
+    def test_codebook_value_of_another_json_type(self, workspace, capsys, edit):
+        # each once loaded, read by float() or str() as what it spells
+        status, path = self.encode_with_book(workspace, edit)
+        assert status == 1
+        assert_one_error_line(capsys, path)
+        assert not (workspace[0] / "t.txt").exists()
+
     def encode_csv(self, workspace, header, row):
         """Encode a two-window CSV whose eighth line is replaced by ``row``."""
         tmp_path, _, book_path = workspace

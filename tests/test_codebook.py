@@ -397,6 +397,15 @@ class TestEncodeDecode:
         with pytest.raises(DimensionMismatchError):
             cb.encode_vector(trained, vec)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_is_refused(self, trained, value):
+        # each such row was once given token 0 without a word
+        matrix = np.zeros((3, trained.dimension))
+        cb.encode_matrix(trained, matrix)
+        matrix[1, 0] = value
+        with pytest.raises(LipcotError, match="not finite"):
+            cb.encode_matrix(trained, matrix)
+
 
 class TestNormStats:
     def test_round_trip(self):

@@ -103,7 +103,7 @@ def stacked_models(draw):
     or above the order, or dsc.
     """
     order = draw(st.integers(1, 10))
-    rows = draw(st.integers(2, 5))
+    rows = draw(st.integers(2, 40))
     element = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.5, 1.5))
     coeffs = draw(hnp.arrays(float, (rows, order), elements=element))
     for row in draw(st.lists(st.integers(0, rows - 1), max_size=2)):

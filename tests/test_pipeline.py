@@ -13,6 +13,7 @@ from lipcot import latent, lpc_core, pipeline, testkit
 from lipcot.errors import (
     DegenerateInputError,
     EmptyCorpusError,
+    InvalidLambdaError,
     InvalidOrderError,
     InvalidWindowError,
     LayoutUnsupportedError,
@@ -281,6 +282,51 @@ def test_fractional_or_boolean_integer_arguments_are_refused(make, fraction, int
         make(*fraction)
 
 
+BAD_LAMBDAS = ("0.2", True, math.nan, 1.0, None)
+BAD_RATES = (math.inf, math.nan, 0, True, "500")
+WINDOWS = [[0.0, 1.0, 0.5, -1.0, 0.25, 2.0]]
+
+
+@pytest.mark.parametrize(
+    "make, valid, bad, error, rule",
+    [
+        *[
+            (make, np.float64(0.2), BAD_LAMBDAS, InvalidLambdaError, "lambda must be")
+            for make in (
+                lambda lam: lpc_core.LpcModel(2, [-0.5, 0.1], 1.0, lam, FS),
+                lambda lam: lpc_core.fit_windows(WINDOWS, 2, lam),
+                lambda lam: lpc_core.warp_frequency(10.0, lam, FS),
+                lambda lam: pipeline.TokenizerConfig(
+                    4, lam, 100, 50, latent.LatentMethod.lpc_coeff()
+                ),
+                lambda lam: cb.train_codebook(
+                    _distinct_lpc_vectors(6), k=2, seed=0, order=2, lam=lam
+                ),
+            )
+        ],
+        *[
+            (make, np.float64(FS), BAD_RATES, ValueError, "sample_rate must be")
+            for make in (
+                lambda rate: lpc_core.Segment(WINDOWS[0], rate),
+                lambda rate: lpc_core.LpcModel(1, [-0.5], 1.0, 0.0, rate),
+                lambda rate: pipeline.MultichannelSeries(WINDOWS, rate, ["c0"]),
+                lambda rate: lpc_core.warp_frequency(0.0, 0.2, rate),
+            )
+        ],
+    ],
+    ids=[
+        "model-lambda", "fit-lambda", "warp-lambda", "config-lambda", "train-lambda",
+        "segment-rate", "model-rate", "series-rate", "warp-rate",
+    ],
+)
+def test_lambda_and_rate_arguments_follow_one_rule(make, valid, bad, error, rule):
+    # TokenizerConfig once took lam=1.5, and Segment an infinite rate
+    make(valid)
+    for value in bad:
+        with pytest.raises(error, match=rule):
+            make(value)
+
+
 class TestFitCorpus:
     def test_vector_count_and_order(self):
         series = small_series()
@@ -308,6 +354,16 @@ class TestFitCorpus:
         series = pipeline.MultichannelSeries(data, 100.0, ["a", "b"])
         with pytest.raises(EmptyCorpusError):
             pipeline.fit_corpus([series], small_config())
+
+    @pytest.mark.parametrize(
+        "method", [latent.LatentMethod.cepstrum(6), latent.LatentMethod.dsc()], ids=lambda m: m.tag
+    )
+    def test_empty_corpus_maps_chunks_of_no_rows(self, method):
+        # every chunk is degenerate, so each feature map gets a 0-row matrix
+        series = pipeline.MultichannelSeries(np.ones((2, 900)), 100.0, ["a", "b"])
+        config = pipeline.TokenizerConfig(4, 0.2, 300, 300, method)
+        with pytest.raises(EmptyCorpusError):
+            pipeline.fit_corpus([series], config)
 
 
 class TestEncodeSeries:
