@@ -183,18 +183,61 @@ def nearest_centroids(points: np.ndarray, centroids: np.ndarray, c_sq=None):
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = points.shape[0]
-    centroids = np.empty((k, points.shape[1]))
-    centroids[0] = points[rng.integers(n)]
-    closest = ((points - centroids[0]) ** 2).sum(axis=1)
+    """k-means++ seeding (Arthur & Vassilvitskii 2007): each pick is drawn
+    with probability proportional to its squared distance D^2 to the nearest
+    centroid picked so far.
+
+    One GEMV per pick gives every row's squared distance to the new centroid
+    c = x_j by the expansion ``E = ||x||^2 - 2 x.c + ||c||^2``, with the
+    squared norms ``||x||^2`` computed once. As in ``nearest_centroids``, E
+    is within ``(d + 2) eps N`` of the exact distance S, with
+    ``N = ||x||^2 + ||c||^2``, whatever order BLAS sums in. A row whose E is
+    not above ``B = 4 (d + 2) (eps N + tiny)`` is recomputed by direct
+    differences, ``((x - c) ** 2).sum()``. So every duplicate of a picked
+    row (S = 0) keeps D^2 exactly 0 and is never drawn, and a zero total
+    still means that every row is a picked one. B is computed from 4N, which
+    bounds every direct value, so it is infinite wherever direct differences
+    could overflow, and their warnings are kept.
+
+    The draw is ``Generator.choice(n, p=D^2 / total)`` written out: one
+    ``rng.random()`` located in the normalized cumulative sum, so the random
+    stream is that of ``choice``. The other rows' D^2 differ from direct
+    differences only by rounding, at most ``(d + 2) eps N`` each; a pick
+    moves only if the draw lands within about that much of a boundary of
+    the cumulative sum, so on any input the picks are those of direct
+    differences but for a chance of that order per pick.
+    """
+    n, d = points.shape
+    centroids = np.empty((k, d))
+    idx = rng.integers(n)
+    centroids[0] = points[idx]
+    with np.errstate(over="ignore", invalid="ignore"):  # refined rows warn below
+        x_sq = np.vecdot(points, points)
+        four_n = 4.0 * (x_sq + _TINY / _EPS)
+    closest = np.full(n, np.inf)
     for i in range(1, k):
+        c = points[idx]
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist = points @ c
+            dist *= -2.0
+            dist += x_sq
+            dist += x_sq[idx]
+            bound = four_n + 4.0 * x_sq[idx]
+            bound *= (d + 2) * _EPS
+        # a NaN E or B is not above B either, so such a row is refined
+        near = np.flatnonzero(~(dist > bound))
+        dist[near] = ((points[near] - c) ** 2).sum(axis=1)
+        np.minimum(closest, dist, out=closest)
         total = closest.sum()
-        if total > 0.0:
-            idx = rng.choice(n, p=closest / total)
-        else:
+        if 0.0 < total < np.inf:
+            cdf = np.cumsum(closest / total)
+            cdf /= cdf[-1]
+            idx = cdf.searchsorted(rng.random(), side="right")
+        elif total == 0.0:
             idx = rng.integers(n)
+        else:  # an infinite or NaN D^2, which choice refused as well
+            raise ValueError("squared distances between the points are not finite")
         centroids[i] = points[idx]
-        closest = np.minimum(closest, ((points - points[idx]) ** 2).sum(axis=1))
     return centroids
 
 

@@ -70,7 +70,7 @@ def check_rate(sample_rate) -> float:
 
 def _check_band(freqs: np.ndarray, sample_rate: float) -> None:
     nyquist = sample_rate / 2.0
-    if np.any(np.abs(freqs) > nyquist * (1.0 + _FREQ_SLACK)):
+    if not np.all(np.abs(freqs) <= nyquist * (1.0 + _FREQ_SLACK)):  # NaN fails too
         raise FrequencyOutOfRangeError(f"|f| must not exceed {nyquist} Hz")
 
 
@@ -122,8 +122,10 @@ class LpcModel:
         coeffs = _as_float_vector(self.coeffs, "coeffs")
         if coeffs.size != order:
             raise ValueError(f"expected {order} coefficients, got {coeffs.size}")
-        if not (math.isfinite(self.noise_power) and self.noise_power >= 0):
-            raise ValueError("noise_power must be finite and non-negative")
+        if not (_real(self.noise_power) and 0.0 <= self.noise_power < math.inf):
+            raise ValueError(
+                f"noise_power must be a finite non-negative number, got {self.noise_power!r}"
+            )
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "noise_power", float(self.noise_power))
@@ -182,7 +184,8 @@ def warped_burg(samples, order: int, lam: float):
     power = np.vecdot(x, x)[..., None] / x.shape[-1]
     gains = np.maximum(1.0 - ks * ks, 0.0)
     powers = np.multiply.accumulate(np.concatenate((power, gains), axis=-1), axis=-1)
-    return a[..., 1:], powers[..., -1], powers, ks
+    # [()] makes one window's noise power a numpy float, not a 0-d array
+    return a[..., 1:], powers[..., -1][()], powers, ks
 
 
 def check_order(order: int, n_samples: int) -> int:

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import FS, purity, random_stable_model
 from lipcot import codebook as cb
-from lipcot import latent
+from lipcot import latent, lpc_core
 from lipcot.errors import (
     DimensionMismatchError,
     InvalidTokenError,
@@ -30,6 +30,23 @@ def blob_vectors(rng, centers, count, spread=1.0):
             )
             labels.append(label)
     return vectors, np.array(labels)
+
+
+def reference_kmeans_pp_init(points, k, rng):
+    """k-means++ seeding by direct differences and ``rng.choice``."""
+    n = points.shape[0]
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[rng.integers(n)]
+    closest = ((points - centroids[0]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = closest.sum()
+        if total > 0.0:
+            idx = rng.choice(n, p=closest / total)
+        else:
+            idx = rng.integers(n)
+        centroids[i] = points[idx]
+        closest = np.minimum(closest, ((points - points[idx]) ** 2).sum(axis=1))
+    return centroids
 
 
 def reference_kmeans_fit(points, k, seed, events):
@@ -56,7 +73,7 @@ def reference_kmeans_fit(points, k, seed, events):
             labels[far] = c
         return centroids, labels
 
-    centroids = cb._kmeans_pp_init(points, k, np.random.default_rng(seed))
+    centroids = reference_kmeans_pp_init(points, k, np.random.default_rng(seed))
     inertia_history = []
     for _ in range(300):
         sq_dists = sq_dist(centroids)
@@ -203,6 +220,65 @@ class TestNearestCentroids:
         assert not np.any(labels == 11)
 
 
+# 400 points on a 5 x 5 lattice: exact distance ties at every step
+LATTICE = np.random.default_rng(0).integers(-2, 3, size=(400, 2)).astype(float)
+# 41 points (40 distinct) on a quarter grid: exact ties, and Lloyd empties a
+# centroid that is reseeded
+QUARTER_CAUCHY = np.round(np.random.default_rng(11011).standard_cauchy(size=(41, 2)) * 4) / 4
+
+
+def cepstrum_corpus(rows):
+    """z-scored cepstra (d 33) of order-16 Burg fits to 100-sample windows of 48 AR sources."""
+    rng = np.random.default_rng(2024)
+    sources = [random_stable_model(rng, 16, fs=100.0) for _ in range(48)]
+    windows = np.stack(
+        [lpc_core.synthesize(sources[i % 48], 100, i).samples for i in range(rows)]
+    )
+    coeffs, noise_power, ok = lpc_core.fit_windows(windows, 16, 0.0)
+    assert ok.all()
+    method = latent.LatentMethod.cepstrum(32)
+    matrix = latent.feature_matrix(coeffs, noise_power, method, 100.0)
+    return cb.NormStats.fit(matrix).normalize(matrix)
+
+
+class TestKmeansPlusPlusSeeding:
+    @pytest.mark.parametrize(
+        "make, k",
+        [
+            (lambda: cepstrum_corpus(600), 256),
+            (lambda: LATTICE, 12),
+            (lambda: QUARTER_CAUCHY, 27),
+            # 0.1 is inexact, so neither distance form is exact arithmetic
+            (lambda: LATTICE * 0.1, 12),
+            # five copies of 64 rows: every copy of a pick must keep D^2 exactly 0
+            (lambda: np.repeat(cepstrum_corpus(64), 5, axis=0), 64),
+            # past the 64 distinct rows the total is exactly 0 and picks are uniform
+            (lambda: np.repeat(cepstrum_corpus(64), 5, axis=0), 80),
+        ],
+        ids=[
+            "cepstrum-k256", "lattice-k12", "cauchy-k27", "scaled-lattice-k12", "repeated-k64",
+            "repeated-k80",
+        ],
+    )
+    def test_picks_match_direct_differences_and_choice(self, make, k):
+        points = make()
+        distinct = min(k, np.unique(points, axis=0).shape[0])
+        for seed in range(200):
+            want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = reference_kmeans_pp_init(points, k, want_rng)
+            got = cb._kmeans_pp_init(points, k, got_rng)
+            assert got.tobytes() == want.tobytes(), f"seed {seed}"
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, f"seed {seed}"
+            # no row is drawn twice while a distinct one is left
+            assert np.unique(got, axis=0).shape[0] == distinct, f"seed {seed}"
+
+    @pytest.mark.parametrize("seeding", [reference_kmeans_pp_init, cb._kmeans_pp_init])
+    def test_overflowing_distances_are_refused(self, seeding):
+        points = np.array([[0.0, 0.0], [1e200, 0.0], [-1e200, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+            seeding(points, 3, np.random.default_rng(0))
+
+
 class TestTraining:
     def test_k1_centroid_is_normalized_mean(self):
         rng = np.random.default_rng(0)
@@ -240,13 +316,7 @@ class TestTraining:
 
     @pytest.mark.parametrize(
         "k, points",
-        [
-            # 400 points on a 5 x 5 lattice: exact distance ties at every step
-            (12, np.random.default_rng(0).integers(-2, 3, size=(400, 2)).astype(float)),
-            # 41 points (40 distinct) on a quarter grid: exact ties, and Lloyd
-            # empties a centroid that is reseeded
-            (27, np.round(np.random.default_rng(11011).standard_cauchy(size=(41, 2)) * 4) / 4),
-        ],
+        [(12, LATTICE), (27, QUARTER_CAUCHY)],
         ids=["12", "27"],
     )
     def test_kmeans_matches_full_tensor_masked_mean_reference(self, k, points):

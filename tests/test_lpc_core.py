@@ -334,6 +334,11 @@ class TestPowerSpectrum:
         with pytest.raises(FrequencyOutOfRangeError):
             lpc_core.power_spectrum(model, [FS / 2 + 1.0])
 
+    def test_rejects_a_nan_frequency(self):
+        model = lpc_core.LpcModel(1, [-0.5], 1.0, 0.0, FS)
+        with pytest.raises(FrequencyOutOfRangeError):
+            lpc_core.power_spectrum(model, [np.nan, 10.0])
+
     def test_matches_expanded_rational_form(self):
         rng = np.random.default_rng(12)
         for lam in (0.0, 0.2, -0.35, 0.6):
@@ -369,6 +374,8 @@ class TestWarpFrequency:
             lpc_core.warp_frequency(10.0, -1.0, FS)
         with pytest.raises(FrequencyOutOfRangeError):
             lpc_core.warp_frequency(300.0, 0.2, FS)
+        with pytest.raises(FrequencyOutOfRangeError):
+            lpc_core.warp_frequency(np.nan, 0.2, FS)
 
 
 def reference_conventional_tf(model):

@@ -284,6 +284,7 @@ def test_fractional_or_boolean_integer_arguments_are_refused(make, fraction, int
 
 BAD_LAMBDAS = ("0.2", True, math.nan, 1.0, None)
 BAD_RATES = (math.inf, math.nan, 0, True, "500")
+BAD_POWERS = (True, "1.0", None, math.nan, -1.0, math.inf)
 WINDOWS = [[0.0, 1.0, 0.5, -1.0, 0.25, 2.0]]
 
 
@@ -313,14 +314,19 @@ WINDOWS = [[0.0, 1.0, 0.5, -1.0, 0.25, 2.0]]
                 lambda rate: lpc_core.warp_frequency(0.0, 0.2, rate),
             )
         ],
+        (
+            lambda power: lpc_core.LpcModel(1, [-0.5], power, 0.0, FS),
+            np.float64(1.0), BAD_POWERS, ValueError, "noise_power must be",
+        ),
     ],
     ids=[
         "model-lambda", "fit-lambda", "warp-lambda", "config-lambda", "train-lambda",
-        "segment-rate", "model-rate", "series-rate", "warp-rate",
+        "segment-rate", "model-rate", "series-rate", "warp-rate", "model-noise-power",
     ],
 )
 def test_lambda_and_rate_arguments_follow_one_rule(make, valid, bad, error, rule):
-    # TokenizerConfig once took lam=1.5, and Segment an infinite rate
+    # TokenizerConfig once took lam=1.5, Segment an infinite rate and LpcModel
+    # a boolean noise power
     make(valid)
     for value in bad:
         with pytest.raises(error, match=rule):
