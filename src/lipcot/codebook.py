@@ -146,15 +146,26 @@ def nearest_centroids(points: np.ndarray, centroids: np.ndarray, c_sq=None):
     and of the comparison.
 
     A row keeps its shortlist label only when all k - 1 other centroids lie
-    more than 2B above its best G. Every other row is decided by direct
-    differences over all k centroids: exact ties, and, for k > 1, every row
-    whose G or B is not finite. B is computed from 4N, which bounds every
-    direct value, so it is infinite wherever direct differences could
-    overflow, and their warnings are kept. So the labels do not depend on
-    how BLAS rounds or how many threads it runs.
+    more than 2B above its best G. The runner-up test decides that in one
+    pass: with the best entry set to +inf, the row minimum is the least of
+    the other k - 1 entries, and it exceeds ``best + 2B`` exactly when each
+    of them does; a NaN anywhere fails the comparison, as it failed the
+    entry-wise one. Every other row is decided by direct differences over
+    all k centroids: exact ties, and, for k > 1, every row whose G or B is
+    not finite. B is computed from 4N, which bounds every direct value, so
+    it is infinite wherever direct differences could overflow, and their
+    warnings are kept. So the labels do not depend on how BLAS rounds or how
+    many threads it runs. With k = 1 there is no other centroid, and no row
+    is refined.
+
+    G is formed as ``(-2 x) @ c.T + ||c||^2``: scaling by -2 is exact away
+    from the subnormal range, so that product has the bits of
+    ``-2 (x @ c.T)``, and it costs d products per row, not k.
     """
     n, d = points.shape
     k = centroids.shape[0]
+    if k == 1:
+        return np.zeros(n, dtype=np.intp)
     labels = np.empty(n, dtype=np.intp)
     ambiguous = []
     # only the shortlist is silenced: refined rows warn as direct differences do
@@ -165,17 +176,20 @@ def nearest_centroids(points: np.ndarray, centroids: np.ndarray, c_sq=None):
         two_b = np.vecdot(points, points) + (c_sq.max(initial=0.0) + _TINY / _EPS)
         two_b *= 4.0
         two_b *= 2 * (d + 2) * _EPS
+        row_starts = np.arange(0, min(n, _ASSIGN_CHUNK) * k, k)
         for start in range(0, n, _ASSIGN_CHUNK):
-            g = points[start : start + _ASSIGN_CHUNK] @ centroids.T
-            g *= -2.0
+            g = (-2.0 * points[start : start + _ASSIGN_CHUNK]) @ centroids.T
             g += c_sq
-            labels[start : start + _ASSIGN_CHUNK] = g.argmin(axis=1)
-            near = g.min(axis=1)
+            best = g.argmin(axis=1)
+            labels[start : start + _ASSIGN_CHUNK] = best
+            own = row_starts[: best.size] + best  # flat index of each row's best in g
+            near = g.take(own)
             near += two_b[start : start + _ASSIGN_CHUNK]
-            # a NaN threshold leaves no entry far, so such a row counts as ambiguous
-            far = g > near[:, None]
-            if np.count_nonzero(far) != far.shape[0] * (k - 1):
-                ambiguous.append(start + np.flatnonzero(far.sum(axis=1) != k - 1))
+            g.put(own, np.inf)
+            # a NaN runner-up or threshold fails the test, so such a row is refined
+            far = g.min(axis=1) > near
+            if np.count_nonzero(far) != far.size:
+                ambiguous.append(start + np.flatnonzero(~far))
     for rows in ambiguous:
         block = ((points[rows, None, :] - centroids) ** 2).sum(axis=2)
         labels[rows] = np.argmin(block, axis=1)
@@ -197,7 +211,8 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     row (S = 0) keeps D^2 exactly 0 and is never drawn, and a zero total
     still means that every row is a picked one. B is computed from 4N, which
     bounds every direct value, so it is infinite wherever direct differences
-    could overflow, and their warnings are kept.
+    could overflow. A D^2 that is still infinite or NaN makes the total so,
+    which raises one ``LipcotError`` and no warning.
 
     The draw is ``Generator.choice(n, p=D^2 / total)`` written out: one
     ``rng.random()`` located in the normalized cumulative sum, so the random
@@ -211,7 +226,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     centroids = np.empty((k, d))
     idx = rng.integers(n)
     centroids[0] = points[idx]
-    with np.errstate(over="ignore", invalid="ignore"):  # refined rows warn below
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
         x_sq = np.vecdot(points, points)
         four_n = 4.0 * (x_sq + _TINY / _EPS)
     closest = np.full(n, np.inf)
@@ -224,9 +239,9 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
             dist += x_sq[idx]
             bound = four_n + 4.0 * x_sq[idx]
             bound *= (d + 2) * _EPS
-        # a NaN E or B is not above B either, so such a row is refined
-        near = np.flatnonzero(~(dist > bound))
-        dist[near] = ((points[near] - c) ** 2).sum(axis=1)
+            # a NaN E or B is not above B either, so such a row is refined
+            near = np.flatnonzero(~(dist > bound))
+            dist[near] = ((points[near] - c) ** 2).sum(axis=1)
         np.minimum(closest, dist, out=closest)
         total = closest.sum()
         if 0.0 < total < np.inf:
@@ -236,7 +251,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
         elif total == 0.0:
             idx = rng.integers(n)
         else:  # an infinite or NaN D^2, which choice refused as well
-            raise ValueError("squared distances between the points are not finite")
+            raise LipcotError("squared distances between the points are not finite")
         centroids[i] = points[idx]
     return centroids
 
@@ -270,21 +285,25 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int):
     increases.
 
     Returns ``(centroids, labels, inertia_history)``. Fewer than ``k``
-    distinct points raise ``TooFewVectorsError``.
+    distinct points raise ``TooFewVectorsError``, and squared distances
+    that are not finite raise ``LipcotError``.
     """
     if np.unique(points, axis=0).shape[0] < k:
         raise TooFewVectorsError(f"need at least {k} distinct vectors")
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(points, k, rng)
+    d = points.shape[1]
+    columns = np.arange(d)
     inertia_history = []
     for _ in range(_KMEANS_MAX_ITER):
         labels = nearest_centroids(points, centroids)
         centroids, labels = _reseed_empty(points, centroids, labels)
         inertia_history.append(float(((points - centroids[labels]) ** 2).sum()))
-        # np.add.at sums each cluster in row order, as a masked mean would
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, labels, points)
-        new_centroids = sums / np.bincount(labels, minlength=k)[:, None]
+        # bin (label, column) per entry; bincount visits each bin's rows in
+        # row order from 0.0, as a masked mean would, signed zeros included
+        bins = labels[:, None] * d + columns
+        sums = np.bincount(bins.ravel(), weights=points.ravel(), minlength=k * d)
+        new_centroids = sums.reshape(k, d) / np.bincount(labels, minlength=k)[:, None]
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
         if shift < _KMEANS_TOL:

@@ -98,6 +98,67 @@ def reference_kmeans_fit(points, k, seed, events):
     return centroids, labels, np.asarray(inertia_history)
 
 
+def reference_nearest_centroids(points, centroids):
+    """The shortlist kernel with an entry-wise far test: six k-wide passes per chunk."""
+    n, d = points.shape
+    k = centroids.shape[0]
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    labels = np.empty(n, dtype=np.intp)
+    ambiguous = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_sq = np.vecdot(centroids, centroids)
+        two_b = np.vecdot(points, points) + (c_sq.max(initial=0.0) + tiny / eps)
+        two_b *= 4.0
+        two_b *= 2 * (d + 2) * eps
+        for start in range(0, n, cb._ASSIGN_CHUNK):
+            g = points[start : start + cb._ASSIGN_CHUNK] @ centroids.T
+            g *= -2.0
+            g += c_sq
+            labels[start : start + cb._ASSIGN_CHUNK] = g.argmin(axis=1)
+            near = g.min(axis=1)
+            near += two_b[start : start + cb._ASSIGN_CHUNK]
+            far = g > near[:, None]
+            if np.count_nonzero(far) != far.shape[0] * (k - 1):
+                ambiguous.append(start + np.flatnonzero(far.sum(axis=1) != k - 1))
+    for rows in ambiguous:
+        block = ((points[rows, None, :] - centroids) ** 2).sum(axis=2)
+        labels[rows] = np.argmin(block, axis=1)
+    return labels
+
+
+def reference_lloyd_fit(points, k, seed, events):
+    """kmeans_fit over the entry-wise shortlist, with cluster sums by ``np.add.at``.
+
+    Shares the seeding and the reseed rule with ``kmeans_fit``, and counts
+    the reseeding steps in ``events``.
+    """
+
+    def reseed_empty(centroids, labels):
+        events["reseeds"] += int(not np.bincount(labels, minlength=k).all())
+        return cb._reseed_empty(points, centroids, labels)
+
+    centroids = cb._kmeans_pp_init(points, k, np.random.default_rng(seed))
+    inertia_history = []
+    for _ in range(300):
+        labels = reference_nearest_centroids(points, centroids)
+        centroids, labels = reseed_empty(centroids, labels)
+        inertia_history.append(float(((points - centroids[labels]) ** 2).sum()))
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, labels, points)
+        new_centroids = sums / np.bincount(labels, minlength=k)[:, None]
+        shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
+        centroids = new_centroids
+        if shift < 1e-6:
+            break
+    labels = reference_nearest_centroids(points, centroids)
+    for _ in range(k):
+        if np.bincount(labels, minlength=k).all():
+            break
+        centroids, labels = reseed_empty(centroids, labels)
+        labels = reference_nearest_centroids(points, centroids)
+    return centroids, labels, np.asarray(inertia_history)
+
+
 def held_norms(centroids):
     """The squared centroid norms a codebook over ``centroids`` derives and holds.
 
@@ -209,6 +270,15 @@ class TestNearestCentroids:
             outcome.append((labels.tolist(), {str(w.message) for w in caught}))
         assert outcome[1] == outcome[0]
 
+    def test_one_centroid_refines_no_row(self):
+        # 4N overflows, and the first row's direct difference would too
+        points = np.array([[1e200, 0.0], [-1e200, 1.0], [np.nan, 0.0], [0.0, 0.0]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            labels = cb.nearest_centroids(points, np.array([[-1e200, 0.0]]))
+        assert labels.tolist() == [0, 0, 0, 0]
+        assert not caught
+
     def test_chunked_matches_unchunked_expression(self):
         rng = np.random.default_rng(8)
         points = rng.integers(-3, 4, size=(2 * cb._ASSIGN_CHUNK + 37, 5)).astype(float)
@@ -272,11 +342,53 @@ class TestKmeansPlusPlusSeeding:
             # no row is drawn twice while a distinct one is left
             assert np.unique(got, axis=0).shape[0] == distinct, f"seed {seed}"
 
-    @pytest.mark.parametrize("seeding", [reference_kmeans_pp_init, cb._kmeans_pp_init])
-    def test_overflowing_distances_are_refused(self, seeding):
+    @pytest.mark.parametrize(
+        "run, error",
+        [
+            # Generator.choice refuses an infinite total
+            (reference_kmeans_pp_init, ValueError),
+            (cb._kmeans_pp_init, LipcotError),
+            (lambda points, k, rng: cb.kmeans_fit(points, k, 0), LipcotError),
+        ],
+        ids=["reference_kmeans_pp_init", "_kmeans_pp_init", "kmeans_fit"],
+    )
+    def test_overflowing_distances_are_refused(self, run, error):
         points = np.array([[0.0, 0.0], [1e200, 0.0], [-1e200, 1.0]])
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
-            seeding(points, 3, np.random.default_rng(0))
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(error) as raised:
+            warnings.simplefilter("always")
+            run(points, 3, np.random.default_rng(0))
+        assert "\n" not in str(raised.value)
+        # direct differences warn on the way to choice's refusal; lipcot's refusal is all
+        assert bool(caught) == (error is ValueError)
+
+
+class TestLloydFloatOrder:
+    """``kmeans_fit`` keeps the bytes of the entry-wise shortlist and ``np.add.at`` sums.
+
+    The inputs are inexact, so another summation order would show in the
+    centroids' bytes.
+    """
+
+    @pytest.mark.parametrize(
+        "make, k, reseeds",
+        [
+            (lambda: cepstrum_corpus(600), 64, False),
+            (lambda: cepstrum_corpus(600), 256, False),
+            # a cluster of only -0.0 sums to 0.0 from a 0.0 start, not to -0.0
+            (lambda: np.column_stack([cepstrum_corpus(600), np.full(600, -0.0)]), 64, False),
+            # Lloyd empties a cluster on seed 0, which is reseeded
+            (lambda: QUARTER_CAUCHY * 0.1, 27, True),
+        ],
+        ids=["cepstrum-k64", "cepstrum-k256", "negative-zero-column-k64", "reseeding-k27"],
+    )
+    def test_matches_the_entry_wise_shortlist_and_add_at(self, make, k, reseeds):
+        points = make()
+        events = {"reseeds": 0}
+        for seed in range(20):
+            expected = reference_lloyd_fit(points, k, seed, events)
+            for want, got in zip(expected, cb.kmeans_fit(points, k, seed)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f"seed {seed}"
+        assert (events["reseeds"] > 0) == reseeds
 
 
 class TestTraining:

@@ -28,7 +28,9 @@ also covers every token's decode: the model's coefficients and noise power,
 its poles, its ``to_conventional_tf`` numerator and denominator, and the
 samples of ``synthesize(model, 64, token)`` (so the clamp decision is seen on
 every token), each part or its refusal with the error type (``synthesize``'s
-for the filter).
+for the filter), and as ``bookN.kmeans`` (``book.kmeans`` on cli-eeg) the
+labels and inertia history of ``kmeans_fit`` on the book's normalized
+training matrix, which ``book.json`` does not hold.
 """
 
 from __future__ import annotations
@@ -61,6 +63,15 @@ def _book_digests(prefix: str, book, work: Path) -> dict:
     saved = path.read_bytes()
     codebook.save_codebook(codebook.load_codebook(path), path)
     return {f"{prefix}.json": _sha(saved), f"{prefix}.reload": _sha(path.read_bytes())}
+
+
+def _kmeans_digest(prefix: str, book, vectors) -> dict:
+    """The labels and inertia history of the k-means run behind ``book``."""
+    from lipcot import codebook
+
+    normalized = book.norm_stats.normalize(np.stack([vec.values for vec in vectors]))
+    _, labels, history = codebook.kmeans_fit(normalized, book.k, book.seed)
+    return {f"{prefix}.kmeans": _sha(labels.astype(np.int64).tobytes() + history.tobytes())}
 
 
 def _outcome(function, *args):
@@ -129,7 +140,7 @@ def _single_ops(books, windows, rate: float, base_seed: int) -> dict:
 
 
 def cli_eeg(spec: dict, work: Path) -> dict:
-    from lipcot import cli, codebook
+    from lipcot import cli, codebook, pipeline
 
     csv, book_path = work / spec["csv"], work / "book.json"
     common = ["--window-sec", str(spec["window_sec"]), "--sample-rate", str(spec["rate"])]
@@ -164,6 +175,11 @@ def cli_eeg(spec: dict, work: Path) -> dict:
     windows = data[:, : n_windows * window].reshape(-1, window)[: spec["latency_ops"]]
     book = codebook.load_codebook(book_path)
     out["book.reload"] = _book_digests("book", book, work)["book.reload"]
+    names, rows = pipeline.read_series_csv(csv)
+    series = pipeline.MultichannelSeries(rows, spec["rate"], names)
+    config = pipeline.TokenizerConfig(book.order, book.lam, window, window, book.method)
+    vectors, _ = pipeline.fit_corpus([series], config)
+    out.update(_kmeans_digest("book", book, vectors))
     out.update(_token_models("book", book, spec["rate"]))
     out.update(_single_ops([book], windows, spec["rate"], spec["seed"]))
     return out
@@ -189,6 +205,7 @@ def scale_k256(spec: dict, work: Path) -> dict:
             order=spec["order"], lam=spec["lam"],
         )
         out.update(_book_digests(f"book{restart}", book, work))
+        out.update(_kmeans_digest(f"book{restart}", book, vectors))
         for layout in ("positions", "temporal"):
             sequences = pipeline.encode_series(series, book, window, window, layout)
             out[f"book{restart}.tokens.{layout}"] = _sha(
@@ -218,6 +235,7 @@ def dsc_stream(spec: dict, work: Path) -> dict:
         )
         books.append(book)
         out.update(_book_digests(f"book{c}", book, work))
+        out.update(_kmeans_digest(f"book{c}", book, vectors))
         out.update(_token_models(f"book{c}", book, spec["rate"]))
     for layout in ("positions", "temporal"):
         sequences = pipeline.encode_series(series, books[0], window, window, layout)
