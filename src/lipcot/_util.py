@@ -13,6 +13,14 @@ def whole(value, name: str) -> int:
     return int(value)
 
 
+def check_seed(seed) -> int:
+    """``seed`` as a plain int by ``whole``; a negative one raises ``ValueError``."""
+    seed = whole(seed, "seed")
+    if seed < 0:
+        raise ValueError("seed must be at least 0")
+    return seed
+
+
 def write_text_atomic(path, text: str) -> None:
     """Write text to ``path`` via a temporary file in the same directory."""
     path = os.fspath(path)

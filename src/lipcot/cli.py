@@ -42,12 +42,16 @@ _LINE_SEED_STRIDE = 1_000_003
 _SAMPLE_COUNT_TOL = 1e-9
 
 
+def _flag_rate(value) -> float:
+    if value is None or not 0 < value < math.inf:  # the rule a sidecar's rate follows
+        raise LipcotError(f"--sample-rate must be positive and finite, got {value}")
+    return float(value)
+
+
 def _resolve_sample_rate(path: str, flag_value) -> float:
     """Sampling rate from the flag, else from a '<input>.json' sidecar."""
     if flag_value is not None:
-        if not flag_value > 0:
-            raise LipcotError("--sample-rate must be positive")
-        return float(flag_value)
+        return _flag_rate(flag_value)
     sidecar = path + ".json"
     if os.path.exists(sidecar):
         with open(sidecar) as fh:
@@ -199,24 +203,22 @@ def cmd_decode(args) -> int:
         except UnicodeDecodeError as exc:
             raise LipcotError(f"{args.tokens}: not {exc.encoding} text ({exc.reason})") from None
     ids = {cb.token_word(token): token for token in range(book.k)}
-    columns = []
-    for index, words in enumerate(lines):
-        try:
-            tokens = [ids[word] for word in words]
-        except KeyError as exc:
-            raise UnknownWordError(f"unknown token word {exc.args[0]!r}") from None
-        seq = pipeline.TokenSequence(tokens, pipeline.LAYOUT_TEMPORAL)
-        columns.append(
-            pipeline.decode_sequence(
-                seq, book, window, sample_rate, args.seed + index * _LINE_SEED_STRIDE
-            )
-        )
-    if not columns:
+    try:
+        sequences = [
+            pipeline.TokenSequence([ids[word] for word in words], pipeline.LAYOUT_TEMPORAL)
+            for words in lines
+        ]
+    except KeyError as exc:
+        raise UnknownWordError(f"unknown token word {exc.args[0]!r}") from None
+    if not sequences:
         write_text_atomic(args.out, "")
         return 0
-    lengths = {col.size for col in columns}
-    if len(lengths) != 1:
+    if len({len(seq) for seq in sequences}) != 1:  # refused before anything is decoded
         raise LipcotError("token lines decode to different lengths")
+    columns = [
+        pipeline.decode_sequence(seq, book, window, sample_rate, args.seed + i * _LINE_SEED_STRIDE)
+        for i, seq in enumerate(sequences)
+    ]
     names = [f"seq{i}" for i in range(len(columns))]
     write_text_atomic(args.out, pipeline.format_series_csv(names, np.stack(columns)))
     return 0
@@ -272,14 +274,13 @@ def cmd_spectrum(args) -> int:
 
 def cmd_synth(args) -> int:
     book = cb.load_codebook(args.codebook)
-    if not args.sample_rate or not args.sample_rate > 0:
-        raise LipcotError("--sample-rate must be positive")
-    n_samples = _window_samples(args.seconds, args.sample_rate, "duration")
-    model = cb.decode_token(book, args.token, args.sample_rate)
-    segment = lpc_core.synthesize(model, n_samples, args.seed)
-    write_text_atomic(
-        args.out, pipeline.format_series_csv([cb.token_word(args.token)], segment.samples[None, :])
-    )
+    sample_rate = _flag_rate(args.sample_rate)
+    n_samples = _window_samples(args.seconds, sample_rate, "duration")
+    # one token decoded as a one-token line: position 0 draws seed --seed
+    seq = pipeline.TokenSequence([args.token], pipeline.LAYOUT_TEMPORAL)
+    samples = pipeline.decode_sequence(seq, book, n_samples, sample_rate, args.seed)
+    text = pipeline.format_series_csv([cb.token_word(args.token)], samples[None, :])
+    write_text_atomic(args.out, text)
     return 0
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import whole, write_text_atomic
+from ._util import check_seed, whole, write_text_atomic
 from .errors import (
     DimensionMismatchError,
     InvalidLambdaError,
@@ -288,6 +288,7 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int):
     distinct points raise ``TooFewVectorsError``, and squared distances
     that are not finite raise ``LipcotError``.
     """
+    seed = check_seed(seed)
     if np.unique(points, axis=0).shape[0] < k:
         raise TooFewVectorsError(f"need at least {k} distinct vectors")
     rng = np.random.default_rng(seed)

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.signal
 from numpy.polynomial import polynomial as npoly
 
-from ._util import whole
+from ._util import check_seed, whole
 from .errors import (
     DegenerateInputError,
     FrequencyOutOfRangeError,
@@ -397,26 +397,14 @@ def to_conventional_tf(model: LpcModel):
     return _trim_trailing_zeros(np.array(numerator)), _trim_trailing_zeros(np.array(denominator))
 
 
-def synthesize(model: LpcModel, n_samples: int, seed: int) -> Segment:
-    """Draw a seeded noise realization and filter it through the model.
+def synthesis_filter(model: LpcModel):
+    """The ``(numerator, denominator)`` that ``synthesize`` filters noise through.
 
-    Gaussian noise of variance ``noise_power`` is shaped by the one-pole
-    section sqrt(1 - lam^2) / (1 - lam*z^-1) and then driven through the
-    conventional rational form of the warped predictor. The shaping stage is
-    the exact identity at lam = 0 and has unit power gain; it makes the
-    excitation white in the warped-delay domain where the predictor was fit,
-    so refitting a synthesized realization recovers the source model. A
-    warm-up prefix of max(10 * order, 500) samples is discarded to flush
-    filter transients. Deterministic for a fixed seed.
-
-    A model that ``certified_stable`` passes is filtered as it is. Only
+    A model that ``certified_stable`` passes is expanded as it is. Only
     otherwise are its poles found: one past the unit circle (with
     ``STABILITY_TOL``) raises ``UnstableModelError``, and radii past
-    ``MAX_POLE_RADIUS`` are pulled in to it.
+    ``MAX_POLE_RADIUS`` are pulled in to it before ``to_conventional_tf``.
     """
-    n_samples = whole(n_samples, "n_samples")
-    if n_samples < 2:
-        raise ValueError("synthesis needs at least two samples")
     if not certified_stable(model.coeffs.tolist()):
         pole_values = poles(model).poles
         radii = np.abs(pole_values)
@@ -426,7 +414,26 @@ def synthesize(model: LpcModel, n_samples: int, seed: int) -> Segment:
             scale = np.minimum(radii, MAX_POLE_RADIUS) / np.where(radii == 0.0, 1.0, radii)
             coeffs = poles_to_coeffs(pole_values * scale).real
             model = LpcModel(model.order, coeffs, model.noise_power, model.lam, model.sample_rate)
-    numerator, denominator = to_conventional_tf(model)
+    return to_conventional_tf(model)
+
+
+def synthesize(model: LpcModel, n_samples: int, seed: int) -> Segment:
+    """Draw a seeded noise realization and filter it through the model.
+
+    Gaussian noise of variance ``noise_power`` is shaped by the one-pole
+    section sqrt(1 - lam^2) / (1 - lam*z^-1) and then driven through the
+    model's ``synthesis_filter``. The shaping stage is the exact identity at
+    lam = 0 and has unit power gain; it makes the excitation white in the
+    warped-delay domain where the predictor was fit, so refitting a
+    synthesized realization recovers the source model. A warm-up prefix of
+    max(10 * order, 500) samples is discarded to flush filter transients.
+    Deterministic for a fixed seed, a whole number of at least 0.
+    """
+    n_samples = whole(n_samples, "n_samples")
+    if n_samples < 2:
+        raise ValueError("synthesis needs at least two samples")
+    seed = check_seed(seed)
+    numerator, denominator = synthesis_filter(model)
     warmup = max(10 * model.order, 500)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, math.sqrt(model.noise_power), n_samples + warmup)

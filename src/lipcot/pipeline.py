@@ -16,7 +16,7 @@ import numpy as np
 from . import codebook as cb
 from . import latent
 from . import lpc_core
-from ._util import whole
+from ._util import check_seed, whole
 from .errors import (
     EmptyCorpusError,
     InvalidWindowError,
@@ -183,6 +183,7 @@ def decode_sequence(
         raise LayoutUnsupportedError(
             "only temporal (per-channel-window) sequences decode to a signal"
         )
+    seed = check_seed(seed)
     pieces = []
     for index, token in enumerate(seq.tokens):
         model = cb.decode_token(codebook, token, sample_rate)

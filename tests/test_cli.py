@@ -132,6 +132,19 @@ class TestTrain:
         ])
         assert status == 0
 
+    def test_sidecars_that_disagree_on_the_rate(self, tmp_path, capsys):
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path, rate in zip(paths, (500, 250)):
+            write_corpus_csv(path)
+            (tmp_path / f"{path.name}.json").write_text(json.dumps({"sample_rate": rate}))
+        status = cli.main([
+            "train", *map(str, paths), "--out", str(tmp_path / "b.json"),
+            "--k", "2", "--order", "4", "--window-sec", "2",
+        ])
+        assert status == 1
+        assert "250.0 != 500.0" in assert_one_error_line(capsys, paths[1])
+        assert not (tmp_path / "b.json").exists()
+
     def test_missing_sample_rate(self, tmp_path, capsys):
         csv_path = tmp_path / "series.csv"
         write_corpus_csv(csv_path)
@@ -187,6 +200,18 @@ class TestEncode:
         assert status == 1
         assert "disagrees" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--lambda", "0.5"), ("--method", "dsc")], ids=["lambda", "method"]
+    )
+    def test_codebook_flag_that_disagrees(self, workspace, capsys, flag, value):
+        tmp_path, csv_path, book_path = workspace
+        status = cli.main([
+            "encode", str(csv_path), "--codebook", str(book_path), "--out", str(tmp_path / "t.txt"),
+            flag, value, "--window-sec", "2", "--sample-rate", "500",
+        ])
+        assert status == 1
+        assert f"{flag} {value} disagrees" in assert_one_error_line(capsys)
+
     def test_one_sample_hop(self, tmp_path):
         # the library takes any hop of 1 <= hop <= window; so do train and encode
         csv_path, book_path, tokens = tmp_path / "short.csv", tmp_path / "b.json", tmp_path / "t.txt"
@@ -235,6 +260,35 @@ class TestDecode:
         names, data = pipeline.read_series_csv(tmp_path / "dec0.csv")
         assert names == ["seq0"]
         assert data.shape == (1, 3000)
+
+    def test_blank_lines_only_decode_to_an_empty_file(self, workspace):
+        tmp_path, _, book_path = workspace
+        token_file, out = tmp_path / "blank.txt", tmp_path / "d.csv"
+        token_file.write_text("\n  \n\t\n")
+        status = cli.main([
+            "decode", str(token_file), "--codebook", str(book_path), "--out", str(out),
+            "--window-sec", "2", "--sample-rate", "500",
+        ])
+        assert status == 0
+        assert out.read_text() == ""
+
+    def test_lines_of_different_lengths_are_refused_before_decoding(
+        self, workspace, capsys, monkeypatch
+    ):
+        def no_decode(*args, **kwargs):
+            raise AssertionError("decode_sequence was called")
+
+        tmp_path, _, book_path = workspace
+        token_file, out = tmp_path / "ragged.txt", tmp_path / "d.csv"
+        token_file.write_text("t0 t1\nt2\n")
+        monkeypatch.setattr(pipeline, "decode_sequence", no_decode)
+        status = cli.main([
+            "decode", str(token_file), "--codebook", str(book_path), "--out", str(out),
+            "--window-sec", "2", "--sample-rate", "500",
+        ])
+        assert status == 1
+        assert "different lengths" in assert_one_error_line(capsys)
+        assert not out.exists()
 
     def test_unknown_word_named_in_error(self, workspace, capsys):
         tmp_path, _, book_path = workspace
@@ -313,6 +367,60 @@ class TestSpectrum:
         lpc_psd = rows[:, 1]
         dynamic_range_db = 10 * np.log10(lpc_psd.max() / lpc_psd.min())
         assert dynamic_range_db < 6.0
+
+
+    @pytest.fixture()
+    def three_channels(self, tmp_path):
+        # the header "1" names channel 0, while index 1 is channel "x"
+        data = np.random.default_rng(1).normal(size=(3, 400))
+        csv_path = tmp_path / "three.csv"
+        csv_path.write_text(pipeline.format_series_csv(["1", "x", "y"], data))
+        return csv_path, data
+
+    def spectrum_text(self, csv_path, *flags):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = cli.main([
+                "spectrum", str(csv_path), "--sample-rate", "500", "--order", "4",
+                "--grid-hz", "10", *flags,
+            ])
+        assert status == 0
+        return out.getvalue()
+
+    @pytest.mark.parametrize(
+        "requested, channel", [("y", 2), ("x", 1), ("2", 2), ("1", 0)],
+        ids=["name", "other-name", "index", "name-beats-index"],
+    )
+    def test_channel_by_name_or_index(self, tmp_path, three_channels, requested, channel):
+        csv_path, data = three_channels
+        alone = tmp_path / "alone.csv"
+        alone.write_text(pipeline.format_series_csv(["c"], data[channel : channel + 1]))
+        assert self.spectrum_text(csv_path, "--channel", requested) == self.spectrum_text(alone)
+
+    @pytest.mark.parametrize(
+        "requested, message",
+        [("z", "unknown channel 'z'"), ("3", "index 3 out of range"), ("-1", "index -1 out of")],
+    )
+    def test_channel_that_is_not_there(self, capsys, three_channels, requested, message):
+        csv_path, _ = three_channels
+        status = cli.main([
+            "spectrum", str(csv_path), "--sample-rate", "500", "--channel", requested,
+        ])
+        assert status == 1
+        assert message in assert_one_error_line(capsys)
+
+    def test_stdout_holds_what_out_writes(self, tmp_path, three_channels):
+        csv_path, _ = three_channels
+        out = tmp_path / "spec.csv"
+        assert self.spectrum_text(csv_path, "--out", str(out)) == ""
+        assert self.spectrum_text(csv_path) == out.read_text()
+
+    def test_one_sample_is_refused(self, tmp_path, capsys):
+        csv_path = tmp_path / "one.csv"
+        csv_path.write_text("a\n1.5\n")
+        status = cli.main(["spectrum", str(csv_path), "--sample-rate", "500"])
+        assert status == 1
+        assert "at least two samples" in assert_one_error_line(capsys)
 
 
 class TestRoundTrip:
@@ -711,6 +819,64 @@ class TestBadInputs:
         ])
         assert status == 1
         assert_one_error_line(capsys, sidecar)
+
+    @pytest.mark.parametrize("rate", ["inf", "0"])
+    @pytest.mark.parametrize("command", ["train", "encode", "decode", "spectrum", "synth"])
+    def test_sample_rate_that_is_not_positive_and_finite(self, workspace, capsys, command, rate):
+        # --sample-rate inf once passed and ended in a sample count or grid error
+        tmp_path, csv_path, book_path = workspace
+        tokens_path = tmp_path / "line.txt"
+        tokens_path.write_text("t0 t1\n")
+        argv = {
+            "train": ["train", str(csv_path), "--k", "2", "--order", "4"],
+            "encode": ["encode", str(csv_path), "--codebook", str(book_path)],
+            "decode": ["decode", str(tokens_path), "--codebook", str(book_path)],
+            "spectrum": ["spectrum", str(csv_path)],
+            "synth": ["synth", "--codebook", str(book_path), "--token", "0", "--seconds", "2"],
+        }[command]
+        out = tmp_path / "out"
+        status = cli.main([*argv, "--out", str(out), "--sample-rate", rate])
+        assert status == 1
+        assert "--sample-rate must be positive" in assert_one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "encode", "spectrum"])
+    def test_empty_csv_has_no_header(self, workspace, capsys, command):
+        tmp_path, _, book_path = workspace
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        argv = {
+            "train": ["train", str(empty), "--out", str(tmp_path / "b.json"), "--k", "2"],
+            "encode": ["encode", str(empty), "--codebook", str(book_path), "--out", str(tmp_path / "t")],
+            "spectrum": ["spectrum", str(empty)],
+        }[command]
+        status = cli.main([*argv, "--order", "4", "--sample-rate", "500"])
+        assert status == 1
+        assert "missing header row" in assert_one_error_line(capsys, empty)
+
+    def test_codebook_that_is_not_json(self, workspace, capsys):
+        tmp_path, csv_path, _ = workspace
+        bad_book = tmp_path / "bad.json"
+        bad_book.write_text("k = 4\n")
+        status = cli.main([
+            "encode", str(csv_path), "--codebook", str(bad_book), "--out", str(tmp_path / "t"),
+            "--window-sec", "2", "--sample-rate", "500",
+        ])
+        assert status == 1
+        assert "not valid JSON" in assert_one_error_line(capsys, bad_book)
+
+    def test_out_that_is_a_directory_leaves_no_temporary_file(self, workspace, capsys):
+        tmp_path, _, book_path = workspace
+        out = tmp_path / "taken"
+        out.mkdir()
+        status = cli.main([
+            "synth", "--codebook", str(book_path), "--token", "0", "--seconds", "2",
+            "--sample-rate", "500", "--out", str(out),
+        ])
+        assert status == 1
+        assert_one_error_line(capsys)
+        assert list(tmp_path.glob(".tmp-*")) == []
+        assert out.is_dir() and list(out.iterdir()) == []
 
     @pytest.mark.parametrize("method", ["lpc", "cepstrum"])
     @pytest.mark.parametrize("order", ["0", "-2"])

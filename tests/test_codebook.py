@@ -479,6 +479,10 @@ class TestTraining:
         with pytest.raises(TooFewVectorsError):
             cb.train_codebook(vectors, 5, seed=0, order=2, lam=0.0)
 
+    def test_no_vectors(self):
+        with pytest.raises(TooFewVectorsError, match="at least one vector"):
+            cb.train_codebook([], 1, seed=0, order=2, lam=0.0)
+
     def test_too_few_distinct_vectors(self):
         method = latent.LatentMethod.lpc_coeff()
         vectors = [latent.LatentVector(method, [1.0, 2.0, 0.0]) for _ in range(10)]
@@ -578,6 +582,10 @@ class TestEncodeDecode:
         vec = latent.LatentVector(latent.LatentMethod.dsc(), [0.0, 0.0, 0.0])
         with pytest.raises(DimensionMismatchError):
             cb.encode_vector(trained, vec)
+
+    def test_matrix_of_another_width_is_refused(self, trained):
+        with pytest.raises(DimensionMismatchError):
+            cb.encode_matrix(trained, np.zeros((2, trained.dimension + 1)))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_is_refused(self, trained, value):

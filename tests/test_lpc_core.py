@@ -116,6 +116,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             lpc_core.LpcModel(3, [0.5], 1.0, 0.0, FS)
 
+    def test_model_order_below_one(self):
+        with pytest.raises(InvalidOrderError):
+            lpc_core.LpcModel(0, [], 1.0, 0.0, FS)
+
+    def test_pole_set_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            lpc_core.PoleSet(np.zeros((2, 2)))
+
 
 class TestFitBurgWarped:
     def test_all_zero_segment_is_degenerate(self):
@@ -429,6 +437,34 @@ class TestToConventionalTf:
         num, den = lpc_core.to_conventional_tf(model)
         np.testing.assert_allclose(num, [1.0, -0.2])
         np.testing.assert_allclose(den, [1.0 - 0.2 * a1, a1 - 0.2])
+
+
+class TestSynthesisFilter:
+    @pytest.mark.parametrize("lam", [0.0, 0.2, -0.5])
+    def test_certified_model_is_its_conventional_filter(self, monkeypatch, lam):
+        def no_poles(model):
+            raise AssertionError("poles was called")
+
+        model = lpc_core.LpcModel(2, list(AR2_COEFFS), 1.0, lam, FS)
+        expected = lpc_core.to_conventional_tf(model)
+        monkeypatch.setattr(lpc_core, "poles", no_poles)
+        for got, want in zip(lpc_core.synthesis_filter(model), expected):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("coeff", [-1.0, -(1.0 + 5e-10)], ids=["on-circle", "within-tol"])
+    def test_root_on_the_unit_circle_gives_the_clamped_filter(self, coeff):
+        model = lpc_core.LpcModel(1, [coeff], 1.0, 0.0, FS)
+        numerator, denominator = lpc_core.synthesis_filter(model)
+        unclamped = lpc_core.to_conventional_tf(model)[1]
+        assert numerator.tolist() == [1.0]
+        assert denominator.tobytes() != unclamped.tobytes()
+        assert denominator[0] == 1.0
+        assert denominator[1] == pytest.approx(-lpc_core.MAX_POLE_RADIUS, rel=0.0, abs=1e-15)
+
+    def test_root_past_the_tolerance_is_refused(self):
+        model = lpc_core.LpcModel(1, [-(1.0 + 2e-9)], 1.0, 0.0, FS)
+        with pytest.raises(UnstableModelError, match="pole radius 1.000000002"):
+            lpc_core.synthesis_filter(model)
 
 
 class TestSynthesize:

@@ -282,6 +282,29 @@ def test_fractional_or_boolean_integer_arguments_are_refused(make, fraction, int
         make(*fraction)
 
 
+BAD_SEEDS = (None, True, 2.5, "3", -1)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda seed: lpc_core.synthesize(lpc_core.LpcModel(1, [-0.5], 1.0, 0.0, FS), 100, seed),
+        lambda seed: pipeline.decode_sequence(
+            pipeline.TokenSequence([0, 1], pipeline.LAYOUT_TEMPORAL), _whole_book(2), 100, FS, seed
+        ),
+        lambda seed: cb.kmeans_fit(np.arange(12.0).reshape(6, 2), 2, seed),
+    ],
+    ids=["synthesize", "decode-sequence", "kmeans-fit"],
+)
+def test_seeds_follow_one_rule(make):
+    # synthesize(model, n, None) once drew from OS entropy, True ran as seed 1,
+    # and decode_sequence failed on None + 0 with a bare TypeError
+    make(np.int64(3))
+    for seed in BAD_SEEDS:
+        with pytest.raises(ValueError, match="seed must be"):
+            make(seed)
+
+
 BAD_LAMBDAS = ("0.2", True, math.nan, 1.0, None)
 BAD_RATES = (math.inf, math.nan, 0, True, "500")
 BAD_POWERS = (True, "1.0", None, math.nan, -1.0, math.inf)
@@ -331,6 +354,25 @@ def test_lambda_and_rate_arguments_follow_one_rule(make, valid, bad, error, rule
     for value in bad:
         with pytest.raises(error, match=rule):
             make(value)
+
+
+@pytest.mark.parametrize(
+    "data, names, rule",
+    [
+        (np.ones(5), ["a"], "channels-by-samples"),
+        ([[0.0, math.nan]], ["a"], "finite"),
+        (np.ones((2, 5)), ["a"], "one channel name"),
+    ],
+    ids=["one-dimensional", "nan", "name-count"],
+)
+def test_series_refusals(data, names, rule):
+    with pytest.raises(ValueError, match=rule):
+        pipeline.MultichannelSeries(data, FS, names)
+
+
+def test_token_sequence_of_an_unknown_layout():
+    with pytest.raises(ValueError, match="unknown layout"):
+        pipeline.TokenSequence([0], "diagonal")
 
 
 class TestFitCorpus:
@@ -486,6 +528,11 @@ class TestDecodeSequence:
         b = pipeline.decode_sequence(seq, book, 400, 500.0, seed=4)
         np.testing.assert_array_equal(a, b)
         assert a.size == 1200
+
+    def test_empty_sequence_is_an_empty_signal(self):
+        seq = pipeline.TokenSequence([], pipeline.LAYOUT_TEMPORAL)
+        out = pipeline.decode_sequence(seq, _whole_book(2), 400, FS, seed=0)
+        assert out.dtype == float and out.shape == (0,)
 
     def test_positions_layout_rejected(self):
         config = small_config()

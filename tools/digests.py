@@ -25,10 +25,10 @@ and the ``train`` report (cli-eeg), and the single-window
 encodes and single-token decodes the benchmark runs: each token, each
 refusal with its error type, and each realization's samples. Per codebook it
 also covers every token's decode: the model's coefficients and noise power,
-its poles, its ``to_conventional_tf`` numerator and denominator, and the
-samples of ``synthesize(model, 64, token)`` (so the clamp decision is seen on
-every token), each part or its refusal with the error type (``synthesize``'s
-for the filter), and as ``bookN.kmeans`` (``book.kmeans`` on cli-eeg) the
+its poles, the numerator and denominator of ``synthesis_filter``, the filter
+``synthesize`` really uses (clamped where it clamps), and the samples of
+``synthesize(model, 64, token)``, each part or its refusal with the error
+type, and as ``bookN.kmeans`` (``book.kmeans`` on cli-eeg) the
 labels and inertia history of ``kmeans_fit`` on the book's normalized
 training matrix, which ``book.json`` does not hold.
 """
@@ -84,12 +84,11 @@ def _outcome(function, *args):
 
 
 def _token_models(prefix: str, book, rate: float) -> dict:
-    """Every token's decoded model, poles, conventional filter and realization, or the refusal."""
+    """Every token's decoded model, poles, synthesis filter and realization, or the refusal."""
     from lipcot import codebook, lpc_core
 
     def filter_bytes(model):
-        lpc_core.synthesize(model, 2, 0)  # refuses what synthesize refuses
-        numerator, denominator = lpc_core.to_conventional_tf(model)
+        numerator, denominator = lpc_core.synthesis_filter(model)
         return numerator.tobytes().hex() + "/" + denominator.tobytes().hex()
 
     parts = {"models": [], "poles": [], "filters": [], "realizations": []}
