@@ -4,21 +4,18 @@ import numbers
 import os
 import tempfile
 
+from .errors import InvalidArgumentError
 
-def whole(value, name: str) -> int:
-    """``value`` as a plain int; a bool, a fraction or any non-integer raises ``ValueError``."""
+
+def whole(value, name: str, least=None) -> int:
+    """``value`` as a plain int; a bool, a non-integer or a value below ``least`` is refused."""
     # int first: for an int, the ABC check alone is several times slower than int()
     if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def check_seed(seed) -> int:
-    """``seed`` as a plain int by ``whole``; a negative one raises ``ValueError``."""
-    seed = whole(seed, "seed")
-    if seed < 0:
-        raise ValueError("seed must be at least 0")
-    return seed
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if least is not None and value < least:
+        raise InvalidArgumentError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def write_text_atomic(path, text: str) -> None:

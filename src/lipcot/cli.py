@@ -21,7 +21,7 @@ from . import codebook as cb
 from . import latent
 from . import lpc_core
 from . import pipeline
-from ._util import write_text_atomic
+from ._util import whole, write_text_atomic
 from .errors import ConfigMismatchError, LipcotError, UnknownWordError
 
 DEFAULT_ORDER = 16
@@ -41,17 +41,15 @@ _LINE_SEED_STRIDE = 1_000_003
 # binary rounding (0.29 * 100 = 28.999...) does not drop a sample
 _SAMPLE_COUNT_TOL = 1e-9
 
-
-def _flag_rate(value) -> float:
-    if value is None or not 0 < value < math.inf:  # the rule a sidecar's rate follows
-        raise LipcotError(f"--sample-rate must be positive and finite, got {value}")
-    return float(value)
+# from here on a float64 no longer names one whole count; every count below it
+# that does not fit in memory ends in MemoryError
+_MAX_SAMPLE_COUNT = 2.0**53
 
 
 def _resolve_sample_rate(path: str, flag_value) -> float:
     """Sampling rate from the flag, else from a '<input>.json' sidecar."""
     if flag_value is not None:
-        return _flag_rate(flag_value)
+        return lpc_core.check_rate(flag_value, "--sample-rate")
     sidecar = path + ".json"
     if os.path.exists(sidecar):
         with open(sidecar) as fh:
@@ -59,39 +57,36 @@ def _resolve_sample_rate(path: str, flag_value) -> float:
                 payload = json.load(fh)
             except ValueError as exc:
                 raise LipcotError(f"{sidecar}: not valid JSON ({exc})") from None
-        try:
-            rate = float(payload["sample_rate"])
-        except (KeyError, TypeError, ValueError):
-            rate = math.nan
-        if not 0 < rate < math.inf:
-            raise LipcotError(f"{sidecar}: missing or invalid sample_rate")
-        return rate
+        if not isinstance(payload, dict) or "sample_rate" not in payload:
+            raise LipcotError(f"{sidecar}: not a JSON object with a sample_rate key")
+        return lpc_core.check_rate(payload["sample_rate"], f"{sidecar}: sample_rate")
     raise LipcotError(f"no --sample-rate given and no sidecar {sidecar}")
 
 
 def _sample_count(seconds: float, sample_rate: float) -> int:
     """Whole samples in ``seconds``: rounded within 1e-9, otherwise floored."""
     exact = seconds * sample_rate
-    if not math.isfinite(exact):
-        raise LipcotError(f"{seconds} s at {sample_rate} Hz is not a finite sample count")
+    if not abs(exact) < _MAX_SAMPLE_COUNT:  # NaN fails too
+        raise LipcotError(
+            f"{seconds} s at {sample_rate} Hz is not a finite sample count below 2**53"
+        )
     nearest = round(exact)
     return nearest if abs(exact - nearest) < _SAMPLE_COUNT_TOL else math.floor(exact)
 
 
-def _window_samples(seconds: float, sample_rate: float, name: str) -> int:
+def _window_samples(seconds: float, sample_rate: float, name: str, least: int = 2) -> int:
+    """``seconds`` in whole samples; fewer than ``least``, one or two, are refused."""
     count = _sample_count(seconds, sample_rate)
-    if count < 2:
-        raise LipcotError(f"{name} of {seconds} s is below two samples at {sample_rate} Hz")
+    if count < least:
+        below = "one sample" if least == 1 else "two samples"
+        raise LipcotError(f"{name} of {seconds} s is below {below} at {sample_rate} Hz")
     return count
 
 
 def _hop_samples(args, sample_rate: float) -> int:
     """``--hop-sec`` in whole samples, the window when not given; at least one."""
     seconds = args.window_sec if args.hop_sec is None else args.hop_sec
-    count = _sample_count(seconds, sample_rate)
-    if count < 1:
-        raise LipcotError(f"hop of {seconds} s is below one sample at {sample_rate} Hz")
-    return count
+    return _window_samples(seconds, sample_rate, "hop", 1)
 
 
 def _read_series(path: str, sample_rate: float):
@@ -124,10 +119,8 @@ def cmd_train(args) -> int:
     sample_rate = _resolve_sample_rate(args.inputs[0], args.sample_rate)
     window = _window_samples(args.window_sec, sample_rate, "window")
     hop = _hop_samples(args, sample_rate)
-    if args.order < 1:
-        raise LipcotError(f"--order must be at least 1, got {args.order}")
-    if args.k < 1:
-        raise LipcotError(f"--k must be at least 1, got {args.k}")
+    whole(args.order, "--order", 1)
+    whole(args.k, "--k", 1)
     # the cepstrum keeps 2 * order terms, as many values as the dsc space has
     n_cepstra = 2 * args.order if args.method == latent.TAG_CEPSTRUM else None
     method = latent.LatentMethod(args.method, n_cepstra=n_cepstra)
@@ -225,12 +218,10 @@ def cmd_decode(args) -> int:
 
 
 def _select_channel(names, requested):
-    if requested is None:
-        return 0
     if requested in names:
         return names.index(requested)
     try:
-        index = int(requested)
+        index = 0 if requested is None else int(requested)
     except ValueError:
         raise LipcotError(f"unknown channel {requested!r}") from None
     if not 0 <= index < len(names):
@@ -242,16 +233,12 @@ def cmd_spectrum(args) -> int:
     from . import testkit  # test oracles; only this command needs the periodogram
 
     sample_rate = _resolve_sample_rate(args.input, args.sample_rate)
-    step, nyquist = args.grid_hz, sample_rate / 2.0
-    if not 0 < step < math.inf:
-        raise LipcotError("--grid-hz must be positive and finite")
+    step, nyquist = lpc_core.check_rate(args.grid_hz, "--grid-hz"), sample_rate / 2.0
     if nyquist / step >= _MAX_GRID_POINTS:  # the grid has int(nyquist / step) + 1 points
         raise LipcotError(
             f"--grid-hz {step} gives more than {_MAX_GRID_POINTS} points up to {nyquist} Hz"
         )
     names, data = pipeline.read_series_csv(args.input)
-    if data.shape[1] < 2:
-        raise LipcotError("spectrum needs at least two samples")
     channel = _select_channel(names, args.channel)
     samples = data[channel]
 
@@ -274,7 +261,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_synth(args) -> int:
     book = cb.load_codebook(args.codebook)
-    sample_rate = _flag_rate(args.sample_rate)
+    sample_rate = lpc_core.check_rate(args.sample_rate, "--sample-rate")
     n_samples = _window_samples(args.seconds, sample_rate, "duration")
     # one token decoded as a one-token line: position 0 draws seed --seed
     seq = pipeline.TokenSequence([args.token], pipeline.LAYOUT_TEMPORAL)
@@ -374,8 +361,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", 0) < 0:
-            raise LipcotError(f"--seed must be non-negative, got {args.seed}")
+        whole(getattr(args, "seed", 0), "--seed", 0)
         return args.func(args)
     except (LipcotError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

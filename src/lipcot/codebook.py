@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import check_seed, whole, write_text_atomic
+from ._util import whole, write_text_atomic
 from .errors import (
     DimensionMismatchError,
-    InvalidLambdaError,
+    InvalidArgumentError,
     InvalidTokenError,
     LipcotError,
     NonRealizableError,
@@ -43,9 +43,9 @@ class NormStats:
     def __post_init__(self):
         mean, std = _as_float_vector(self.mean, "mean"), _as_float_vector(self.std, "std")
         if mean.shape != std.shape:
-            raise ValueError("mean and std must have the same length")
+            raise InvalidArgumentError("mean and std must have the same length")
         if np.any(std <= 0):
-            raise ValueError("std entries must be positive")
+            raise InvalidArgumentError("std entries must be positive")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "std", std)
 
@@ -67,10 +67,7 @@ class NormStats:
 
 def check_space(k, method: LatentMethod, order, lam, seed, width: int):
     """The codebook rule for ``width`` values per centroid; returns k, order, lam, seed, plain."""
-    k, order, seed = fields = whole(k, "k"), whole(order, "order"), whole(seed, "seed")
-    for name, value, least in zip(("k", "order", "seed"), fields, (1, 1, 0)):
-        if value < least:
-            raise ValueError(f"{name} must be at least {least}")
+    k, order, seed = whole(k, "k", 1), whole(order, "order", 1), whole(seed, "seed", 0)
     # decode inverts centroids at this order, and every inverse reads order + 1 values
     if width != method.dimension(order) or width <= order:
         raise DimensionMismatchError(f"{width} values disagree with {method} at order {order}")
@@ -101,9 +98,9 @@ class Codebook:
             object.__setattr__(self, name, value)
         centroids = np.asarray(self.centroids, dtype=float)
         if centroids.shape != (self.k, width):
-            raise ValueError("centroid matrix shape disagrees with k and stats")
+            raise InvalidArgumentError("centroid matrix shape disagrees with k and stats")
         if not np.all(np.isfinite(centroids)):
-            raise ValueError("centroids must be finite")
+            raise InvalidArgumentError("centroids must be finite")
         object.__setattr__(self, "centroids", centroids)
         with np.errstate(over="ignore"):  # an infinite norm is the shortlist's to handle
             object.__setattr__(self, "centroid_sq_norms", np.vecdot(centroids, centroids))
@@ -288,7 +285,7 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int):
     distinct points raise ``TooFewVectorsError``, and squared distances
     that are not finite raise ``LipcotError``.
     """
-    seed = check_seed(seed)
+    seed = whole(seed, "seed", 0)
     if np.unique(points, axis=0).shape[0] < k:
         raise TooFewVectorsError(f"need at least {k} distinct vectors")
     rng = np.random.default_rng(seed)
@@ -436,14 +433,16 @@ def load_codebook(path) -> Codebook:
         if version != CODEBOOK_FORMAT_VERSION:
             raise LipcotError(f"{path}: unsupported codebook version {version!r}")
         if not _numbers_only([payload["norm_mean"], payload["norm_std"], payload["centroids"]]):
-            raise ValueError("norm_mean, norm_std and centroids must hold JSON numbers only")
+            raise InvalidArgumentError(
+                "norm_mean, norm_std and centroids must hold JSON numbers only"
+            )
         method = payload["method"]
         if method.get("reduced", False):  # older books store "reduced": false, which loads
             raise LipcotError(
                 f"{path}: reduced dominant-spectral codebooks are no longer supported"
             )
         if method.get("weights") is not None:
-            raise ValueError("no latent map takes weights")
+            raise InvalidArgumentError("no latent map takes weights")
         return Codebook(
             k=payload["k"],
             centroids=payload["centroids"],
@@ -455,6 +454,5 @@ def load_codebook(path) -> Codebook:
         )
     except KeyError as exc:
         raise LipcotError(f"{path}: codebook is missing key {exc}") from None
-    except (AttributeError, OverflowError, TypeError, ValueError,
-            DimensionMismatchError, InvalidLambdaError) as exc:
+    except (AttributeError, OverflowError, TypeError, ValueError, DimensionMismatchError) as exc:
         raise LipcotError(f"{path}: malformed codebook ({exc})") from None

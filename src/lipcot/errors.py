@@ -5,15 +5,19 @@ class LipcotError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidArgumentError(LipcotError, ValueError):
+    """An argument breaks its rule: a wrong type, or a value out of range."""
+
+
 class DegenerateInputError(LipcotError):
     """Signal has no usable power (for example a constant segment)."""
 
 
-class InvalidOrderError(LipcotError):
+class InvalidOrderError(InvalidArgumentError):
     """Model order is not a positive integer below the segment length."""
 
 
-class InvalidLambdaError(LipcotError):
+class InvalidLambdaError(InvalidArgumentError):
     """Warping coefficient outside the open interval (-1, 1)."""
 
 
@@ -57,7 +61,7 @@ class EmptyCorpusError(LipcotError):
     """No latent vectors could be extracted from the corpus."""
 
 
-class InvalidWindowError(LipcotError):
+class InvalidWindowError(InvalidArgumentError):
     """Bad window/hop combination for segmentation."""
 
 
@@ -69,5 +73,5 @@ class UnknownWordError(LipcotError):
     """Token word not present in the vocabulary."""
 
 
-class InvalidTokenError(LipcotError):
+class InvalidTokenError(InvalidArgumentError):
     """Token id outside the codebook range."""

@@ -18,6 +18,7 @@ from ._util import whole
 from .errors import (
     DimensionMismatchError,
     InsufficientCoefficientsError,
+    InvalidArgumentError,
     NonRealizableError,
     ZeroNoisePowerError,
 )
@@ -41,13 +42,11 @@ class LatentMethod:
 
     def __post_init__(self):
         if self.tag not in _TAGS:
-            raise ValueError(f"unknown latent method tag {self.tag!r}")
+            raise InvalidArgumentError(f"unknown latent method tag {self.tag!r}")
         if self.tag == TAG_CEPSTRUM:
-            object.__setattr__(self, "n_cepstra", whole(self.n_cepstra, "n_cepstra"))
-            if self.n_cepstra < 1:
-                raise ValueError("the cepstrum map needs n_cepstra of at least 1")
+            object.__setattr__(self, "n_cepstra", whole(self.n_cepstra, "n_cepstra", 1))
         elif self.n_cepstra is not None:
-            raise ValueError(f"the {self.tag} map takes no n_cepstra")
+            raise InvalidArgumentError(f"the {self.tag} map takes no n_cepstra")
 
     @classmethod
     def lpc_coeff(cls) -> "LatentMethod":
@@ -167,21 +166,6 @@ def lpc_to_cepstrum(coeffs, noise_power: float, count: int) -> np.ndarray:
     """
     a = np.asarray(coeffs, dtype=float)[None]
     return _cepstrum_rows(a, _log_powers([noise_power]), count)[0]
-
-
-def cepstrum_from_poles(pole_values, noise_power: float, count: int) -> np.ndarray:
-    """Cepstrum via the power-sum formula c_n = (1/n) * sum_m p_m^n.
-
-    Independent of the coefficient recursion; used as a cross-check.
-    """
-    p = np.asarray(pole_values, dtype=complex)
-    c = np.empty(count + 1)
-    c[0] = _log_powers([noise_power])[0]
-    powers = np.ones_like(p)
-    for n in range(1, count + 1):
-        powers = powers * p
-        c[n] = powers.sum().real / n
-    return c
 
 
 def _sqrt_index_weights(count: int) -> np.ndarray:

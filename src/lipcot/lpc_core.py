@@ -9,16 +9,18 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.signal
 from numpy.polynomial import polynomial as npoly
 
-from ._util import check_seed, whole
+from ._util import whole
 from .errors import (
     DegenerateInputError,
     FrequencyOutOfRangeError,
+    InvalidArgumentError,
     InvalidLambdaError,
     InvalidOrderError,
     NonConvergenceError,
@@ -61,11 +63,12 @@ def check_lam(lam) -> float:
     return float(lam)
 
 
-def check_rate(sample_rate) -> float:
-    """``sample_rate`` as a float; ``ValueError`` unless it is a number in (0, inf), not a bool."""
-    if not (_real(sample_rate) and 0.0 < sample_rate < math.inf):
-        raise ValueError(f"sample_rate must be a positive finite number, got {sample_rate!r}")
-    return float(sample_rate)
+def check_rate(value, name: str = "sample_rate") -> float:
+    """``value`` as a float, if it is a number in (0, inf) and not a bool; ``name`` names it."""
+    # bounded by float64's largest value, not inf: a larger int would overflow float()
+    if not (_real(value) and 0.0 < value <= sys.float_info.max):
+        raise InvalidArgumentError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
 
 
 def _check_band(freqs: np.ndarray, sample_rate: float) -> None:
@@ -77,9 +80,9 @@ def _check_band(freqs: np.ndarray, sample_rate: float) -> None:
 def _as_float_vector(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
+        raise InvalidArgumentError(f"{name} must be one-dimensional")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
+        raise InvalidArgumentError(f"{name} must be finite")
     return arr
 
 
@@ -93,7 +96,7 @@ class Segment:
     def __post_init__(self):
         samples = _as_float_vector(self.samples, "samples")
         if samples.size < 2:
-            raise ValueError("a segment needs at least two samples")
+            raise InvalidArgumentError("a segment needs at least two samples")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", check_rate(self.sample_rate))
 
@@ -121,9 +124,9 @@ class LpcModel:
             raise InvalidOrderError("model order must be at least 1")
         coeffs = _as_float_vector(self.coeffs, "coeffs")
         if coeffs.size != order:
-            raise ValueError(f"expected {order} coefficients, got {coeffs.size}")
-        if not (_real(self.noise_power) and 0.0 <= self.noise_power < math.inf):
-            raise ValueError(
+            raise InvalidArgumentError(f"expected {order} coefficients, got {coeffs.size}")
+        if not (_real(self.noise_power) and 0.0 <= self.noise_power <= sys.float_info.max):
+            raise InvalidArgumentError(
                 f"noise_power must be a finite non-negative number, got {self.noise_power!r}"
             )
         object.__setattr__(self, "order", order)
@@ -142,7 +145,7 @@ class PoleSet:
     def __post_init__(self):
         poles = np.asarray(self.poles, dtype=complex)
         if poles.ndim != 1:
-            raise ValueError("poles must be one-dimensional")
+            raise InvalidArgumentError("poles must be one-dimensional")
         object.__setattr__(self, "poles", poles)
 
 
@@ -431,8 +434,8 @@ def synthesize(model: LpcModel, n_samples: int, seed: int) -> Segment:
     """
     n_samples = whole(n_samples, "n_samples")
     if n_samples < 2:
-        raise ValueError("synthesis needs at least two samples")
-    seed = check_seed(seed)
+        raise InvalidArgumentError("synthesis needs at least two samples")
+    seed = whole(seed, "seed", 0)
     numerator, denominator = synthesis_filter(model)
     warmup = max(10 * model.order, 500)
     rng = np.random.default_rng(seed)

@@ -16,9 +16,10 @@ import numpy as np
 from . import codebook as cb
 from . import latent
 from . import lpc_core
-from ._util import check_seed, whole
+from ._util import whole
 from .errors import (
     EmptyCorpusError,
+    InvalidArgumentError,
     InvalidWindowError,
     LayoutUnsupportedError,
     LipcotError,
@@ -46,12 +47,12 @@ class MultichannelSeries:
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
-            raise ValueError("series data must be a non-empty channels-by-samples matrix")
+            raise InvalidArgumentError("series data must be a non-empty channels-by-samples matrix")
         if not np.all(np.isfinite(data)):
-            raise ValueError("series data must be finite")
+            raise InvalidArgumentError("series data must be finite")
         names = tuple(str(n) for n in self.channel_names)
         if len(names) != data.shape[0]:
-            raise ValueError("one channel name per data row required")
+            raise InvalidArgumentError("one channel name per data row required")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "sample_rate", lpc_core.check_rate(self.sample_rate))
         object.__setattr__(self, "channel_names", names)
@@ -94,7 +95,7 @@ class TokenSequence:
 
     def __post_init__(self):
         if self.layout not in _LAYOUTS:
-            raise ValueError(f"unknown layout {self.layout!r}")
+            raise InvalidArgumentError(f"unknown layout {self.layout!r}")
         object.__setattr__(self, "tokens", tuple(whole(t, "token") for t in self.tokens))
 
     def __len__(self) -> int:
@@ -120,6 +121,8 @@ def _fit_cells(series: MultichannelSeries, config: TokenizerConfig):
     cells = series.n_channels * per_channel
     matrix = np.zeros((cells, config.method.dimension(config.order)))
     ok = np.zeros(cells, dtype=bool)
+    if not cells:  # no window fits: size nothing from the window
+        return matrix, ok
     step = max(1, _FIT_CHUNK_SAMPLES // config.window)
     offsets = np.arange(config.window)
     for start in range(0, cells, step):
@@ -183,7 +186,7 @@ def decode_sequence(
         raise LayoutUnsupportedError(
             "only temporal (per-channel-window) sequences decode to a signal"
         )
-    seed = check_seed(seed)
+    seed = whole(seed, "seed", 0)
     pieces = []
     for index, token in enumerate(seq.tokens):
         model = cb.decode_token(codebook, token, sample_rate)

@@ -1,8 +1,9 @@
 """Independent oracles for tests and acceptance runs.
 
 A classical (unwarped) Burg estimator, a seeded autoregressive signal
-generator, and a DFT periodogram. The Burg estimator and the periodogram
-deliberately share no numeric kernels with the fitting code they check.
+generator, a DFT periodogram, and the cepstrum of a pole set by power sums.
+The Burg estimator, the periodogram and the power sums deliberately share
+no numeric kernels with the code they check.
 """
 
 from __future__ import annotations
@@ -104,3 +105,18 @@ def periodogram(samples, sample_rate: float):
         power[-1] /= 2.0  # Nyquist bin has no mirror image
     freqs = np.arange(power.size) * (sample_rate / n)
     return freqs, power
+
+
+def cepstrum_from_poles(pole_values, noise_power: float, count: int) -> np.ndarray:
+    """Cepstrum via the power-sum formula c_n = (1/n) * sum_m p_m^n, c_0 = log sigma^2.
+
+    Independent of the coefficient recursion in ``latent``; used as a cross-check.
+    """
+    p = np.asarray(pole_values, dtype=complex)
+    c = np.empty(count + 1)
+    c[0] = math.log(noise_power)
+    powers = np.ones_like(p)
+    for n in range(1, count + 1):
+        powers = powers * p
+        c[n] = powers.sum().real / n
+    return c

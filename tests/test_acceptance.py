@@ -129,7 +129,7 @@ def test_04_cepstrum_round_trip():
             abs(math.log(noise_power) - math.log(model.noise_power)),
         )
         pole_values = lpc_core.poles(model).poles
-        by_poles = latent.cepstrum_from_poles(pole_values, model.noise_power, 2 * order)
+        by_poles = testkit.cepstrum_from_poles(pole_values, model.noise_power, 2 * order)
         worst_cross = max(worst_cross, float(np.max(np.abs(raw - by_poles))))
     ok = worst_inverse < 1e-9 and worst_cross < 1e-8
     _report(

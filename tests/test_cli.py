@@ -533,6 +533,14 @@ class TestSampleCounts:
         with pytest.raises(LipcotError):
             cli._window_samples(float("nan"), 100.0, "window")
 
+    def test_counts_from_two_to_the_53_are_refused(self):
+        # past 2**53 a float64 names no single whole count; 1e300 samples once
+        # ended in numpy's 'Maximum allowed dimension exceeded' traceback
+        assert cli._window_samples(2.0**53 - 1, 1.0, "window") == 2**53 - 1
+        for seconds in (2.0**53, 1e300):
+            with pytest.raises(LipcotError, match="below 2\\*\\*53"):
+                cli._window_samples(seconds, 1.0, "window")
+
     def test_synth_uses_the_same_rule(self, workspace):
         tmp_path, _, book_path = workspace
         out = tmp_path / "short.csv"
@@ -806,7 +814,12 @@ class TestBadInputs:
         assert "usecols" not in err and "row " not in err
 
     @pytest.mark.parametrize(
-        "text", ["sample_rate = 500\n", '{"sample_rate": "fast"}', "[500]"]
+        "text",
+        [
+            "sample_rate = 500\n", '{"sample_rate": "fast"}', "[500]",
+            # each once read through float(): true as 1 Hz, "500" and " 5e2 " as 500 Hz
+            '{"sample_rate": true}', '{"sample_rate": "500"}', '{"sample_rate": " 5e2 "}', "{}",
+        ],
     )
     def test_sidecar_not_json_or_without_rate(self, tmp_path, capsys, text):
         csv_path = tmp_path / "series.csv"
@@ -1140,3 +1153,73 @@ def test_edited_books_run_or_end_in_one_error_line(trained_books, edit):
         lines = err.getvalue().splitlines()
         one_error = status == 1 and len(lines) == 1 and lines[0].startswith("error: ")
         assert (status == 0 and not lines) or one_error, (argv[0], status, lines)
+
+
+# the flags each command takes, and for each flag the values a user can give
+# that sit at or past the edge of its rule; none of these sample counts lies
+# between 2**31 and 2**53, where a run would really try to allocate it
+FLOAT_EXTREMES = ["0", "-1", "1e-300", "1e300", "nan", "inf"]
+FLAG_VALUES = {
+    "--window-sec": FLOAT_EXTREMES, "--hop-sec": FLOAT_EXTREMES,
+    "--seconds": FLOAT_EXTREMES, "--sample-rate": FLOAT_EXTREMES,
+    "--grid-hz": FLOAT_EXTREMES, "--lambda": FLOAT_EXTREMES,
+    "--order": ["0", "-1"], "--k": ["0", "-1"], "--seed": ["0", "-1"],
+}
+COMMAND_FLAGS = {
+    "train": ["--window-sec", "--hop-sec", "--sample-rate", "--lambda", "--order", "--k", "--seed"],
+    "encode": ["--window-sec", "--hop-sec", "--sample-rate", "--lambda", "--order"],
+    "decode": ["--window-sec", "--sample-rate", "--seed"],
+    "spectrum": ["--sample-rate", "--grid-hz", "--lambda", "--order"],
+    "synth": ["--seconds", "--sample-rate", "--seed"],
+}
+
+
+def base_argv(work, command, out):
+    """A run of ``command`` on the trained_books directory that exits 0 as it stands."""
+    book, rate = ["--codebook", str(work / "lpc.json")], ["--sample-rate", "500"]
+    return {
+        "train": ["train", str(work / "series.csv"), "--k", "3", "--order", "4",
+                  "--window-sec", "0.5", *rate],
+        "encode": ["encode", str(work / "series.csv"), *book, "--window-sec", "0.5", *rate],
+        "decode": ["decode", str(work / "line.txt"), *book, "--window-sec", "0.5", *rate],
+        "spectrum": ["spectrum", str(work / "series.csv"), "--order", "4", *rate],
+        "synth": ["synth", *book, "--token", "0", "--seconds", "0.5", *rate],
+    }[command] + ["--out", str(out)]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (command, flag, value)
+        for command, flags in COMMAND_FLAGS.items()
+        for flag in flags
+        for value in FLAG_VALUES[flag]
+    ],
+)
+def test_flag_extremes_run_or_end_in_one_error_line(
+    trained_books, tmp_path, capsys, command, flag, value
+):
+    # the last of a repeated flag wins, so the extreme replaces the base value
+    status = cli.main([*base_argv(trained_books, command, tmp_path / "out"), flag, value])
+    err = capsys.readouterr().err
+    if status == 0:
+        assert "error:" not in err
+    else:
+        assert status == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_base_runs_exit_zero(trained_books, tmp_path, capsys):
+    for command in COMMAND_FLAGS:
+        assert cli.main(base_argv(trained_books, command, tmp_path / "out")) == 0, command
+
+
+@pytest.mark.parametrize("layout", ["positions", "temporal"])
+def test_window_longer_than_the_series_sizes_nothing(trained_books, tmp_path, capsys, layout):
+    # a 1e9 s window once sized a 3.64 TiB offset array before finding no full window
+    outputs = []
+    for seconds in ("10", "1e9"):
+        out = tmp_path / f"tokens-{seconds}.txt"
+        argv = base_argv(trained_books, "encode", out)
+        assert cli.main([*argv, "--window-sec", seconds, "--layout", layout]) == 0
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1] == ("" if layout == "positions" else "\n\n")
