@@ -20,8 +20,9 @@ such a file, and ``tests/test_digests.py`` recomputes it:
 
 Each line reads ``workload seed key digest``. Per workload and seed it covers
 every trained codebook (``book.json`` bytes, and as ``bookN.reload`` the bytes
-of a save, load and second save), tokens in both layouts, ``decoded.csv``
-and the ``train`` report (cli-eeg), and the single-window
+of a save, load and second save), tokens in both layouts, ``decoded.csv``,
+``synth.csv`` (token 0 for one window), ``spectrum.csv`` (channel 0) and the
+``train`` report (cli-eeg), and the single-window
 encodes and single-token decodes the benchmark runs: each token, each
 refusal with its error type, and each realization's samples. Per codebook it
 also covers every token's decode: the model's coefficients and noise power,
@@ -167,6 +168,15 @@ def cli_eeg(spec: dict, work: Path) -> dict:
         "--out", str(decoded), "--seed", str(spec["seed"]), *common,
     ])
     out["decoded.csv"] = _sha(f"{status}\n".encode() + decoded.read_bytes())
+    for command, argv in (
+        ("synth", ["synth", "--codebook", str(book_path), "--token", "0",
+                   "--seconds", str(spec["window_sec"]), "--seed", str(spec["seed"])]),
+        ("spectrum", ["spectrum", str(csv), "--order", str(spec["order"]),
+                      "--lambda", str(spec["lam"])]),
+    ):
+        written = work / f"{command}.csv"
+        status = cli.main([*argv, "--sample-rate", str(spec["rate"]), "--out", str(written)])
+        out[f"{command}.csv"] = _sha(f"{status}\n".encode() + written.read_bytes())
 
     data = np.load(work / spec["npy"])
     window = int(spec["window_sec"] * spec["rate"])
