@@ -1,8 +1,9 @@
 """Small shared helpers."""
 
+import contextlib
 import numbers
 import os
-import tempfile
+import secrets
 
 from .errors import InvalidArgumentError
 
@@ -18,16 +19,29 @@ def whole(value, name: str, least=None) -> int:
     return value
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write text to ``path`` via a temporary file in the same directory."""
+@contextlib.contextmanager
+def atomic_file(path):
+    """A text file that replaces ``path`` only if the ``with`` block ends cleanly.
+
+    The temporary file is made beside ``path``, so the final ``os.replace``
+    stays on one file system, and with mode 0o666 less the umask, as ``open``
+    makes files. On any exception it is removed and ``path`` is left as it was.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write text to ``path`` through ``atomic_file``."""
+    with atomic_file(path) as fh:
+        fh.write(text)

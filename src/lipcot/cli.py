@@ -208,12 +208,14 @@ def cmd_decode(args) -> int:
         return 0
     if len({len(seq) for seq in sequences}) != 1:  # refused before anything is decoded
         raise LipcotError("token lines decode to different lengths")
-    columns = [
-        pipeline.decode_sequence(seq, book, window, sample_rate, args.seed + i * _LINE_SEED_STRIDE)
-        for i, seq in enumerate(sequences)
-    ]
-    names = [f"seq{i}" for i in range(len(columns))]
-    write_text_atomic(args.out, pipeline.format_series_csv(names, np.stack(columns)))
+    shape = (len(sequences), len(sequences[0]) * window)
+    if shape[0] * shape[1] >= _MAX_SAMPLE_COUNT:
+        raise LipcotError(f"{shape[0]} lines of {shape[1]} samples each exceed 2**53 samples")
+    signal = np.empty(shape)
+    for i, seq in enumerate(sequences):
+        seed = args.seed + i * _LINE_SEED_STRIDE
+        signal[i] = pipeline.decode_sequence(seq, book, window, sample_rate, seed)
+    pipeline.write_series_csv(args.out, [f"seq{i}" for i in range(shape[0])], signal)
     return 0
 
 
@@ -249,13 +251,12 @@ def cmd_spectrum(args) -> int:
     per_freqs, per_power = testkit.periodogram(samples - samples.mean(), sample_rate)
     per_on_grid = np.interp(grid, per_freqs, per_power)
 
-    text = pipeline.format_series_csv(
-        ["frequency", "lpc_psd", "periodogram_psd"], np.stack([grid, lpc_psd, per_on_grid])
-    )
+    names = ["frequency", "lpc_psd", "periodogram_psd"]
+    table = np.stack([grid, lpc_psd, per_on_grid])
     if args.out:
-        write_text_atomic(args.out, text)
+        pipeline.write_series_csv(args.out, names, table)
     else:
-        sys.stdout.write(text)
+        pipeline.render_series_csv(sys.stdout, names, table)
     return 0
 
 
@@ -266,8 +267,7 @@ def cmd_synth(args) -> int:
     # one token decoded as a one-token line: position 0 draws seed --seed
     seq = pipeline.TokenSequence([args.token], pipeline.LAYOUT_TEMPORAL)
     samples = pipeline.decode_sequence(seq, book, n_samples, sample_rate, args.seed)
-    text = pipeline.format_series_csv([cb.token_word(args.token)], samples[None, :])
-    write_text_atomic(args.out, text)
+    pipeline.write_series_csv(args.out, [cb.token_word(args.token)], samples[None, :])
     return 0
 
 
@@ -357,9 +357,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_flag_values(argv) -> list:
+    """Join a long flag and a following number that starts with '-' into ``--flag=value``.
+
+    argparse reads only plain negative numbers such as -1 as values; -1e300,
+    -inf and -nan would read as a missing value and end in a usage message.
+    """
+    joined = []
+    for token in argv:
+        flag = joined[-1] if joined else ""
+        if flag[:2] == "--" and "=" not in flag and token[:1] == "-" and _is_number(token):
+            joined[-1] = f"{flag}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_flag_values(sys.argv[1:] if argv is None else argv))
     try:
         whole(getattr(args, "seed", 0), "--seed", 0)
         return args.func(args)

@@ -16,7 +16,7 @@ import numpy as np
 from . import codebook as cb
 from . import latent
 from . import lpc_core
-from ._util import whole
+from ._util import atomic_file, whole
 from .errors import (
     EmptyCorpusError,
     InvalidArgumentError,
@@ -34,6 +34,7 @@ _LAYOUTS = (LAYOUT_POSITIONS, LAYOUT_TEMPORAL)
 DEGENERATE_NOISE_FLOOR = 1e-12
 
 _FIT_CHUNK_SAMPLES = 1 << 15  # window samples per fitted batch; bounds its copies
+_CSV_BLOCK_ROWS = 256  # CSV rows rendered per write; bounds the text held at once
 
 
 @dataclass(frozen=True)
@@ -223,9 +224,28 @@ def read_series_csv(path):
     return names, rows.T
 
 
+def render_series_csv(stream, channel_names, data: np.ndarray) -> None:
+    """Write channels-by-samples data to a text stream, one CSV column per channel.
+
+    Names are quoted as needed; each value is its shortest round-trip ``repr``.
+    Rows are rendered ``_CSV_BLOCK_ROWS`` at a time, so the text held at once
+    does not grow with the series.
+    """
+    csv.writer(stream, lineterminator="\n").writerow(channel_names)
+    data = np.asarray(data, dtype=float)
+    for start in range(0, data.shape[1], _CSV_BLOCK_ROWS):
+        block = data[:, start : start + _CSV_BLOCK_ROWS].T.tolist()
+        stream.write("".join([",".join(map(repr, row)) + "\n" for row in block]))
+
+
 def format_series_csv(channel_names, data: np.ndarray) -> str:
-    """Render channels-by-samples data as one CSV column per channel, names quoted as needed."""
-    header = io.StringIO()
-    csv.writer(header, lineterminator="\n").writerow(channel_names)
-    rows = (",".join(map(repr, row)) for row in np.asarray(data, dtype=float).T.tolist())
-    return "\n".join([header.getvalue()[:-1], *rows]) + "\n"
+    """The text ``render_series_csv`` writes, as one string."""
+    text = io.StringIO()
+    render_series_csv(text, channel_names, data)
+    return text.getvalue()
+
+
+def write_series_csv(path, channel_names, data: np.ndarray) -> None:
+    """Write ``render_series_csv``'s text to ``path``; the old file stays until it is complete."""
+    with atomic_file(path) as fh:
+        render_series_csv(fh, channel_names, data)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,6 +291,41 @@ class TestDecode:
         assert "different lengths" in assert_one_error_line(capsys)
         assert not out.exists()
 
+    def test_more_than_2_to_the_53_samples_in_all_is_one_error_line(self, workspace, capsys):
+        # 2048 lines of 2**50 samples fill 2**63 bytes, past what numpy sizes at all
+        tmp_path, _, book_path = workspace
+        token_file, out = tmp_path / "many.txt", tmp_path / "d.csv"
+        token_file.write_text("t0\n" * 2048)
+        status = cli.main([
+            "decode", str(token_file), "--codebook", str(book_path), "--out", str(out),
+            "--window-sec", str(2.0**50), "--sample-rate", "1",
+        ])
+        assert status == 1
+        assert "exceed 2**53" in assert_one_error_line(capsys)
+        assert not out.exists()
+
+    def test_csv_output_holds_the_matrix_and_one_block(self, workspace):
+        # the decoded floats are 1 MiB; as one string the CSV text alone is about 2.5 MiB
+        tmp_path, _, book_path = workspace
+        lines, tokens, window = 16, 8, 1000
+        token_file = tmp_path / "lines.txt"
+        words = [" ".join(f"t{(i + j) % 4}" for j in range(tokens)) for i in range(lines)]
+        token_file.write_text("\n".join(words) + "\n")
+        tracemalloc.start()
+        try:
+            status = cli.main([
+                "decode", str(token_file), "--codebook", str(book_path),
+                "--out", str(tmp_path / "d.csv"), "--window-sec", "2", "--sample-rate", "500",
+            ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+        matrix = lines * tokens * window * 8
+        # a block of 256 rows of 16 values, as floats and text, is about 0.3 MiB;
+        # the rest is one line's synthesis and the codebook
+        assert peak <= matrix + 2**20, (peak, matrix)
+
     def test_unknown_word_named_in_error(self, workspace, capsys):
         tmp_path, _, book_path = workspace
         token_file = tmp_path / "line.txt"
@@ -519,6 +555,30 @@ class TestSynth:
         with pytest.raises(SystemExit):
             cli.main(["synth", "--help"])
         assert "sidecar" not in capsys.readouterr().out
+
+
+def test_outputs_get_the_mode_open_gives(workspace):
+    tmp_path, csv_path, book_path = workspace
+    (tmp_path / "line.txt").write_text("t0 t1\n")
+    common = ["--window-sec", "2", "--sample-rate", "500"]
+    runs = {
+        "tokens.txt": ["encode", str(csv_path), "--codebook", str(book_path),
+                       "--json", str(tmp_path / "tokens.json"), *common],
+        "decoded.csv": ["decode", str(tmp_path / "line.txt"), "--codebook", str(book_path),
+                        *common],
+        "synth.csv": ["synth", "--codebook", str(book_path), "--token", "0", "--seconds", "2",
+                      "--sample-rate", "500"],
+        "spectrum.csv": ["spectrum", str(csv_path), "--sample-rate", "500"],
+    }
+    for out, argv in runs.items():
+        assert cli.main([*argv, "--out", str(tmp_path / out)]) == 0, out
+    with open(tmp_path / "plain", "w"):
+        pass
+    expected = (tmp_path / "plain").stat().st_mode & 0o777
+    written = [*runs, "tokens.json", "book.json", "book.json.vocab"]
+    assert {name: (tmp_path / name).stat().st_mode & 0o777 for name in written} == dict.fromkeys(
+        written, expected
+    )
 
 
 class TestSampleCounts:
@@ -1158,7 +1218,7 @@ def test_edited_books_run_or_end_in_one_error_line(trained_books, edit):
 # the flags each command takes, and for each flag the values a user can give
 # that sit at or past the edge of its rule; none of these sample counts lies
 # between 2**31 and 2**53, where a run would really try to allocate it
-FLOAT_EXTREMES = ["0", "-1", "1e-300", "1e300", "nan", "inf"]
+FLOAT_EXTREMES = ["0", "-1", "-1e300", "-inf", "1e-300", "1e300", "nan", "inf"]
 FLAG_VALUES = {
     "--window-sec": FLOAT_EXTREMES, "--hop-sec": FLOAT_EXTREMES,
     "--seconds": FLOAT_EXTREMES, "--sample-rate": FLOAT_EXTREMES,

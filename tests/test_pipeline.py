@@ -1,4 +1,9 @@
+import csv
+import errno
+import io
+import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -585,6 +590,46 @@ class TestCsv:
     def test_plain_names_are_written_unquoted(self):
         text = pipeline.format_series_csv(["ch0", "ch 1"], np.array([[1.5], [-2.0]]))
         assert text == "ch0,ch 1\n1.5,-2.0\n"
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("blocks", [0, 1])
+    def test_streamed_file_equals_the_whole_text(self, tmp_path, blocks, offset):
+        # 0, 1, block - 1, block and block + 1 rows
+        n_rows = max(0, blocks * pipeline._CSV_BLOCK_ROWS + offset)
+        names = ["x,y", 'a"b', "line\nbreak"]
+        data = np.random.default_rng(n_rows).standard_normal((3, n_rows)) * 1e-3
+        header = io.StringIO()
+        csv.writer(header, lineterminator="\n").writerow(names)
+        reference = header.getvalue() + "".join(
+            ",".join(repr(float(value)) for value in row) + "\n" for row in data.T
+        )
+        path = tmp_path / "out.csv"
+        pipeline.write_series_csv(path, names, data)
+        assert pipeline.format_series_csv(names, data) == reference
+        assert path.read_bytes() == reference.encode()
+
+    def test_failure_after_the_first_block_keeps_the_old_file(self, tmp_path, monkeypatch):
+        real_fdopen = os.fdopen
+
+        def fdopen(fd, *args, **kwargs):
+            stream = real_fdopen(fd, *args, **kwargs)
+            real_write, writes = stream.write, itertools.count()
+
+            def write(text):
+                if next(writes) == 2:  # the header, the first block, then the disk is full
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return real_write(text)
+
+            stream.write = write
+            return stream
+
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        monkeypatch.setattr(os, "fdopen", fdopen)
+        with pytest.raises(OSError, match="No space left"):
+            pipeline.write_series_csv(path, ["a"], np.ones((1, 3 * pipeline._CSV_BLOCK_ROWS)))
+        assert path.read_text() == "old\n"
+        assert [entry.name for entry in tmp_path.iterdir()] == ["out.csv"]
 
     @pytest.mark.parametrize(
         "text, names, rows",
