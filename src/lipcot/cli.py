@@ -370,11 +370,13 @@ def _join_flag_values(argv) -> list:
 
     argparse reads only plain negative numbers such as -1 as values; -1e300,
     -inf and -nan would read as a missing value and end in a usage message.
+    ``--help`` (or a prefix of it, ``--`` included) takes no value.
     """
     joined = []
     for token in argv:
         flag = joined[-1] if joined else ""
-        if flag[:2] == "--" and "=" not in flag and token[:1] == "-" and _is_number(token):
+        takes_value = flag[:2] == "--" and "=" not in flag and not "--help".startswith(flag)
+        if takes_value and token[:1] == "-" and _is_number(token):
             joined[-1] = f"{flag}={token}"
         else:
             joined.append(token)

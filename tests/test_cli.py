@@ -1268,6 +1268,14 @@ def test_flag_extremes_run_or_end_in_one_error_line(
         assert status == 1 and err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_a_negative_number_joins_only_a_flag_that_takes_a_value():
+    unjoined = ["--help", "-1e300", "--he", "-1", "--", "-inf", "--out", "-x"]
+    argv = ["synth", "--seconds", "-1e300", "--lambda", "-inf", "--seed=1", "-2", *unjoined]
+    assert cli._join_flag_values(argv) == [
+        "synth", "--seconds=-1e300", "--lambda=-inf", "--seed=1", "-2", *unjoined
+    ]
+
+
 def test_base_runs_exit_zero(trained_books, tmp_path, capsys):
     for command in COMMAND_FLAGS:
         assert cli.main(base_argv(trained_books, command, tmp_path / "out")) == 0, command
