@@ -23,7 +23,8 @@ every trained codebook (``book.json`` bytes, and as ``bookN.reload`` the bytes
 of a save, load and second save), tokens in both layouts, ``decoded.csv``,
 ``synth.csv`` (token 0 for one window), ``spectrum.csv`` (channel 0) and the
 ``train`` report (cli-eeg), and the single-window
-encodes and single-token decodes the benchmark runs: each token, each
+encodes and single-token decodes the benchmark runs: each window's
+``fit_burg_warped`` coefficients and noise power, each token, each
 refusal with its error type, and each realization's samples. Per codebook it
 also covers every token's decode: the model's coefficients and noise power,
 its poles, the numerator and denominator of ``synthesis_filter``, the filter
@@ -84,6 +85,11 @@ def _outcome(function, *args):
         return type(exc).__name__
 
 
+def _model_hex(model) -> str:
+    """A model's coefficient and noise-power bytes, in hex."""
+    return model.coeffs.tobytes().hex() + "/" + np.float64(model.noise_power).tobytes().hex()
+
+
 def _token_models(prefix: str, book, rate: float) -> dict:
     """Every token's decoded model, poles, synthesis filter and realization, or the refusal."""
     from lipcot import codebook, lpc_core
@@ -99,8 +105,7 @@ def _token_models(prefix: str, book, rate: float) -> dict:
             for entries in parts.values():
                 entries.append(model)
             continue
-        power = np.float64(model.noise_power).tobytes()
-        parts["models"].append(model.coeffs.tobytes().hex() + "/" + power.hex())
+        parts["models"].append(_model_hex(model))
         pole_set = _outcome(lpc_core.poles, model)
         parts["poles"].append(pole_set if isinstance(pole_set, str) else pole_set.poles.tobytes().hex())
         parts["filters"].append(_outcome(filter_bytes, model))
@@ -115,17 +120,22 @@ def _single_ops(books, windows, rate: float, base_seed: int) -> dict:
     """The benchmark's closed loop: op ``i`` on book ``i % len(books)``."""
     from lipcot import codebook, latent, lpc_core
 
-    def encode(book, samples):
-        model = lpc_core.fit_burg_warped(lpc_core.Segment(samples, rate), book.order, book.lam)
+    def fit(book, samples):
+        return lpc_core.fit_burg_warped(lpc_core.Segment(samples, rate), book.order, book.lam)
+
+    def encode(book, model):
         return codebook.encode_vector(book, latent.features(model, book.method))
 
     def decode(book, token, seed):
         model = codebook.decode_token(book, token, rate)
         return lpc_core.synthesize(model, windows.shape[1], seed).samples
 
-    tokens, refusals, samples = [], [], hashlib.sha256()
+    fits, tokens, refusals, samples = [], [], [], hashlib.sha256()
     for i, window in enumerate(windows):
-        tokens.append(_outcome(encode, books[i % len(books)], window))
+        book = books[i % len(books)]
+        model = _outcome(fit, book, window)
+        fits.append(model if isinstance(model, str) else _model_hex(model))
+        tokens.append(model if isinstance(model, str) else _outcome(encode, book, model))
     for i in range(len(windows)):
         book = books[i % len(books)]
         result = _outcome(decode, book, i // len(books) % book.k, base_seed + i)
@@ -133,6 +143,7 @@ def _single_ops(books, windows, rate: float, base_seed: int) -> dict:
         if not isinstance(result, str):
             samples.update(result.tobytes())
     return {
+        "single.fits": _sha(json.dumps(fits).encode()),
         "single.tokens": _sha(json.dumps(tokens).encode()),
         "single.refusals": _sha(json.dumps(refusals).encode()),
         "single.samples": samples.hexdigest(),
