@@ -12,6 +12,7 @@ from .codebook import (
 )
 from .errors import LipcotError
 from .latent import (
+    LatentCorpus,
     LatentMethod,
     LatentVector,
     cepstrum_to_lpc,
@@ -45,6 +46,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Codebook",
+    "LatentCorpus",
     "LatentMethod",
     "LatentVector",
     "LipcotError",

@@ -135,17 +135,15 @@ def cmd_train(args) -> int:
         if series is not None:
             series_set.append(series)
 
-    vectors, skipped = pipeline.fit_corpus(series_set, config)
+    corpus, skipped = pipeline.fit_corpus(series_set, config)
     if skipped:
         print(f"warning: skipped {skipped} degenerate segments", file=sys.stderr)
-    book = cb.train_codebook(
-        vectors, args.k, args.seed, order=args.order, lam=args.lam
-    )
+    book = cb.train_codebook(corpus, args.k, args.seed, order=args.order, lam=args.lam)
     cb.save_codebook(book, args.out)
     vocab_path = args.vocab if args.vocab else args.out + ".vocab"
     write_text_atomic(vocab_path, "\n".join(cb.export_vocabulary(book)) + "\n")
 
-    normalized = book.norm_stats.normalize(np.stack([vec.values for vec in vectors]))
+    normalized = book.norm_stats.normalize(corpus.matrix)
     assignments = cb.nearest_centroids(normalized, book.centroids)
     inertia = float(((normalized - book.centroids[assignments]) ** 2).sum())
     print(f"k {book.k}")

@@ -22,7 +22,7 @@ from .errors import (
     NonRealizableError,
     TooFewVectorsError,
 )
-from .latent import LatentMethod, LatentVector, latent_to_model
+from .latent import LatentCorpus, LatentMethod, LatentVector, latent_to_model
 from .lpc_core import LpcModel, _as_float_vector, check_lam
 
 CODEBOOK_FORMAT_VERSION = "1"
@@ -253,16 +253,17 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centroids
 
 
-def _reseed_empty(points, centroids, labels):
+def _reseed_empty(points, centroids, labels) -> int:
     """Move each empty centroid onto the point farthest from its own centroid.
 
-    A point that is the only member of its cluster is never taken, so a
-    reseed never empties another cluster.
+    ``centroids`` and ``labels`` change in place; returns how many centroids
+    moved. A point that is the only member of its cluster is never taken,
+    so a reseed never empties another cluster.
     """
     counts = np.bincount(labels, minlength=centroids.shape[0])
     empty = np.flatnonzero(counts == 0)
     if not empty.size:
-        return centroids, labels
+        return 0
     own_sq_dists = ((points - centroids[labels]) ** 2).sum(axis=1)  # before any moves
     for c in empty:
         far = int(np.argmax(np.where(counts[labels] > 1, own_sq_dists, -1.0)))
@@ -270,16 +271,27 @@ def _reseed_empty(points, centroids, labels):
         counts[c] = 1
         centroids[c] = points[far]
         labels[far] = c
-    return centroids, labels
+    return empty.size
 
 
 def kmeans_fit(points: np.ndarray, k: int, seed: int):
     """Seeded k-means++ plus Lloyd iterations on normalized vectors.
 
-    Stops when the largest centroid displacement drops below 1e-6 or after
-    300 iterations. Empty clusters are reseeded to the point farthest from
-    its current centroid, so the recorded per-iteration inertia never
-    increases.
+    Each iteration assigns every point to its nearest centroid, reseeds
+    empty clusters to the point farthest from its current centroid (so the
+    recorded per-iteration inertia never increases), and moves each
+    centroid to the mean of its points. Lloyd stops at the first of:
+
+    - an assignment equal to the previous iteration's, with no centroid
+      reseeded: the centroids are then already the means of that very
+      assignment, so the next means would equal them bit for bit (a shift
+      of exactly 0). Those labels are returned as they are; a further
+      assignment against the same centroids would give them again;
+    - a largest centroid displacement below 1e-6;
+    - 300 iterations.
+
+    After the last two, the labels come from one more assignment against the
+    final centroids, and any cluster left empty is reseeded.
 
     Returns ``(centroids, labels, inertia_history)``. Fewer than ``k``
     distinct points raise ``TooFewVectorsError``, and squared distances
@@ -292,11 +304,15 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int):
     centroids = _kmeans_pp_init(points, k, rng)
     d = points.shape[1]
     columns = np.arange(d)
-    inertia_history = []
+    inertia_history, labels = [], None
     for _ in range(_KMEANS_MAX_ITER):
-        labels = nearest_centroids(points, centroids)
-        centroids, labels = _reseed_empty(points, centroids, labels)
+        previous, labels = labels, nearest_centroids(points, centroids)
+        reseeded = _reseed_empty(points, centroids, labels)
+        # unmoved centroids are already the means of an unchanged assignment
+        settled = not reseeded and np.array_equal(labels, previous)
         inertia_history.append(float(((points - centroids[labels]) ** 2).sum()))
+        if settled:
+            break
         # bin (label, column) per entry; bincount visits each bin's rows in
         # row order from 0.0, as a masked mean would, signed zeros included
         bins = labels[:, None] * d + columns
@@ -306,12 +322,12 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int):
         centroids = new_centroids
         if shift < _KMEANS_TOL:
             break
-    # final assignment against the final centroids; patch any stragglers
-    labels = nearest_centroids(points, centroids)
-    for _ in range(k):
+    if not settled:  # final assignment against the final centroids
+        labels = nearest_centroids(points, centroids)
+    for _ in range(k):  # patch any stragglers
         if np.bincount(labels, minlength=k).all():
             break
-        centroids, labels = _reseed_empty(points, centroids, labels)
+        _reseed_empty(points, centroids, labels)
         labels = nearest_centroids(points, centroids)
     return centroids, labels, np.asarray(inertia_history)
 
@@ -321,22 +337,28 @@ def train_codebook(
 ) -> Codebook:
     """Cluster latent vectors into a K-token vocabulary.
 
-    Normalization statistics are fit on the training vectors and stored in
-    the codebook; the same statistics are reused verbatim when encoding and
-    decoding. Deterministic for a fixed seed and input order. Vectors of more
-    than one method, or that order-``order`` models cannot map to, raise
+    ``vectors`` is a ``LatentCorpus``, used as it is, or any iterable of
+    ``LatentVector``, which is stacked into one matrix. Normalization
+    statistics are fit on the training vectors and stored in the codebook;
+    the same statistics are reused verbatim when encoding and decoding.
+    Deterministic for a fixed seed and input order. Vectors of more than one
+    method, or that order-``order`` models cannot map to, raise
     ``DimensionMismatchError``.
     """
-    vectors = list(vectors)
+    if not isinstance(vectors, LatentCorpus):
+        vectors = list(vectors)
     if not vectors:
         raise TooFewVectorsError("need at least one vector")
     method, dim = vectors[0].method, vectors[0].dimension
     k, order, lam, seed = check_space(k, method, order, lam, seed, dim)
     if len(vectors) < k:
         raise TooFewVectorsError(f"need at least {k} vectors, got {len(vectors)}")
-    if any(vec.method != method or vec.dimension != dim for vec in vectors):
+    if isinstance(vectors, LatentCorpus):
+        matrix = vectors.matrix
+    elif any(vec.method != method or vec.dimension != dim for vec in vectors):
         raise DimensionMismatchError(f"vectors disagree with {method} or order {order}")
-    matrix = np.stack([vec.values for vec in vectors])
+    else:
+        matrix = np.stack([vec.values for vec in vectors])
     stats = NormStats.fit(matrix)
     normalized = stats.normalize(matrix)
     centroids, _, _ = kmeans_fit(normalized, k, seed)

@@ -9,6 +9,8 @@ has an exact algebraic inverse used when decoding tokens back into models.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +82,38 @@ class LatentVector:
     @property
     def dimension(self) -> int:
         return self.values.size
+
+
+@dataclass(frozen=True)
+class LatentCorpus(Sequence):
+    """Latent vectors of one method as one windows x dimensions matrix.
+
+    The matrix is checked once, for its shape and finiteness. As a sequence,
+    the corpus builds each row's ``LatentVector`` only when it is read; a
+    slice is a corpus over the same rows.
+    """
+
+    method: LatentMethod
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        matrix = np.asarray(self.matrix, dtype=float)
+        if matrix.ndim != 2:
+            raise InvalidArgumentError("a latent corpus must be a windows-by-dimensions matrix")
+        if not np.all(np.isfinite(matrix)):
+            raise InvalidArgumentError("latent values must be finite")
+        object.__setattr__(self, "matrix", matrix)
+
+    def __len__(self) -> int:
+        return self.matrix.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return LatentCorpus(self.method, self.matrix[index])
+        return LatentVector(self.method, self.matrix[operator.index(index)])
+
+    def __iter__(self):
+        return (LatentVector(self.method, row) for row in self.matrix)
 
 
 def _log_powers(noise_power) -> np.ndarray:

@@ -138,15 +138,17 @@ def _fit_cells(series: MultichannelSeries, config: TokenizerConfig):
 
 
 def fit_corpus(series_set, config: TokenizerConfig):
-    """Fit one latent vector per (series, channel, window), in that order.
+    """Fit one latent row per (series, channel, window), in that order.
 
-    Degenerate segments are skipped; returns ``(vectors, n_skipped)``.
+    Degenerate segments are skipped; returns ``(corpus, n_skipped)``, with
+    ``corpus`` a ``latent.LatentCorpus`` of the rows that were fitted.
     """
     fits = [_fit_cells(series, config) for series in series_set]
-    vectors = [latent.LatentVector(config.method, row) for matrix, ok in fits for row in matrix[ok]]
-    if not vectors:
+    width = config.method.dimension(config.order)
+    matrix = np.concatenate([np.empty((0, width))] + [rows[ok] for rows, ok in fits])
+    if not len(matrix):
         raise EmptyCorpusError("no latent vectors could be extracted")
-    return vectors, sum(ok.size for _, ok in fits) - len(vectors)
+    return latent.LatentCorpus(config.method, matrix), sum(ok.size for _, ok in fits) - len(matrix)
 
 
 def encode_series(

@@ -134,8 +134,8 @@ def reference_lloyd_fit(points, k, seed, events):
     """
 
     def reseed_empty(centroids, labels):
-        events["reseeds"] += int(not np.bincount(labels, minlength=k).all())
-        return cb._reseed_empty(points, centroids, labels)
+        events["reseeds"] += int(cb._reseed_empty(points, centroids, labels) > 0)
+        return centroids, labels
 
     centroids = cb._kmeans_pp_init(points, k, np.random.default_rng(seed))
     inertia_history = []

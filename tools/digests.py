@@ -67,11 +67,11 @@ def _book_digests(prefix: str, book, work: Path) -> dict:
     return {f"{prefix}.json": _sha(saved), f"{prefix}.reload": _sha(path.read_bytes())}
 
 
-def _kmeans_digest(prefix: str, book, vectors) -> dict:
+def _kmeans_digest(prefix: str, book, corpus) -> dict:
     """The labels and inertia history of the k-means run behind ``book``."""
     from lipcot import codebook
 
-    normalized = book.norm_stats.normalize(np.stack([vec.values for vec in vectors]))
+    normalized = book.norm_stats.normalize(corpus.matrix)
     _, labels, history = codebook.kmeans_fit(normalized, book.k, book.seed)
     return {f"{prefix}.kmeans": _sha(labels.astype(np.int64).tobytes() + history.tobytes())}
 
@@ -198,8 +198,8 @@ def cli_eeg(spec: dict, work: Path) -> dict:
     names, rows = pipeline.read_series_csv(csv)
     series = pipeline.MultichannelSeries(rows, spec["rate"], names)
     config = pipeline.TokenizerConfig(book.order, book.lam, window, window, book.method)
-    vectors, _ = pipeline.fit_corpus([series], config)
-    out.update(_kmeans_digest("book", book, vectors))
+    corpus, _ = pipeline.fit_corpus([series], config)
+    out.update(_kmeans_digest("book", book, corpus))
     out.update(_token_models("book", book, spec["rate"]))
     out.update(_single_ops([book], windows, spec["rate"], spec["seed"]))
     return out
@@ -214,18 +214,17 @@ def scale_k256(spec: dict, work: Path) -> dict:
     config = pipeline.TokenizerConfig(
         spec["order"], spec["lam"], window, window, LatentMethod.cepstrum(spec["n_cepstra"])
     )
-    vectors, skipped = pipeline.fit_corpus([series], config)
-    matrix = np.stack([v.values for v in vectors])
-    out = {"fit_corpus": _sha(matrix.tobytes() + f"{skipped}".encode())}
+    corpus, skipped = pipeline.fit_corpus([series], config)
+    out = {"fit_corpus": _sha(corpus.matrix.tobytes() + f"{skipped}".encode())}
     windows = data[:, : (data.shape[1] // window) * window].reshape(-1, window)
     windows = windows[: spec["latency_ops"]]
     for restart in range(spec["restarts"]):
         book = codebook.train_codebook(
-            vectors, spec["k"], spec["seed"] * spec["restarts"] + restart,
+            corpus, spec["k"], spec["seed"] * spec["restarts"] + restart,
             order=spec["order"], lam=spec["lam"],
         )
         out.update(_book_digests(f"book{restart}", book, work))
-        out.update(_kmeans_digest(f"book{restart}", book, vectors))
+        out.update(_kmeans_digest(f"book{restart}", book, corpus))
         for layout in ("positions", "temporal"):
             sequences = pipeline.encode_series(series, book, window, window, layout)
             out[f"book{restart}.tokens.{layout}"] = _sha(
@@ -246,16 +245,16 @@ def dsc_stream(spec: dict, work: Path) -> dict:
     config = pipeline.TokenizerConfig(
         spec["order"], spec["lam"], window, window, LatentMethod.dsc()
     )
-    vectors, _ = pipeline.fit_corpus([series], config)
+    corpus, _ = pipeline.fit_corpus([series], config)
     out, books = {}, []
     for c in range(spec["codebooks"]):
         book = codebook.train_codebook(
-            vectors, spec["k"], spec["seed"] * spec["codebooks"] + c,
+            corpus, spec["k"], spec["seed"] * spec["codebooks"] + c,
             order=spec["order"], lam=spec["lam"],
         )
         books.append(book)
         out.update(_book_digests(f"book{c}", book, work))
-        out.update(_kmeans_digest(f"book{c}", book, vectors))
+        out.update(_kmeans_digest(f"book{c}", book, corpus))
         out.update(_token_models(f"book{c}", book, spec["rate"]))
     for layout in ("positions", "temporal"):
         sequences = pipeline.encode_series(series, books[0], window, window, layout)
