@@ -390,6 +390,44 @@ class TestLloydFloatOrder:
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f"seed {seed}"
         assert (events["reseeds"] > 0) == reseeds
 
+    def test_a_reseed_keeps_lloyd_going_though_the_labels_repeat(self, monkeypatch):
+        # The second coordinates differ by 1e-170, whose square underflows, so
+        # the points at x = 0, and those at x = 1, are all at distance 0 from
+        # each other. From these centroids the first iteration reseeds centroid
+        # 2 onto point 0; the second gives point 0 to centroid 0, at the same
+        # distance, and reseeds it back, repeating the assignment after a reseed.
+        points = np.array([[0.0, 0.0], [0.0, 1e-170], [1.0, 0.0], [1.0, 1e-170]])
+        start = np.array([[0.4, 0.0], [1.1, 0.0], [5.0, 0.0]])
+        monkeypatch.setattr(cb, "_kmeans_pp_init", lambda points, k, rng: start.copy())
+        events = {"reseeds": 0}
+        expected = reference_lloyd_fit(points, 3, 0, events)
+        assert events["reseeds"] >= 2 and len(expected[2]) == 2
+        for want, got in zip(expected, cb.kmeans_fit(points, 3, 0)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestLloydEarlyStop:
+    @pytest.mark.parametrize(
+        "make, k",
+        [(lambda: cepstrum_corpus(600), 64), (lambda: cepstrum_corpus(600), 256), (lambda: LATTICE, 12)],
+        ids=["cepstrum-k64", "cepstrum-k256", "lattice-k12"],
+    )
+    def test_a_settled_assignment_is_not_recomputed(self, make, k, monkeypatch):
+        points, calls = make(), []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return nearest(*args, **kwargs)
+
+        nearest = cb.nearest_centroids
+        monkeypatch.setattr(cb, "nearest_centroids", counted)
+        for seed in range(5):
+            calls.clear()
+            centroids, labels, history = cb.kmeans_fit(points, k, seed)
+            # one assignment per iteration, and none after the last
+            assert len(calls) == len(history), f"seed {seed}"
+            assert labels.tobytes() == nearest(points, centroids).tobytes(), f"seed {seed}"
+
 
 class TestTraining:
     def test_k1_centroid_is_normalized_mean(self):

@@ -17,7 +17,9 @@ from lipcot import codebook as cb
 from lipcot import latent, lpc_core, pipeline, testkit
 from lipcot.errors import (
     DegenerateInputError,
+    DimensionMismatchError,
     EmptyCorpusError,
+    InvalidArgumentError,
     InvalidLambdaError,
     InvalidOrderError,
     InvalidWindowError,
@@ -417,6 +419,87 @@ class TestFitCorpus:
         config = pipeline.TokenizerConfig(4, 0.2, 300, 300, method)
         with pytest.raises(EmptyCorpusError):
             pipeline.fit_corpus([series], config)
+
+
+def corpus_series():
+    """Two series of other lengths; the first has a flat channel, whose windows are skipped."""
+    live = small_series()
+    flat = np.vstack([np.ones(900), np.random.default_rng(1).normal(size=900)])
+    return [pipeline.MultichannelSeries(flat, FS, ["flat", "live"]), live]
+
+
+class TestLatentCorpus:
+    @pytest.mark.parametrize(
+        "method",
+        [latent.LatentMethod.lpc_coeff(), latent.LatentMethod.cepstrum(6), latent.LatentMethod.dsc()],
+        ids=lambda m: m.tag,
+    )
+    def test_rows_are_the_per_window_vectors(self, method):
+        series_set = corpus_series()
+        config = pipeline.TokenizerConfig(4, 0.2, 300, 200, method)
+        corpus, skipped = pipeline.fit_corpus(series_set, config)
+        # the vectors fit_corpus built one by one before it returned a corpus
+        fits = [pipeline._fit_cells(series, config) for series in series_set]
+        vectors = [latent.LatentVector(method, row) for rows, ok in fits for row in rows[ok]]
+        assert skipped == 4 and len(corpus) == len(vectors) == 19
+        assert corpus.method == method
+        assert corpus.matrix.tobytes() == np.stack([v.values for v in vectors]).tobytes()
+
+    def test_index_slice_and_iteration_give_the_rows(self):
+        corpus, _ = pipeline.fit_corpus(corpus_series(), small_config())
+        rows = corpus.matrix
+        read = {
+            "index": [corpus[i] for i in range(len(corpus))],
+            "negative index": [corpus[i - len(corpus)] for i in range(len(corpus))],
+            "iteration": list(corpus),
+            "slice": list(corpus[:2]) + list(corpus[2:5]) + list(corpus[5:]),
+        }
+        for how, vectors in read.items():
+            assert len(vectors) == len(rows), how
+            for vec, row in zip(vectors, rows):
+                assert isinstance(vec, latent.LatentVector), how
+                assert vec.method == corpus.method and vec.values.tobytes() == row.tobytes(), how
+        part = corpus[1:7:2]
+        assert isinstance(part, latent.LatentCorpus) and part.method == corpus.method
+        assert part.matrix.tobytes() == rows[1:7:2].tobytes()
+        with pytest.raises(IndexError):
+            corpus[len(corpus)]
+
+    def test_corpus_and_its_list_train_the_same_book(self):
+        corpus, _ = pipeline.fit_corpus(corpus_series(), small_config())
+        books = [
+            cb.train_codebook(vectors, 5, 3, order=4, lam=0.2)
+            for vectors in (corpus, list(corpus), iter(corpus))
+        ]
+        for book in books[1:]:
+            assert book.centroids.tobytes() == books[0].centroids.tobytes()
+            assert book.centroid_sq_norms.tobytes() == books[0].centroid_sq_norms.tobytes()
+            assert book.norm_stats.mean.tobytes() == books[0].norm_stats.mean.tobytes()
+            assert book.norm_stats.std.tobytes() == books[0].norm_stats.std.tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_is_refused(self, value):
+        matrix = np.zeros((3, 5))
+        matrix[1, 2] = value
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            latent.LatentCorpus(latent.LatentMethod.lpc_coeff(), matrix)
+
+    def test_matrix_of_other_rank_is_refused(self):
+        with pytest.raises(InvalidArgumentError, match="windows-by-dimensions"):
+            latent.LatentCorpus(latent.LatentMethod.lpc_coeff(), np.zeros(5))
+
+    def test_a_list_mixing_methods_is_still_refused(self):
+        corpus, _ = pipeline.fit_corpus(corpus_series(), small_config())
+        # a cepstrum(4) vector holds 5 values, as the order-4 lpc rows do
+        vectors = list(corpus) + [latent.LatentVector(latent.LatentMethod.cepstrum(4), np.ones(5))]
+        with pytest.raises(DimensionMismatchError):
+            cb.train_codebook(vectors, 2, 0, order=4, lam=0.2)
+        book = cb.train_codebook(corpus, 2, 0, order=4, lam=0.2)
+        assert book.method == corpus.method
+
+    def test_no_series_is_an_empty_corpus(self):
+        with pytest.raises(EmptyCorpusError):
+            pipeline.fit_corpus([], small_config())
 
 
 class TestEncodeSeries:
