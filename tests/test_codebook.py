@@ -392,10 +392,11 @@ class TestLloydFloatOrder:
 
     def test_a_reseed_keeps_lloyd_going_though_the_labels_repeat(self, monkeypatch):
         # The second coordinates differ by 1e-170, whose square underflows, so
-        # the points at x = 0, and those at x = 1, are all at distance 0 from
-        # each other. From these centroids the first iteration reseeds centroid
-        # 2 onto point 0; the second gives point 0 to centroid 0, at the same
-        # distance, and reseeds it back, repeating the assignment after a reseed.
+        # the two points at x = 0 are at squared distance 0 from each other, as
+        # are the two at x = 1. From these centroids the first iteration
+        # reseeds centroid 2 onto point 0; the second gives point 0 to centroid
+        # 0, at the same distance, and reseeds it back: the assignment repeats
+        # right after a reseed, and Lloyd must go on.
         points = np.array([[0.0, 0.0], [0.0, 1e-170], [1.0, 0.0], [1.0, 1e-170]])
         start = np.array([[0.4, 0.0], [1.1, 0.0], [5.0, 0.0]])
         monkeypatch.setattr(cb, "_kmeans_pp_init", lambda points, k, rng: start.copy())
