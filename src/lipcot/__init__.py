@@ -17,9 +17,6 @@ from .latent import (
     LatentVector,
     cepstrum_to_lpc,
     features,
-    features_cepstrum,
-    features_dsc,
-    features_lpc_coeff,
     latent_to_model,
 )
 from .lpc_core import (
@@ -64,9 +61,6 @@ __all__ = [
     "encode_vector",
     "export_vocabulary",
     "features",
-    "features_cepstrum",
-    "features_dsc",
-    "features_lpc_coeff",
     "fit_burg_warped",
     "fit_corpus",
     "latent_to_model",

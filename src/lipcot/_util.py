@@ -1,11 +1,12 @@
 """Small shared helpers."""
 
 import contextlib
+import json
 import numbers
 import os
 import secrets
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, LipcotError
 
 
 def whole(value, name: str, least=None) -> int:
@@ -45,3 +46,17 @@ def write_text_atomic(path, text: str) -> None:
     """Write text to ``path`` through ``atomic_file``."""
     with atomic_file(path) as fh:
         fh.write(text)
+
+
+def read_json(path):
+    """The JSON value in the file at ``path``; ``LipcotError`` naming ``path`` if it does not parse.
+
+    Nesting past the parser's recursion limit does not parse either.
+    """
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise LipcotError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
+        except (ValueError, RecursionError) as exc:
+            raise LipcotError(f"{path}: not valid JSON ({exc})") from None

@@ -21,7 +21,7 @@ from . import codebook as cb
 from . import latent
 from . import lpc_core
 from . import pipeline
-from ._util import whole, write_text_atomic
+from ._util import read_json, whole, write_text_atomic
 from .errors import ConfigMismatchError, LipcotError, UnknownWordError
 
 DEFAULT_ORDER = 16
@@ -52,11 +52,7 @@ def _resolve_sample_rate(path: str, flag_value) -> float:
         return lpc_core.check_rate(flag_value, "--sample-rate")
     sidecar = path + ".json"
     if os.path.exists(sidecar):
-        with open(sidecar) as fh:
-            try:
-                payload = json.load(fh)
-            except ValueError as exc:
-                raise LipcotError(f"{sidecar}: not valid JSON ({exc})") from None
+        payload = read_json(sidecar)
         if not isinstance(payload, dict) or "sample_rate" not in payload:
             raise LipcotError(f"{sidecar}: not a JSON object with a sample_rate key")
         return lpc_core.check_rate(payload["sample_rate"], f"{sidecar}: sample_rate")

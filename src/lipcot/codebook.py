@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import whole, write_text_atomic
+from ._util import read_json, whole, write_text_atomic
 from .errors import (
     DimensionMismatchError,
     InvalidArgumentError,
@@ -438,23 +438,28 @@ def save_codebook(codebook: Codebook, path) -> None:
     write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
 
 
+def _items(value):
+    return value if type(value) is list else (value,)
+
+
 def _numbers_only(value) -> bool:
-    """Whether nested JSON lists hold nothing but numbers; a bool is not one."""
-    return all(map(_numbers_only, value)) if type(value) is list else type(value) in (int, float)
+    """Whether a JSON value is numbers at most two lists deep; a bool is not a number.
+
+    The centroid matrix is the deepest value a ``book.json`` holds, so
+    nothing deeper is walked.
+    """
+    return all(type(cell) in (int, float) for item in _items(value) for cell in _items(item))
 
 
 def load_codebook(path) -> Codebook:
     """Read a ``book.json``; any malformed file raises ``LipcotError`` naming ``path``."""
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:
-            raise LipcotError(f"{path}: not valid JSON ({exc})") from None
+    payload = read_json(path)
     try:
         version = payload["version"]
         if version != CODEBOOK_FORMAT_VERSION:
             raise LipcotError(f"{path}: unsupported codebook version {version!r}")
-        if not _numbers_only([payload["norm_mean"], payload["norm_std"], payload["centroids"]]):
+        arrays = (payload["norm_mean"], payload["norm_std"], payload["centroids"])
+        if not all(map(_numbers_only, arrays)):
             raise InvalidArgumentError(
                 "norm_mean, norm_std and centroids must hold JSON numbers only"
             )

@@ -153,7 +153,7 @@ def feature_matrix(coeffs, noise_power, method: LatentMethod, sample_rate: float
     """Map models into the feature space selected by ``method``, one row each.
 
     ``coeffs`` is models x order and ``noise_power`` holds one power per
-    model. The single-model maps below are one-row calls of this.
+    model. ``features`` is a one-row call of this.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     log_power = _log_powers(noise_power)
@@ -166,30 +166,16 @@ def feature_matrix(coeffs, noise_power, method: LatentMethod, sample_rate: float
 
 
 def features(model: lpc_core.LpcModel, method: LatentMethod) -> LatentVector:
-    """Map a model into the feature space selected by ``method``."""
+    """Map a model into the feature space selected by ``method``.
+
+    The dominant-spectral (DSC) layout: u_k converts each pole angle to Hz;
+    v_k = -2*log(1 - |p_k|) grows with the sharpness of the corresponding
+    spectral peak. Entries are sorted by |u| (ties broken by signed u
+    ascending, so each conjugate pair puts its negative-frequency member
+    first) and followed by log sigma^2.
+    """
     values = feature_matrix(model.coeffs[None], [model.noise_power], method, model.sample_rate)
     return LatentVector(method, values[0])
-
-
-def features_lpc_coeff(model: lpc_core.LpcModel) -> LatentVector:
-    """Coefficients extended with the log prediction-error power."""
-    return features(model, LatentMethod.lpc_coeff())
-
-
-def features_cepstrum(model: lpc_core.LpcModel, n_cepstra: int) -> LatentVector:
-    """First ``n_cepstra`` cepstrum coefficients, sqrt-index weighted."""
-    return features(model, LatentMethod.cepstrum(n_cepstra))
-
-
-def features_dsc(model: lpc_core.LpcModel) -> LatentVector:
-    """Dominant spectral components: ordered pole angles and log radii.
-
-    u_k converts each pole angle to Hz; v_k = -2*log(1 - |p_k|) grows with
-    the sharpness of the corresponding spectral peak. Entries are sorted by
-    |u| (ties broken by signed u ascending, so each conjugate pair puts its
-    negative-frequency member first) and followed by log sigma^2.
-    """
-    return features(model, LatentMethod.dsc())
 
 
 def lpc_to_cepstrum(coeffs, noise_power: float, count: int) -> np.ndarray:

@@ -145,7 +145,7 @@ def test_05_dsc_round_trip():
     for _ in range(50):
         order = int(rng.choice([2, 4, 6]))
         model = random_stable_model(rng, order)
-        vec = latent.features_dsc(model)
+        vec = latent.features(model, latent.LatentMethod.dsc())
         back = latent.latent_to_model(vec, order, model.lam, model.sample_rate)
         worst = max(worst, float(np.max(np.abs(back.coeffs - model.coeffs))))
     _report("05 dsc-round-trip", worst < 1e-6, f"max coeff err {worst:.2e}")

@@ -604,7 +604,7 @@ class TestEncodeDecode:
     def test_k1_codebook_reproduces_its_vector(self):
         rng = np.random.default_rng(7)
         model = random_stable_model(rng, 3)
-        vec = latent.features_lpc_coeff(model)
+        vec = latent.features(model, latent.LatentMethod.lpc_coeff())
         vectors = [
             latent.LatentVector(vec.method, vec.values + 1e-13 * rng.normal(size=4))
             for _ in range(5)

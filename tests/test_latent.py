@@ -25,31 +25,31 @@ def model_from(coeffs, noise_power=1.0, lam=0.0, fs=FS):
 
 class TestLpcCoeffFeatures:
     def test_unit_weights(self):
-        vec = latent.features_lpc_coeff(model_from([0.3, -0.2]))
+        vec = latent.features(model_from([0.3, -0.2]), latent.LatentMethod.lpc_coeff())
         np.testing.assert_allclose(vec.values, [0.3, -0.2, 0.0])
 
     def test_dimension_is_order_plus_one(self):
         rng = np.random.default_rng(0)
         for order in (1, 4, 16):
-            vec = latent.features_lpc_coeff(random_stable_model(rng, order))
+            vec = latent.features(random_stable_model(rng, order), latent.LatentMethod.lpc_coeff())
             assert vec.dimension == order + 1
 
     def test_zero_noise_power_rejected(self):
         with pytest.raises(ZeroNoisePowerError):
-            latent.features_lpc_coeff(model_from([0.3], noise_power=0.0))
+            latent.features(model_from([0.3], noise_power=0.0), latent.LatentMethod.lpc_coeff())
 
 
 class TestCepstrum:
     def test_first_two_elements(self):
         rng = np.random.default_rng(1)
         model = random_stable_model(rng, 5)
-        vec = latent.features_cepstrum(model, 8)
+        vec = latent.features(model, latent.LatentMethod.cepstrum(8))
         assert vec.values[0] == pytest.approx(math.log(model.noise_power))
         assert vec.values[1] == pytest.approx(-model.coeffs[0])
 
     def test_single_pole_power_series(self):
         # pole at p: c_n = p^n / n, so the weighted third entry is sqrt(2)*0.125
-        vec = latent.features_cepstrum(model_from([-0.5]), 2)
+        vec = latent.features(model_from([-0.5]), latent.LatentMethod.cepstrum(2))
         np.testing.assert_allclose(vec.values, [0.0, 0.5, math.sqrt(2) * 0.125])
 
     def test_recursion_agrees_with_pole_power_sums(self):
@@ -189,25 +189,25 @@ class TestDominantSpectral:
     def test_conjugate_pair_example(self):
         pole = 0.9 * np.exp(2j * np.pi * 10.0 / FS)
         coeffs = lpc_core.poles_to_coeffs([pole, pole.conjugate()]).real
-        vec = latent.features_dsc(model_from(coeffs))
+        vec = latent.features(model_from(coeffs), latent.LatentMethod.dsc())
         np.testing.assert_allclose(
             vec.values, [-10.0, 10.0, 4.60517019, 4.60517019, 0.0], atol=1e-6
         )
 
     def test_single_real_pole(self):
-        vec = latent.features_dsc(model_from([-0.5]))
+        vec = latent.features(model_from([-0.5]), latent.LatentMethod.dsc())
         np.testing.assert_allclose(vec.values, [0.0, 1.38629436, 0.0], atol=1e-6)
 
     def test_full_dimension(self):
         rng = np.random.default_rng(4)
         for order in (2, 5, 16):
-            vec = latent.features_dsc(random_stable_model(rng, order))
+            vec = latent.features(random_stable_model(rng, order), latent.LatentMethod.dsc())
             assert vec.dimension == 2 * order + 1
 
     def test_frequency_magnitudes_are_sorted(self):
         rng = np.random.default_rng(5)
         for order in (4, 9, 16):
-            vec = latent.features_dsc(random_stable_model(rng, order))
+            vec = latent.features(random_stable_model(rng, order), latent.LatentMethod.dsc())
             magnitudes = np.abs(vec.values[:order])
             assert np.all(np.diff(magnitudes) >= -1e-12)
 
@@ -217,7 +217,7 @@ class TestDominantSpectral:
         rng = np.random.default_rng(6)
         for _ in range(40):
             model = random_stable_model(rng, 16)  # eight conjugate pairs
-            u = latent.features_dsc(model).values[:16]
+            u = latent.features(model, latent.LatentMethod.dsc()).values[:16]
             assert np.all(u[0::2] < 0.0)
             np.testing.assert_array_equal(u[1::2], -u[0::2])
 
@@ -225,8 +225,8 @@ class TestDominantSpectral:
         rng = np.random.default_rng(7)
         base = random_stable_model(rng, 4, fs=500.0)
         doubled = lpc_core.LpcModel(4, base.coeffs, base.noise_power, 0.0, 1000.0)
-        left = latent.features_dsc(base).values
-        right = latent.features_dsc(doubled).values
+        left = latent.features(base, latent.LatentMethod.dsc()).values
+        right = latent.features(doubled, latent.LatentMethod.dsc()).values
         np.testing.assert_allclose(right[:4], 2.0 * left[:4])
         np.testing.assert_allclose(right[4:], left[4:])
 
@@ -302,8 +302,8 @@ class TestDistances:
         previous = 0.0
         for count in (2, 4, 8, 16, 32):
             d = np.linalg.norm(
-                latent.features_cepstrum(model_a, count).values
-                - latent.features_cepstrum(model_b, count).values
+                latent.features(model_a, latent.LatentMethod.cepstrum(count)).values
+                - latent.features(model_b, latent.LatentMethod.cepstrum(count)).values
             )
             assert d >= previous - 1e-12
             previous = d
