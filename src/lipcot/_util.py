@@ -1,10 +1,13 @@
 """Small shared helpers."""
 
 import contextlib
+import dataclasses
 import json
 import numbers
 import os
 import secrets
+
+import numpy as np
 
 from .errors import InvalidArgumentError, LipcotError
 
@@ -18,6 +21,29 @@ def whole(value, name: str, least=None) -> int:
     if least is not None and value < least:
         raise InvalidArgumentError(f"{name} must be at least {least}, got {value}")
     return value
+
+
+class FieldEquality:
+    """Field-wise ``==`` for frozen dataclasses that hold arrays.
+
+    The dataclass-generated ``__eq__`` compares arrays with ``==``, whose
+    result has no single truth value. Here arrays compare by
+    ``np.array_equal``, other fields by ``==``, and a field marked
+    ``compare=False`` not at all. Instances are unhashable, as their arrays
+    are. Subclasses are decorated with ``eq=False``, which keeps this method.
+    """
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = (
+            (getattr(self, f.name), getattr(other, f.name))
+            for f in dataclasses.fields(self)
+            if f.compare
+        )
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
 
 @contextlib.contextmanager

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import read_json, whole, write_text_atomic
+from ._util import FieldEquality, read_json, whole, write_text_atomic
 from .errors import (
     DimensionMismatchError,
     InvalidArgumentError,
@@ -33,8 +33,8 @@ _KMEANS_MAX_ITER = 300
 _KMEANS_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class NormStats:
+@dataclass(frozen=True, eq=False)
+class NormStats(FieldEquality):
     """Per-dimension z-score statistics fit on the training vectors."""
 
     mean: np.ndarray
@@ -74,8 +74,8 @@ def check_space(k, method: LatentMethod, order, lam, seed, width: int):
     return k, order, check_lam(lam), seed
 
 
-@dataclass(frozen=True)
-class Codebook:
+@dataclass(frozen=True, eq=False)
+class Codebook(FieldEquality):
     """K centroids in normalized latent space plus the model configuration.
 
     ``centroid_sq_norms``, each centroid's squared norm for

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lpc_core
-from ._util import whole
+from ._util import FieldEquality, whole
 from .errors import (
     DimensionMismatchError,
     InsufficientCoefficientsError,
@@ -69,8 +69,8 @@ class LatentMethod:
         return order + 1 if self.tag == TAG_LPC else 2 * order + 1
 
 
-@dataclass(frozen=True)
-class LatentVector:
+@dataclass(frozen=True, eq=False)
+class LatentVector(FieldEquality):
     """A point in one of the feature spaces."""
 
     method: LatentMethod
@@ -84,8 +84,8 @@ class LatentVector:
         return self.values.size
 
 
-@dataclass(frozen=True)
-class LatentCorpus(Sequence):
+@dataclass(frozen=True, eq=False)
+class LatentCorpus(FieldEquality, Sequence):
     """Latent vectors of one method as one windows x dimensions matrix.
 
     The matrix is checked once, for its shape and finiteness. As a sequence,

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.signal
 from numpy.polynomial import polynomial as npoly
 
-from ._util import whole
+from ._util import FieldEquality, whole
 from .errors import (
     DegenerateInputError,
     FrequencyOutOfRangeError,
@@ -86,8 +86,8 @@ def _as_float_vector(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Segment:
+@dataclass(frozen=True, eq=False)
+class Segment(FieldEquality):
     """A finite window of real-valued samples at a fixed sampling rate."""
 
     samples: np.ndarray
@@ -104,8 +104,8 @@ class Segment:
         return self.samples.size
 
 
-@dataclass(frozen=True)
-class LpcModel:
+@dataclass(frozen=True, eq=False)
+class LpcModel(FieldEquality):
     """Warped LPC coefficients plus the prediction-error power of the fit.
 
     ``coeffs`` holds a_1..a_L of the predictor denominator 1 + sum a_k d^k,
@@ -136,8 +136,8 @@ class LpcModel:
         object.__setattr__(self, "sample_rate", check_rate(self.sample_rate))
 
 
-@dataclass(frozen=True)
-class PoleSet:
+@dataclass(frozen=True, eq=False)
+class PoleSet(FieldEquality):
     """Roots of the predictor polynomial in the (warped) z-plane."""
 
     poles: np.ndarray

@@ -16,7 +16,7 @@ import numpy as np
 from . import codebook as cb
 from . import latent
 from . import lpc_core
-from ._util import atomic_file, whole
+from ._util import FieldEquality, atomic_file, whole
 from .errors import (
     EmptyCorpusError,
     InvalidArgumentError,
@@ -37,8 +37,8 @@ _FIT_CHUNK_SAMPLES = 1 << 15  # window samples per fitted batch; bounds its copi
 _CSV_BLOCK_ROWS = 256  # CSV rows rendered per write; bounds the text held at once
 
 
-@dataclass(frozen=True)
-class MultichannelSeries:
+@dataclass(frozen=True, eq=False)
+class MultichannelSeries(FieldEquality):
     """Rectangular multichannel signal: one row per channel."""
 
     data: np.ndarray
@@ -213,6 +213,8 @@ def read_series_csv(path):
                 rows = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
         except UnicodeDecodeError as exc:
             raise LipcotError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
+        except csv.Error as exc:  # only the header is read through csv
+            raise LipcotError(f"{path}: unreadable header row ({exc})") from None
         except ValueError:
             rows = None  # a body line that is not numbers
     if rows is not None and rows.shape[0] == 0:

@@ -1070,6 +1070,83 @@ class TestBadInputs:
         assert status == 1
         assert "not utf-8 text" in assert_one_error_line(capsys, token_file)
 
+    @pytest.mark.parametrize("command", ["train", "encode", "spectrum"])
+    def test_csv_header_cell_past_the_csv_field_limit(self, workspace, capsys, command):
+        # csv.reader refuses a field past 131072 characters with its own error, once a traceback
+        tmp_path, _, book_path = workspace
+        csv_path = tmp_path / "wide.csv"
+        csv_path.write_text("a," + "b" * 200_000 + "\n" + "1.0,-1.0\n" * 2000)
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", str(csv_path), "--k", "2", "--window-sec", "2"],
+            "encode": ["encode", str(csv_path), "--codebook", str(book_path), "--window-sec", "2"],
+            "spectrum": ["spectrum", str(csv_path)],
+        }[command]
+        status = cli.main([*argv, "--out", str(out), "--order", "4", "--sample-rate", "500"])
+        assert status == 1
+        assert "field limit" in assert_one_error_line(capsys, csv_path)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("nested-100000", "not valid JSON"),
+            ("leading-xff", "not utf-8 text"),
+            ("centroids-nested-600", "numbers only"),
+        ],
+    )
+    def test_codebook_the_json_reader_refuses(self, workspace, capsys, case, message):
+        # nesting once ended in a RecursionError traceback, from the parser or the number check
+        tmp_path, _, book_path = workspace
+        good = book_path.read_bytes()
+        bad_book = tmp_path / "bad.json"
+        bad_book.write_bytes({
+            "nested-100000": nested_lists(100_000),
+            "leading-xff": b"\xff" + good,
+            "centroids-nested-600": json.dumps({**json.loads(good), "centroids": "@"})
+            .encode()
+            .replace(b'"@"', nested_lists(600)),
+        }[case])
+        tokens_path = tmp_path / "line.txt"
+        tokens_path.write_text("t0 t1\n")
+        out = tmp_path / "d.csv"
+        status = cli.main([
+            "decode", str(tokens_path), "--codebook", str(bad_book),
+            "--out", str(out), "--window-sec", "2", "--sample-rate", "500",
+        ])
+        assert status == 1
+        assert message in assert_one_error_line(capsys, bad_book)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [("nested-100000", "not valid JSON"), ("leading-xff", "not utf-8 text")],
+    )
+    @pytest.mark.parametrize("command", ["encode", "decode"])
+    def test_sidecar_the_json_reader_refuses(self, workspace, capsys, command, case, message):
+        tmp_path, csv_path, book_path = workspace
+        tokens_path = tmp_path / "line.txt"
+        tokens_path.write_text("t0 t1\n")
+        source = csv_path if command == "encode" else tokens_path
+        sidecar = tmp_path / (source.name + ".json")
+        sidecar.write_bytes({
+            "nested-100000": nested_lists(100_000),
+            "leading-xff": b'\xff{"sample_rate": 500}',
+        }[case])
+        out = tmp_path / "out"
+        status = cli.main([
+            command, str(source), "--codebook", str(book_path),
+            "--out", str(out), "--window-sec", "2",
+        ])
+        assert status == 1
+        assert message in assert_one_error_line(capsys, sidecar)
+        assert not out.exists()
+
+
+def nested_lists(depth):
+    """JSON text of ``depth`` nested empty lists."""
+    return b"[" * depth + b"]" * depth
+
 
 def centroid_past_float64(payload):
     payload["centroids"][0][0] = 1e308

@@ -713,6 +713,16 @@ class TestPersistence:
             "norm_mean", "norm_std", "centroids", "seed",
         }
 
+    def test_two_loads_of_one_book_compare_equal(self, tmp_path):
+        path = tmp_path / "book.json"
+        cb.save_codebook(_tiny_book(k=3), path)
+        book = cb.load_codebook(path)
+        assert book == cb.load_codebook(path)
+        payload = json.loads(path.read_text())
+        payload["centroids"][1][2] += 0.5
+        path.write_text(json.dumps(payload))
+        assert book != cb.load_codebook(path)
+
     def test_held_norms_change_no_bytes_equality_or_repr(self, tmp_path):
         book = _tiny_book(k=3)
         norms = np.vecdot(book.centroids, book.centroids)

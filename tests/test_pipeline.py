@@ -230,6 +230,38 @@ def test_every_export_resolves():
     assert missing == []
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda x: latent.LatentVector(latent.LatentMethod.lpc_coeff(), x),
+        lambda x: latent.LatentCorpus(latent.LatentMethod.lpc_coeff(), np.stack([x, -x])),
+        lambda x: lpc_core.LpcModel(3, x / 10.0, 1.0, 0.0, FS),
+        lambda x: lpc_core.Segment(x, FS),
+        lambda x: lpc_core.PoleSet(x / 10.0),
+        lambda x: cb.NormStats(x, x + 1.0),
+        lambda x: cb.Codebook(
+            1, x[None], cb.NormStats(np.zeros(3), np.ones(3)),
+            latent.LatentMethod.lpc_coeff(), 2, 0.0, 0,
+        ),
+        lambda x: pipeline.MultichannelSeries(x[None], FS, ["a"]),
+    ],
+    ids=[
+        "LatentVector", "LatentCorpus", "LpcModel", "Segment", "PoleSet", "NormStats",
+        "Codebook", "MultichannelSeries",
+    ],
+)
+def test_array_fields_compare_by_value(make):
+    # the generated == compared two distinct arrays with ==, which raised ValueError
+    values = np.array([1.0, 2.0, 3.0])
+    item = make(values)
+    assert item == make(values.copy()) and not item != make(values.copy())
+    changed = values.copy()
+    changed[1] = 2.5
+    assert item != make(changed) and item != "not the same type"
+    with pytest.raises(TypeError, match=type(item).__name__):
+        hash(item)
+
+
 def _whole_book(k):
     """An lpc codebook of order 2 whose k tokens all decode."""
     centroids = np.arange(3.0 * k).reshape(k, 3) / 10.0
@@ -496,6 +528,11 @@ class TestLatentCorpus:
             cb.train_codebook(vectors, 2, 0, order=4, lam=0.2)
         book = cb.train_codebook(corpus, 2, 0, order=4, lam=0.2)
         assert book.method == corpus.method
+
+    def test_membership_index_and_count(self):
+        corpus, _ = pipeline.fit_corpus(corpus_series(), small_config())
+        assert corpus.index(corpus[3]) == 3
+        assert corpus[5] in corpus and corpus.count(corpus[5]) == 1
 
     def test_no_series_is_an_empty_corpus(self):
         with pytest.raises(EmptyCorpusError):
