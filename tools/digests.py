@@ -32,7 +32,10 @@ its poles, the numerator and denominator of ``synthesis_filter``, the filter
 ``synthesize(model, 64, token)``, each part or its refusal with the error
 type, and as ``bookN.kmeans`` (``book.kmeans`` on cli-eeg) the
 labels and inertia history of ``kmeans_fit`` on the book's normalized
-training matrix, which ``book.json`` does not hold.
+training matrix, which ``book.json`` does not hold. On scale-k256, the
+``fallback.<map>`` keys cover ``fit_corpus`` and ``encode_series`` for each
+latent map on a seeded series of constant, all-zero and live windows at an
+overlapping hop, so the skipped rows and the zero-signal tokens are pinned.
 """
 
 from __future__ import annotations
@@ -205,6 +208,27 @@ def cli_eeg(spec: dict, work: Path) -> dict:
     return out
 
 
+def _fallback_digests(seed: int) -> dict:
+    """``fit_corpus`` and ``encode_series`` per latent map where many windows are degenerate."""
+    from lipcot import LatentMethod, codebook, pipeline
+
+    rng = np.random.default_rng(seed)
+    live = rng.normal(size=1000)
+    live[200:400] = 1.5  # constant windows, and windows that are partly constant
+    live[600:800] = 0.0
+    data = np.stack([live, np.zeros(1000), np.cumsum(rng.normal(size=1000))])
+    series = pipeline.MultichannelSeries(data, 100.0, ["live", "zero", "walk"])
+    out = {}
+    for method in (LatentMethod.lpc_coeff(), LatentMethod.cepstrum(8), LatentMethod.dsc()):
+        config = pipeline.TokenizerConfig(4, 0.2, 40, 25, method)
+        corpus, skipped = pipeline.fit_corpus([series], config)
+        out[f"fallback.{method.tag}.fit_corpus"] = _sha(corpus.matrix.tobytes() + f"{skipped}".encode())
+        book = codebook.train_codebook(corpus, 8, seed, order=4, lam=0.2)
+        sequences = pipeline.encode_series(series, book, 40, 25, "temporal")
+        out[f"fallback.{method.tag}.tokens"] = _sha(json.dumps([s.tokens for s in sequences]).encode())
+    return out
+
+
 def scale_k256(spec: dict, work: Path) -> dict:
     from lipcot import LatentMethod, codebook, pipeline
 
@@ -233,6 +257,7 @@ def scale_k256(spec: dict, work: Path) -> dict:
         out.update(_token_models(f"book{restart}", book, spec["rate"]))
         ops = _single_ops([book], windows, spec["rate"], spec["seed"])
         out.update({f"book{restart}.{key}": value for key, value in ops.items()})
+    out.update(_fallback_digests(spec["seed"]))
     return out
 
 
