@@ -12,14 +12,30 @@ import numpy as np
 from .errors import InvalidArgumentError, LipcotError
 
 
+_SHOWN_CHARS = 80  # characters of an offending value that a refusal echoes
+
+
+def shown(value) -> str:
+    """``repr(value)`` for a refusal message, cut to ``_SHOWN_CHARS`` characters and ``...``.
+
+    A value that has no ``repr`` (nesting past the recursion limit, an int
+    past ``str``'s digit limit) is shown by its type.
+    """
+    try:
+        text = repr(value)
+    except (RecursionError, ValueError):
+        text = f"<{type(value).__name__}>"
+    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
+
+
 def whole(value, name: str, least=None) -> int:
     """``value`` as a plain int; a bool, a non-integer or a value below ``least`` is refused."""
     # int first: for an int, the ABC check alone is several times slower than int()
     if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
-        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+        raise InvalidArgumentError(f"{name} must be an integer, got {shown(value)}")
     value = int(value)
     if least is not None and value < least:
-        raise InvalidArgumentError(f"{name} must be at least {least}, got {value}")
+        raise InvalidArgumentError(f"{name} must be at least {least}, got {shown(value)}")
     return value
 
 

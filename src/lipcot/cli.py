@@ -21,7 +21,7 @@ from . import codebook as cb
 from . import latent
 from . import lpc_core
 from . import pipeline
-from ._util import read_json, whole, write_text_atomic
+from ._util import read_json, shown, whole, write_text_atomic
 from .errors import ConfigMismatchError, LipcotError, UnknownWordError
 
 DEFAULT_ORDER = 16
@@ -196,7 +196,7 @@ def cmd_decode(args) -> int:
             for words in lines
         ]
     except KeyError as exc:
-        raise UnknownWordError(f"unknown token word {exc.args[0]!r}") from None
+        raise UnknownWordError(f"unknown token word {shown(exc.args[0])}") from None
     if not sequences:
         write_text_atomic(args.out, "")
         return 0
@@ -219,9 +219,9 @@ def _select_channel(names, requested):
     try:
         index = 0 if requested is None else int(requested)
     except ValueError:
-        raise LipcotError(f"unknown channel {requested!r}") from None
+        raise LipcotError(f"unknown channel {shown(requested)}") from None
     if not 0 <= index < len(names):
-        raise LipcotError(f"channel index {index} out of range")
+        raise LipcotError(f"channel index {shown(index)} out of range")
     return index
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import FieldEquality, read_json, whole, write_text_atomic
+from ._util import FieldEquality, read_json, shown, whole, write_text_atomic
 from .errors import (
     DimensionMismatchError,
     InvalidArgumentError,
@@ -203,13 +203,21 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     squared norms ``||x||^2`` computed once. As in ``nearest_centroids``, E
     is within ``(d + 2) eps N`` of the exact distance S, with
     ``N = ||x||^2 + ||c||^2``, whatever order BLAS sums in. A row whose E is
-    not above ``B = 4 (d + 2) (eps N + tiny)`` is recomputed by direct
-    differences, ``((x - c) ** 2).sum()``. So every duplicate of a picked
-    row (S = 0) keeps D^2 exactly 0 and is never drawn, and a zero total
-    still means that every row is a picked one. B is computed from 4N, which
-    bounds every direct value, so it is infinite wherever direct differences
-    could overflow. A D^2 that is still infinite or NaN makes the total so,
-    which raises one ``LipcotError`` and no warning.
+    not above ``B = 4 (d + 2) (eps N + tiny)`` is near. The pick itself is
+    always near (S = 0). When it is the only near row, its D^2 is written
+    as 0, the bits its direct difference gives; otherwise every near row is
+    recomputed by direct differences, ``((x - c) ** 2).sum()``. So every
+    duplicate of a picked row (S = 0) keeps D^2 exactly 0 and is never
+    drawn, and a zero total still means that every row is a picked one. B is
+    computed from 4N, which bounds every direct value, so it is infinite,
+    and the row near, wherever direct differences could overflow.
+    A D^2 that is still infinite or NaN makes the total so, which raises one
+    ``LipcotError`` and no warning.
+
+    The fixed costs are paid once per call, not per pick: the points are
+    scaled by -2 once, which is exact away from the subnormal range, so
+    ``(-2 x) @ c`` has the bits of ``-2 (x @ c)``, and one ``np.errstate``
+    covers the whole pick loop.
 
     The draw is ``Generator.choice(n, p=D^2 / total)`` written out: one
     ``rng.random()`` located in the normalized cumulative sum, so the random
@@ -223,33 +231,35 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     centroids = np.empty((k, d))
     idx = rng.integers(n)
     centroids[0] = points[idx]
+    closest = np.full(n, np.inf)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
         x_sq = np.vecdot(points, points)
         four_n = 4.0 * (x_sq + _TINY / _EPS)
-    closest = np.full(n, np.inf)
-    for i in range(1, k):
-        c = points[idx]
-        with np.errstate(over="ignore", invalid="ignore"):
-            dist = points @ c
-            dist *= -2.0
+        scaled = -2.0 * points  # exact: (-2 x) @ c has the bits of -2 (x @ c)
+        for i in range(1, k):
+            c = points[idx]
+            dist = scaled @ c
             dist += x_sq
             dist += x_sq[idx]
             bound = four_n + 4.0 * x_sq[idx]
             bound *= (d + 2) * _EPS
             # a NaN E or B is not above B either, so such a row is refined
             near = np.flatnonzero(~(dist > bound))
-            dist[near] = ((points[near] - c) ** 2).sum(axis=1)
-        np.minimum(closest, dist, out=closest)
-        total = closest.sum()
-        if 0.0 < total < np.inf:
-            cdf = np.cumsum(closest / total)
-            cdf /= cdf[-1]
-            idx = cdf.searchsorted(rng.random(), side="right")
-        elif total == 0.0:
-            idx = rng.integers(n)
-        else:  # an infinite or NaN D^2, which choice refused as well
-            raise LipcotError("squared distances between the points are not finite")
-        centroids[i] = points[idx]
+            if near.size == 1 and near[0] == idx:  # the pick alone: its direct D^2 is 0
+                dist[idx] = 0.0
+            else:
+                dist[near] = ((points[near] - c) ** 2).sum(axis=1)
+            np.minimum(closest, dist, out=closest)
+            total = closest.sum()
+            if 0.0 < total < np.inf:
+                cdf = np.cumsum(closest / total)
+                cdf /= cdf[-1]
+                idx = cdf.searchsorted(rng.random(), side="right")
+            elif total == 0.0:
+                idx = rng.integers(n)
+            else:  # an infinite or NaN D^2, which choice refused as well
+                raise LipcotError("squared distances between the points are not finite")
+            centroids[i] = points[idx]
     return centroids
 
 
@@ -457,7 +467,7 @@ def load_codebook(path) -> Codebook:
     try:
         version = payload["version"]
         if version != CODEBOOK_FORMAT_VERSION:
-            raise LipcotError(f"{path}: unsupported codebook version {version!r}")
+            raise LipcotError(f"{path}: unsupported codebook version {shown(version)}")
         arrays = (payload["norm_mean"], payload["norm_std"], payload["centroids"])
         if not all(map(_numbers_only, arrays)):
             raise InvalidArgumentError(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lpc_core
-from ._util import FieldEquality, whole
+from ._util import FieldEquality, shown, whole
 from .errors import (
     DimensionMismatchError,
     InsufficientCoefficientsError,
@@ -44,7 +44,7 @@ class LatentMethod:
 
     def __post_init__(self):
         if self.tag not in _TAGS:
-            raise InvalidArgumentError(f"unknown latent method tag {self.tag!r}")
+            raise InvalidArgumentError(f"unknown latent method tag {shown(self.tag)}")
         if self.tag == TAG_CEPSTRUM:
             object.__setattr__(self, "n_cepstra", whole(self.n_cepstra, "n_cepstra", 1))
         elif self.n_cepstra is not None:

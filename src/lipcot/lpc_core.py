@@ -16,7 +16,7 @@ import numpy as np
 import scipy.signal
 from numpy.polynomial import polynomial as npoly
 
-from ._util import FieldEquality, whole
+from ._util import FieldEquality, shown, whole
 from .errors import (
     DegenerateInputError,
     FrequencyOutOfRangeError,
@@ -59,7 +59,7 @@ def _real(value) -> bool:
 def check_lam(lam) -> float:
     """``lam`` as a float; ``InvalidLambdaError`` unless it is a number in (-1, 1), not a bool."""
     if not (_real(lam) and -1.0 < lam < 1.0):
-        raise InvalidLambdaError(f"lambda must be a number in (-1, 1), got {lam!r}")
+        raise InvalidLambdaError(f"lambda must be a number in (-1, 1), got {shown(lam)}")
     return float(lam)
 
 
@@ -67,7 +67,7 @@ def check_rate(value, name: str = "sample_rate") -> float:
     """``value`` as a float, if it is a number in (0, inf) and not a bool; ``name`` names it."""
     # bounded by float64's largest value, not inf: a larger int would overflow float()
     if not (_real(value) and 0.0 < value <= sys.float_info.max):
-        raise InvalidArgumentError(f"{name} must be positive and finite, got {value!r}")
+        raise InvalidArgumentError(f"{name} must be positive and finite, got {shown(value)}")
     return float(value)
 
 
@@ -127,7 +127,7 @@ class LpcModel(FieldEquality):
             raise InvalidArgumentError(f"expected {order} coefficients, got {coeffs.size}")
         if not (_real(self.noise_power) and 0.0 <= self.noise_power <= sys.float_info.max):
             raise InvalidArgumentError(
-                f"noise_power must be a finite non-negative number, got {self.noise_power!r}"
+                f"noise_power must be a finite non-negative number, got {shown(self.noise_power)}"
             )
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
@@ -146,6 +146,8 @@ class PoleSet(FieldEquality):
         poles = np.asarray(self.poles, dtype=complex)
         if poles.ndim != 1:
             raise InvalidArgumentError("poles must be one-dimensional")
+        if not np.all(np.isfinite(poles)):
+            raise InvalidArgumentError("poles must be finite")
         object.__setattr__(self, "poles", poles)
 
 

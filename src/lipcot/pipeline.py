@@ -16,7 +16,7 @@ import numpy as np
 from . import codebook as cb
 from . import latent
 from . import lpc_core
-from ._util import FieldEquality, atomic_file, whole
+from ._util import FieldEquality, atomic_file, shown, whole
 from .errors import (
     EmptyCorpusError,
     InvalidArgumentError,
@@ -34,6 +34,7 @@ _LAYOUTS = (LAYOUT_POSITIONS, LAYOUT_TEMPORAL)
 DEGENERATE_NOISE_FLOOR = 1e-12
 
 _FIT_CHUNK_SAMPLES = 1 << 15  # window samples per fitted batch; bounds its copies
+_MAP_BLOCK_VALUES = 1 << 16  # latent values per mapped block, about one fit chunk's working set
 _CSV_BLOCK_ROWS = 256  # CSV rows rendered per write; bounds the text held at once
 
 
@@ -96,7 +97,7 @@ class TokenSequence:
 
     def __post_init__(self):
         if self.layout not in _LAYOUTS:
-            raise InvalidArgumentError(f"unknown layout {self.layout!r}")
+            raise InvalidArgumentError(f"unknown layout {shown(self.layout)}")
         object.__setattr__(self, "tokens", tuple(whole(t, "token") for t in self.tokens))
 
     def __len__(self) -> int:
@@ -113,26 +114,39 @@ def window_count(n_samples: int, window: int, hop: int) -> int:
 def _fit_cells(series: MultichannelSeries, config: TokenizerConfig):
     """Latent rows of every (channel, window) cell, channel-major.
 
-    Cells are cut from ``series.data`` and fitted and mapped in chunks of at
-    most ``_FIT_CHUNK_SAMPLES`` window samples; a chunk may span channels.
-    Returns ``(matrix, ok)``; ``ok`` is False, and the row zero, where the
-    fit refuses the window as degenerate: constant, or predicted without error.
+    Cells are cut from one strided view of ``series.data`` and fitted in
+    chunks of at most ``_FIT_CHUNK_SAMPLES`` window samples; a chunk may
+    span channels and gathers its windows from the view. The fitted rows are then mapped once per series,
+    in blocks of about ``_MAP_BLOCK_VALUES`` latent values, DSC counting the
+    order x order companion matrix of each row as well, so neither step's
+    working set grows with the series. Returns ``(matrix, ok)``; ``ok`` is
+    False, and the row zero, where the fit refuses the window as degenerate:
+    constant, or predicted without error.
     """
     per_channel = window_count(series.n_samples, config.window, config.hop)
     cells = series.n_channels * per_channel
-    matrix = np.zeros((cells, config.method.dimension(config.order)))
+    width = config.method.dimension(config.order)
+    matrix = np.zeros((cells, width))
     ok = np.zeros(cells, dtype=bool)
     if not cells:  # no window fits: size nothing from the window
         return matrix, ok
+    coeffs, noise_power = np.empty((cells, config.order)), np.empty(cells)
+    views = np.lib.stride_tricks.sliding_window_view(series.data, config.window, axis=1)
+    views = views[:, :: config.hop]
     step = max(1, _FIT_CHUNK_SAMPLES // config.window)
-    offsets = np.arange(config.window)
     for start in range(0, cells, step):
+        chunk = slice(start, start + step)
         channel, slot = np.divmod(np.arange(start, min(start + step, cells)), per_channel)
-        windows = series.data[channel[:, None], slot[:, None] * config.hop + offsets]
-        coeffs, noise_power, good = lpc_core.fit_windows(windows, config.order, config.lam)
-        ok[start : start + step] = good
-        matrix[start : start + step][good] = latent.feature_matrix(
-            coeffs[good], noise_power[good], config.method, series.sample_rate
+        coeffs[chunk], noise_power[chunk], ok[chunk] = lpc_core.fit_windows(
+            views[channel, slot], config.order, config.lam
+        )
+    fitted = np.flatnonzero(ok)
+    per_row = width + (config.order**2 if config.method.tag == latent.TAG_DSC else 0)
+    block = max(1, _MAP_BLOCK_VALUES // per_row)
+    for start in range(0, fitted.size, block):
+        rows = fitted[start : start + block]
+        matrix[rows] = latent.feature_matrix(
+            coeffs[rows], noise_power[rows], config.method, series.sample_rate
         )
     return matrix, ok
 
@@ -166,7 +180,7 @@ def encode_series(
     error) map to the token nearest the zero-signal latent point.
     """
     if layout not in _LAYOUTS:
-        raise LayoutUnsupportedError(f"unknown layout {layout!r}")
+        raise LayoutUnsupportedError(f"unknown layout {shown(layout)}")
     config = TokenizerConfig(codebook.order, codebook.lam, window, hop, codebook.method)
     matrix, ok = _fit_cells(series, config)
     zero_signal = np.zeros((1, codebook.order)), [DEGENERATE_NOISE_FLOOR]

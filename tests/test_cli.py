@@ -1120,6 +1120,32 @@ class TestBadInputs:
 
     @pytest.mark.parametrize(
         "case, message",
+        [("long-lambda", "malformed codebook"), ("version-nested-800", "unsupported codebook version")],
+    )
+    def test_codebook_refusal_echoes_a_bounded_value(self, workspace, capsys, case, message):
+        # the whole value was echoed: a 100081-byte line, or 1600 brackets
+        tmp_path, _, book_path = workspace
+        good = json.loads(book_path.read_text())
+        bad_book = tmp_path / "bad.json"
+        bad_book.write_bytes({
+            "long-lambda": json.dumps({**good, "lambda": "x" * 100_000}).encode(),
+            "version-nested-800": json.dumps({**good, "version": "@"})
+            .encode()
+            .replace(b'"@"', nested_lists(800)),
+        }[case])
+        tokens_path = tmp_path / "line.txt"
+        tokens_path.write_text("t0 t1\n")
+        status = cli.main([
+            "decode", str(tokens_path), "--codebook", str(bad_book),
+            "--out", str(tmp_path / "d.csv"), "--window-sec", "2", "--sample-rate", "500",
+        ])
+        assert status == 1
+        err = assert_one_error_line(capsys, bad_book)
+        assert message in err and err.endswith("...)\n" if case == "long-lambda" else "...\n")
+        assert len(err.encode()) < 300
+
+    @pytest.mark.parametrize(
+        "case, message",
         [("nested-100000", "not valid JSON"), ("leading-xff", "not utf-8 text")],
     )
     @pytest.mark.parametrize("command", ["encode", "decode"])

@@ -342,6 +342,24 @@ class TestKmeansPlusPlusSeeding:
             # no row is drawn twice while a distinct one is left
             assert np.unique(got, axis=0).shape[0] == distinct, f"seed {seed}"
 
+    def test_one_ulp_neighbours_are_refined_at_k_equal_to_n(self):
+        # each row has neighbours one ulp away, whose expanded D^2 is rounding
+        # noise: a pick skips direct differences only when no other row is near
+        base = cepstrum_corpus(16)
+        up, down = base.copy(), base.copy()
+        up[:, 0] = np.nextafter(base[:, 0], np.inf)
+        down[:, -1] = np.nextafter(base[:, -1], -np.inf)
+        points = np.random.default_rng(2).permutation(np.concatenate([base, up, down]))
+        n = len(points)
+        assert np.unique(points, axis=0).shape[0] == n
+        for seed in range(50):
+            want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = reference_kmeans_pp_init(points, n, want_rng)
+            got = cb._kmeans_pp_init(points, n, got_rng)
+            assert got.tobytes() == want.tobytes(), f"seed {seed}"
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, f"seed {seed}"
+            assert np.unique(got, axis=0).shape[0] == n, f"seed {seed}"
+
     @pytest.mark.parametrize(
         "run, error",
         [

@@ -89,3 +89,28 @@ def test_refusals_are_lipcot_and_value_errors(refuse):
     with pytest.raises(errors.LipcotError) as info:
         refuse()
     assert isinstance(info.value, ValueError)
+
+
+def _nested_list(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        lambda: lpc_core.check_lam("x" * 100_000),
+        lambda: lpc_core.check_lam(10**5000),  # past str()'s digit limit: no repr at all
+        lambda: whole(-(10**4000), "k", 1),
+        lambda: lpc_core.check_rate(_nested_list(100_000)),  # repr passes the recursion limit
+        lambda: LatentMethod("x" * 100_000),
+    ],
+    ids=["long-string", "huge-int", "long-int", "deep-list", "long-tag"],
+)
+def test_refusals_echo_a_bounded_value(refuse):
+    # the whole value was echoed, or its repr raised in place of the refusal
+    with pytest.raises(errors.InvalidArgumentError) as info:
+        refuse()
+    assert len(str(info.value)) < 200

@@ -21,6 +21,7 @@ from lipcot import lpc_core, testkit
 from lipcot.errors import (
     DegenerateInputError,
     FrequencyOutOfRangeError,
+    InvalidArgumentError,
     InvalidLambdaError,
     InvalidOrderError,
     NonConvergenceError,
@@ -123,6 +124,12 @@ class TestTypes:
     def test_pole_set_must_be_one_dimensional(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             lpc_core.PoleSet(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("pole", [np.nan, np.inf, complex(0.5, np.nan), complex(-np.inf, 0.5)])
+    def test_pole_set_must_be_finite(self, pole):
+        # a NaN pole made a set that was not equal to itself
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            lpc_core.PoleSet([0.5, pole])
 
 
 class TestFitBurgWarped:

@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,75 @@ class TestBatchedFit:
         assert ok.size == 236 and ok.all()
         assert len(sizes) == 19 and max(sizes) <= pipeline._FIT_CHUNK_SAMPLES
         assert sum(sizes) == 236 * 2500
+
+    def count_calls(self, monkeypatch, module, name):
+        """Rows passed to each call of ``module.name``, recorded as it runs."""
+        rows, original = [], getattr(module, name)
+
+        def counting(first, *args):
+            rows.append(len(first))
+            return original(first, *args)
+
+        monkeypatch.setattr(module, name, counting)
+        return rows
+
+    def test_one_map_per_series(self, monkeypatch):
+        # 12 x 100 windows of 100 samples: four fit chunks of at most 327 windows,
+        # and 1200 rows of 33 cepstrum values are one map block
+        data = np.random.default_rng(6).normal(size=(12, 10000))
+        series = pipeline.MultichannelSeries(data, 100.0, [f"c{i}" for i in range(12)])
+        config = pipeline.TokenizerConfig(6, 0.2, 100, 100, latent.LatentMethod.cepstrum(32))
+        corpus, _ = pipeline.fit_corpus([series], config)
+        book = cb.train_codebook(corpus, 4, 0, order=6, lam=0.2)
+        fits = self.count_calls(monkeypatch, lpc_core, "fit_windows")
+        maps = self.count_calls(monkeypatch, latent, "feature_matrix")
+        assert len(pipeline.fit_corpus([series], config)[0]) == 1200
+        assert len(fits) == 4 and maps == [1200]
+        fits.clear(), maps.clear()
+        pipeline.encode_series(series, book, 100, 100, pipeline.LAYOUT_TEMPORAL)
+        assert len(fits) == 4 and maps == [1200, 1]  # then the zero-signal row
+
+    @pytest.mark.parametrize(
+        "method",
+        [latent.LatentMethod.lpc_coeff(), latent.LatentMethod.cepstrum(7), latent.LatentMethod.dsc()],
+        ids=["lpc", "cepstrum", "dsc"],
+    )
+    def test_map_blocks_that_cut_across_fit_chunks(self, monkeypatch, method):
+        # fit chunks of 7 windows and map blocks of 3 fitted rows, on the
+        # channel-minor (Fortran-ordered) data the CLI's transposed CSV gives
+        order, window, hop = 4, 30, 11
+        per_row = method.dimension(order) + (order**2 if method.tag == latent.TAG_DSC else 0)
+        monkeypatch.setattr(pipeline, "_FIT_CHUNK_SAMPLES", 7 * window)
+        monkeypatch.setattr(pipeline, "_MAP_BLOCK_VALUES", 3 * per_row + 1)
+        rng = np.random.default_rng(9)
+        kinds = ["patchy", "walk", "constant", "noise"]
+        data = np.asfortranarray(np.stack([mixed_channel(rng, kind, 400) for kind in kinds]))
+        series = pipeline.MultichannelSeries(data, 100.0, kinds)
+        assert series.data.flags.f_contiguous and not series.data.flags.c_contiguous
+        config = pipeline.TokenizerConfig(order, 0.2, window, hop, method)
+        fits = self.count_calls(monkeypatch, lpc_core, "fit_windows")
+        maps = self.count_calls(monkeypatch, latent, "feature_matrix")
+        _, ok = pipeline._fit_cells(series, config)
+        fitted = int(np.count_nonzero(ok))
+        assert ok.size == 4 * 34 and 0 < fitted < ok.size
+        assert fits == [7] * 19 + [3]
+        assert maps == [3] * (fitted // 3) + [fitted % 3] * (fitted % 3 > 0)
+        assert_cells_match_per_window_fits(series, config)
+
+    def test_mapping_a_long_series_holds_one_block_at_once(self):
+        # 20000 DSC rows: the corpus, its copy and the fitted coefficients are
+        # about 3x the corpus's bytes; mapping every row at once peaked at 8x
+        window, count = 32, 20000
+        data = np.random.default_rng(10).normal(size=(4, window * count // 4))
+        series = pipeline.MultichannelSeries(data, 500.0, list("abcd"))
+        config = pipeline.TokenizerConfig(8, 0.2, window, window, latent.LatentMethod.dsc())
+        tracemalloc.start()
+        try:
+            corpus, _ = pipeline.fit_corpus([series], config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(corpus) == count and peak < 4 * corpus.matrix.nbytes
 
 
 class TestSegmentation:
