@@ -206,7 +206,8 @@ class TestBatchedFit:
         maps = self.count_calls(monkeypatch, latent, "feature_matrix")
         assert len(pipeline.fit_corpus([series], config)[0]) == 1200
         assert len(fits) == 4 and maps == [1200]
-        fits.clear(), maps.clear()
+        fits.clear()
+        maps.clear()
         pipeline.encode_series(series, book, 100, 100, pipeline.LAYOUT_TEMPORAL)
         assert len(fits) == 4 and maps == [1200, 1]  # then the zero-signal row
 
