@@ -35,7 +35,10 @@ labels and inertia history of ``kmeans_fit`` on the book's normalized
 training matrix, which ``book.json`` does not hold. On scale-k256, the
 ``fallback.<map>`` keys cover ``fit_corpus`` and ``encode_series`` for each
 latent map on a seeded series of constant, all-zero and live windows at an
-overlapping hop, so the skipped rows and the zero-signal tokens are pinned.
+overlapping hop, so the skipped rows and the zero-signal tokens are pinned,
+and the ``corpus.<map>`` keys cover ``fit_corpus`` for each latent map across
+three seeded series of different lengths, one with constant and all-zero
+windows and one shorter than a window.
 """
 
 from __future__ import annotations
@@ -229,6 +232,26 @@ def _fallback_digests(seed: int) -> dict:
     return out
 
 
+def _corpus_digests(seed: int) -> dict:
+    """``fit_corpus`` per latent map across recordings of different lengths."""
+    from lipcot import LatentMethod, pipeline
+
+    rng = np.random.default_rng(seed)
+    patchy = rng.normal(size=900)
+    patchy[100:300] = -0.75  # constant windows, and windows that are partly constant
+    series_set = [
+        pipeline.MultichannelSeries(np.stack([patchy, np.zeros(900)]), 100.0, ["patchy", "zero"]),
+        pipeline.MultichannelSeries(rng.normal(size=(3, 30)), 100.0, ["a", "b", "c"]),
+        pipeline.MultichannelSeries(np.cumsum(rng.normal(size=(1, 1300)), axis=1), 100.0, ["walk"]),
+    ]
+    out = {}
+    for method in (LatentMethod.lpc_coeff(), LatentMethod.cepstrum(8), LatentMethod.dsc()):
+        config = pipeline.TokenizerConfig(4, 0.2, 50, 50, method)
+        corpus, skipped = pipeline.fit_corpus(series_set, config)
+        out[f"corpus.{method.tag}"] = _sha(corpus.matrix.tobytes() + f"{skipped}".encode())
+    return out
+
+
 def scale_k256(spec: dict, work: Path) -> dict:
     from lipcot import LatentMethod, codebook, pipeline
 
@@ -258,6 +281,7 @@ def scale_k256(spec: dict, work: Path) -> dict:
         ops = _single_ops([book], windows, spec["rate"], spec["seed"])
         out.update({f"book{restart}.{key}": value for key, value in ops.items()})
     out.update(_fallback_digests(spec["seed"]))
+    out.update(_corpus_digests(spec["seed"]))
     return out
 
 
