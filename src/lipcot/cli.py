@@ -122,16 +122,16 @@ def cmd_train(args) -> int:
     method = latent.LatentMethod(args.method, n_cepstra=n_cepstra)
     config = pipeline.TokenizerConfig(args.order, args.lam, window, hop, method)
 
-    series_set = []
-    for index, path in enumerate(args.inputs):
-        rate = _resolve_sample_rate(path, args.sample_rate) if index else sample_rate
-        if rate != sample_rate:
-            raise ConfigMismatchError(f"{path}: sampling rate {rate} != {sample_rate}")
-        _, series = _read_series(path, rate)
-        if series is not None:
-            series_set.append(series)
+    def recordings():  # read as fit_corpus asks for each; a refusal comes before any write
+        for index, path in enumerate(args.inputs):
+            rate = _resolve_sample_rate(path, args.sample_rate) if index else sample_rate
+            if rate != sample_rate:
+                raise ConfigMismatchError(f"{path}: sampling rate {rate} != {sample_rate}")
+            _, series = _read_series(path, rate)
+            if series is not None:
+                yield series
 
-    corpus, skipped = pipeline.fit_corpus(series_set, config)
+    corpus, skipped = pipeline.fit_corpus(recordings(), config)
     if skipped:
         print(f"warning: skipped {skipped} degenerate segments", file=sys.stderr)
     book = cb.train_codebook(corpus, args.k, args.seed, order=args.order, lam=args.lam)

@@ -430,8 +430,9 @@ def synthesize(model: LpcModel, n_samples: int, seed: int) -> Segment:
     model's ``synthesis_filter``. The shaping stage is the exact identity at
     lam = 0 and has unit power gain; it makes the excitation white in the
     warped-delay domain where the predictor was fit, so refitting a
-    synthesized realization recovers the source model. A warm-up prefix of
-    max(10 * order, 500) samples is discarded to flush filter transients.
+    synthesized realization recovers the source model. The filters start at
+    rest and their first max(10 * order, 500) outputs are dropped; a sharp
+    token, poles near the unit circle, can still start short of stationarity.
     Deterministic for a fixed seed, a whole number of at least 0.
     """
     n_samples = whole(n_samples, "n_samples")

@@ -116,18 +116,16 @@ def _fit_cells(series: MultichannelSeries, config: TokenizerConfig):
 
     Cells are cut from one strided view of ``series.data`` and fitted in
     chunks of at most ``_FIT_CHUNK_SAMPLES`` window samples; a chunk may
-    span channels and gathers its windows from the view. The fitted rows are then mapped once per series,
-    in blocks of about ``_MAP_BLOCK_VALUES`` latent values, DSC counting the
-    order x order companion matrix of each row as well, so neither step's
-    working set grows with the series. Returns ``(matrix, ok)``; ``ok`` is
-    False, and the row zero, where the fit refuses the window as degenerate:
-    constant, or predicted without error.
+    span channels and gathers its windows from the view. A degenerate cell
+    (constant, or predicted without error) takes the zero-signal model, zero
+    coefficients at ``DEGENERATE_NOISE_FLOOR``. Every cell is then mapped in
+    blocks of about ``_MAP_BLOCK_VALUES`` values, DSC counting each row's
+    order x order companion matrix, so no working set grows with the series.
+    Returns ``(matrix, ok)``; ``ok`` is False where the row is that point.
     """
     per_channel = window_count(series.n_samples, config.window, config.hop)
     cells = series.n_channels * per_channel
-    width = config.method.dimension(config.order)
-    matrix = np.zeros((cells, width))
-    ok = np.zeros(cells, dtype=bool)
+    matrix, ok = np.empty((cells, config.method.dimension(config.order))), np.empty(cells, bool)
     if not cells:  # no window fits: size nothing from the window
         return matrix, ok
     coeffs, noise_power = np.empty((cells, config.order)), np.empty(cells)
@@ -140,11 +138,11 @@ def _fit_cells(series: MultichannelSeries, config: TokenizerConfig):
         coeffs[chunk], noise_power[chunk], ok[chunk] = lpc_core.fit_windows(
             views[channel, slot], config.order, config.lam
         )
-    fitted = np.flatnonzero(ok)
-    per_row = width + (config.order**2 if config.method.tag == latent.TAG_DSC else 0)
+    coeffs[~ok], noise_power[~ok] = 0.0, DEGENERATE_NOISE_FLOOR
+    per_row = matrix.shape[1] + (config.order**2 if config.method.tag == latent.TAG_DSC else 0)
     block = max(1, _MAP_BLOCK_VALUES // per_row)
-    for start in range(0, fitted.size, block):
-        rows = fitted[start : start + block]
+    for start in range(0, cells, block):
+        rows = slice(start, start + block)
         matrix[rows] = latent.feature_matrix(
             coeffs[rows], noise_power[rows], config.method, series.sample_rate
         )
@@ -154,15 +152,18 @@ def _fit_cells(series: MultichannelSeries, config: TokenizerConfig):
 def fit_corpus(series_set, config: TokenizerConfig):
     """Fit one latent row per (series, channel, window), in that order.
 
-    Degenerate segments are skipped; returns ``(corpus, n_skipped)``, with
-    ``corpus`` a ``latent.LatentCorpus`` of the rows that were fitted.
+    Iterates ``series_set`` once, keeping only fitted rows: degenerate segments
+    are skipped. Returns ``(corpus, n_skipped)``, ``corpus`` a ``LatentCorpus``.
     """
-    fits = [_fit_cells(series, config) for series in series_set]
-    width = config.method.dimension(config.order)
-    matrix = np.concatenate([np.empty((0, width))] + [rows[ok] for rows, ok in fits])
+    kept, cells = [np.empty((0, config.method.dimension(config.order)))], 0
+    for series in series_set:
+        rows, ok = _fit_cells(series, config)
+        kept.append(rows[ok])
+        cells += ok.size
+    matrix = np.concatenate(kept)
     if not len(matrix):
         raise EmptyCorpusError("no latent vectors could be extracted")
-    return latent.LatentCorpus(config.method, matrix), sum(ok.size for _, ok in fits) - len(matrix)
+    return latent.LatentCorpus(config.method, matrix), cells - len(matrix)
 
 
 def encode_series(
@@ -182,9 +183,7 @@ def encode_series(
     if layout not in _LAYOUTS:
         raise LayoutUnsupportedError(f"unknown layout {shown(layout)}")
     config = TokenizerConfig(codebook.order, codebook.lam, window, hop, codebook.method)
-    matrix, ok = _fit_cells(series, config)
-    zero_signal = np.zeros((1, codebook.order)), [DEGENERATE_NOISE_FLOOR]
-    matrix[~ok] = latent.feature_matrix(*zero_signal, codebook.method, series.sample_rate)
+    matrix, _ = _fit_cells(series, config)
     grid = cb.encode_matrix(codebook, matrix).reshape(series.n_channels, -1)
     if layout == LAYOUT_TEMPORAL:
         return [TokenSequence(row, LAYOUT_TEMPORAL) for row in grid.tolist()]

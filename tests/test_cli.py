@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import AR2_SPECTRUM_SEED, ar2_coeffs, ar2_fixture_series, predictable_windows
-from lipcot import cli, lpc_core, pipeline, testkit
+from lipcot import cli, latent, lpc_core, pipeline, testkit
 from lipcot import codebook as cb
 from lipcot.errors import LipcotError, NonRealizableError
 
@@ -145,6 +145,60 @@ class TestTrain:
         assert status == 1
         assert "250.0 != 500.0" in assert_one_error_line(capsys, paths[1])
         assert not (tmp_path / "b.json").exists()
+
+    @pytest.mark.parametrize("case", ["body-not-numbers", "sidecar-rate"])
+    def test_a_bad_last_input_writes_nothing(self, tmp_path, capsys, case):
+        # the first two inputs are read and fitted before the third is refused
+        paths = [tmp_path / f"{name}.csv" for name in "abc"]
+        for seed, path in enumerate(paths):
+            write_corpus_csv(path, seed=seed)
+            (tmp_path / f"{path.name}.json").write_text(json.dumps({"sample_rate": 500}))
+        if case == "body-not-numbers":
+            paths[2].write_text(paths[2].read_text() + "0.5,x,0.5\n")
+        else:
+            (tmp_path / "c.csv.json").write_text(json.dumps({"sample_rate": 250}))
+        book_path = tmp_path / "book.json"
+        status = cli.main([
+            "train", *map(str, paths), "--out", str(book_path),
+            "--k", "2", "--order", "4", "--window-sec", "2",
+        ])
+        assert status == 1
+        err = assert_one_error_line(capsys, paths[2])
+        assert ("expected 3 numbers" if case == "body-not-numbers" else "250.0 != 500.0") in err
+        assert not book_path.exists() and not (tmp_path / "book.json.vocab").exists()
+
+    def test_many_recordings_train_in_bounded_memory(self, tmp_path, capsys):
+        # eight recordings of 8 x 20000 samples, 1.28 MB each: reading them all
+        # before fitting peaked at 3.4x one recording's run
+        paths = [tmp_path / f"r{i}.csv" for i in range(8)]
+        for seed, path in enumerate(paths):
+            names = write_corpus_csv(path, n_channels=8, n_samples=20000, seed=10 * seed)
+        _, data = pipeline.read_series_csv(paths[0])
+        data[0, :5000] = 0.25  # five constant windows, skipped
+        paths[0].write_text(pipeline.format_series_csv(names, data))
+
+        def peak(inputs):
+            tracemalloc.start()
+            try:
+                status = cli.main([
+                    "train", *map(str, inputs), "--out", str(tmp_path / "b.json"),
+                    "--k", "4", "--order", "4", "--window-sec", "2", "--sample-rate", "500",
+                ])
+                return status, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (one_status, one), (all_status, every) = peak(paths[:1]), peak(paths)
+        assert one_status == all_status == 0
+        assert every <= 1.5 * one, (every, one)
+        assert capsys.readouterr().err.count("skipped 5 degenerate segments") == 2
+
+        config = pipeline.TokenizerConfig(4, 0.2, 1000, 1000, latent.LatentMethod.lpc_coeff())
+        series_set = [cli._read_series(str(path), FS)[1] for path in paths]
+        listed, listed_skipped = pipeline.fit_corpus(series_set, config)
+        streamed, streamed_skipped = pipeline.fit_corpus(iter(series_set), config)
+        assert listed.matrix.tobytes() == streamed.matrix.tobytes()
+        assert listed_skipped == streamed_skipped == 5
 
     def test_missing_sample_rate(self, tmp_path, capsys):
         csv_path = tmp_path / "series.csv"

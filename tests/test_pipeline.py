@@ -81,9 +81,16 @@ def assert_cells_match_per_window_fits(series, config):
 
     Two references: the scalar loops above, and the public single-window
     calls (``Segment``, ``fit_burg_warped``, ``features``). Degenerate
-    windows must be the rows marked not ok.
+    windows must be the rows marked not ok, each the zero-signal point.
     """
     matrix, ok = pipeline._fit_cells(series, config)
+    zero_signal = latent.features(
+        lpc_core.LpcModel(
+            config.order, np.zeros(config.order), pipeline.DEGENERATE_NOISE_FLOOR,
+            config.lam, series.sample_rate,
+        ),
+        config.method,
+    ).values
     cell = 0
     for samples in series.data:
         for start in range(0, series.n_samples - config.window + 1, config.hop):
@@ -94,6 +101,7 @@ def assert_cells_match_per_window_fits(series, config):
             if degenerate:
                 with pytest.raises(DegenerateInputError):
                     lpc_core.fit_burg_warped(lpc_core.Segment(x, series.sample_rate), config.order, config.lam)
+                assert matrix[cell].tobytes() == zero_signal.tobytes(), f"cell {cell}"
             else:
                 want = reference_features(a, power, config.method, series.sample_rate)
                 model = lpc_core.fit_burg_warped(lpc_core.Segment(x, series.sample_rate), config.order, config.lam)
@@ -209,7 +217,7 @@ class TestBatchedFit:
         fits.clear()
         maps.clear()
         pipeline.encode_series(series, book, 100, 100, pipeline.LAYOUT_TEMPORAL)
-        assert len(fits) == 4 and maps == [1200, 1]  # then the zero-signal row
+        assert len(fits) == 4 and maps == [1200]  # degenerate cells included
 
     @pytest.mark.parametrize(
         "method",
@@ -217,7 +225,7 @@ class TestBatchedFit:
         ids=["lpc", "cepstrum", "dsc"],
     )
     def test_map_blocks_that_cut_across_fit_chunks(self, monkeypatch, method):
-        # fit chunks of 7 windows and map blocks of 3 fitted rows, on the
+        # fit chunks of 7 windows and map blocks of 3 cells, fitted or not, on the
         # channel-minor (Fortran-ordered) data the CLI's transposed CSV gives
         order, window, hop = 4, 30, 11
         per_row = method.dimension(order) + (order**2 if method.tag == latent.TAG_DSC else 0)
@@ -235,7 +243,7 @@ class TestBatchedFit:
         fitted = int(np.count_nonzero(ok))
         assert ok.size == 4 * 34 and 0 < fitted < ok.size
         assert fits == [7] * 19 + [3]
-        assert maps == [3] * (fitted // 3) + [fitted % 3] * (fitted % 3 > 0)
+        assert maps == [3] * (ok.size // 3) + [ok.size % 3] * (ok.size % 3 > 0)
         assert_cells_match_per_window_fits(series, config)
 
     def test_mapping_a_long_series_holds_one_block_at_once(self):
