@@ -158,8 +158,8 @@ def fit_corpus(series_set, config: TokenizerConfig):
     kept, cells = [np.empty((0, config.method.dimension(config.order)))], 0
     for series in series_set:
         rows, ok = _fit_cells(series, config)
-        kept.append(rows[ok])
-        cells += ok.size
+        rows, cells = rows[ok], cells + ok.size  # frees the full cells matrix here
+        kept.append(rows)
     matrix = np.concatenate(kept)
     if not len(matrix):
         raise EmptyCorpusError("no latent vectors could be extracted")
