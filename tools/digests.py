@@ -38,7 +38,9 @@ latent map on a seeded series of constant, all-zero and live windows at an
 overlapping hop, so the skipped rows and the zero-signal tokens are pinned,
 and the ``corpus.<map>`` keys cover ``fit_corpus`` for each latent map across
 three seeded series of different lengths, one with constant and all-zero
-windows and one shorter than a window.
+windows and one shorter than a window. On dsc-stream, whose map reads the
+rate, the ``bookN.<part>@1000`` keys cover every token's decode again at
+1000 Hz, between the decodes at the workload's own rate.
 """
 
 from __future__ import annotations
@@ -305,6 +307,8 @@ def dsc_stream(spec: dict, work: Path) -> dict:
         out.update(_book_digests(f"book{c}", book, work))
         out.update(_kmeans_digest(f"book{c}", book, corpus))
         out.update(_token_models(f"book{c}", book, spec["rate"]))
+        at_1000 = _token_models(f"book{c}", book, 1000.0)
+        out.update({f"{key}@1000": value for key, value in at_1000.items()})
     for layout in ("positions", "temporal"):
         sequences = pipeline.encode_series(series, books[0], window, window, layout)
         out[f"book0.tokens.{layout}"] = _sha(json.dumps([s.tokens for s in sequences]).encode())
