@@ -22,8 +22,8 @@ from .errors import (
     NonRealizableError,
     TooFewVectorsError,
 )
-from .latent import LatentCorpus, LatentMethod, LatentVector, latent_to_model
-from .lpc_core import LpcModel, _as_float_vector, check_lam
+from .latent import LatentCorpus, LatentMethod, LatentVector, model_matrix
+from .lpc_core import LpcModel, _as_float_vector, check_lam, check_rate
 
 CODEBOOK_FORMAT_VERSION = "1"
 
@@ -80,6 +80,11 @@ class Codebook(FieldEquality):
 
     ``centroid_sq_norms``, each centroid's squared norm for
     ``nearest_centroids``, is derived here once and never serialized.
+    ``decode_table`` holds ``decode_book`` at the last rate ``decode_token``
+    read, as ``(sample_rate, coeffs, noise_power, refusals)``, or None
+    before the first decode; it is never serialized or compared either.
+    Both are derived from the centroids and statistics, which are therefore
+    not to be changed in place.
     """
 
     k: int
@@ -90,6 +95,7 @@ class Codebook(FieldEquality):
     lam: float
     seed: int
     centroid_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    decode_table: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         width = self.norm_stats.mean.size
@@ -104,6 +110,7 @@ class Codebook(FieldEquality):
         object.__setattr__(self, "centroids", centroids)
         with np.errstate(over="ignore"):  # an infinite norm is the shortlist's to handle
             object.__setattr__(self, "centroid_sq_norms", np.vecdot(centroids, centroids))
+        object.__setattr__(self, "decode_table", None)
 
     @property
     def dimension(self) -> int:
@@ -408,17 +415,47 @@ def encode_vector(codebook: Codebook, vec: LatentVector) -> int:
     return int(encode_matrix(codebook, vec.values[None])[0])
 
 
+def decode_book(codebook: Codebook, sample_rate: float):
+    """Every token's model at ``sample_rate``: ``model_matrix`` of the denormalized centroids.
+
+    Returns ``(coeffs, noise_power, refusals)`` with one row per token. A
+    centroid that denormalizes past float64's range is refused with a
+    message that names its token.
+    """
+    sample_rate = check_rate(sample_rate)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        values = codebook.norm_stats.denormalize(codebook.centroids)
+    coeffs, noise_power, refusals = model_matrix(
+        values, codebook.method, codebook.order, sample_rate
+    )
+    for token in np.flatnonzero(~np.isfinite(values).all(axis=1)).tolist():
+        refusals[token] = f"token {token} denormalizes past float64's range"
+    return coeffs, noise_power, refusals
+
+
 def decode_token(codebook: Codebook, token: int, sample_rate: float) -> LpcModel:
-    """Invert a token to the LPC model at its denormalized cluster center."""
+    """Invert a token to the LPC model at its denormalized cluster center.
+
+    The token and the rate are checked first. The model is then read from
+    the book's ``decode_table``, which ``decode_book`` fills on the first
+    decode at a rate and refills when the rate changes. A refused token
+    raises ``NonRealizableError`` with its row's message; an accepted one
+    gives a fresh model over a copy of its row.
+    """
     token = whole(token, "token")
     if not 0 <= token < codebook.k:
         raise InvalidTokenError(f"token {token} outside [0, {codebook.k})")
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
-        values = codebook.norm_stats.denormalize(codebook.centroids[token])
-    if not np.all(np.isfinite(values)):
-        raise NonRealizableError(f"token {token} denormalizes past float64's range")
-    vec = LatentVector(codebook.method, values)
-    return latent_to_model(vec, codebook.order, codebook.lam, sample_rate)
+    sample_rate = check_rate(sample_rate)
+    table = codebook.decode_table
+    if table is None or table[0] != sample_rate:
+        table = (sample_rate, *decode_book(codebook, sample_rate))
+        object.__setattr__(codebook, "decode_table", table)
+    _, coeffs, noise_power, refusals = table
+    if refusals[token] is not None:
+        raise NonRealizableError(refusals[token])
+    return LpcModel(
+        codebook.order, coeffs[token].copy(), noise_power.item(token), codebook.lam, sample_rate
+    )
 
 
 def token_word(token: int) -> str:

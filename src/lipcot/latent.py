@@ -194,65 +194,110 @@ def _sqrt_index_weights(count: int) -> np.ndarray:
     return np.sqrt(np.concatenate(([1.0], np.arange(1, count + 1))))
 
 
-def cepstrum_to_lpc(ceps, order: int):
-    """Invert raw (unweighted) cepstrum coefficients to (coeffs, noise_power).
-
-    The recursion runs over Python floats: its order^2 / 2 terms are too
-    few for numpy calls to pay for themselves.
-    """
-    c = np.asarray(ceps, dtype=float)
-    order = whole(order, "order")
-    if c.size < order + 1:
+def _lpc_rows(ceps: np.ndarray, order: int) -> np.ndarray:
+    # the inverse recursion on every row at once: one array per coefficient
+    # index, each term in one float order
+    rows, count = ceps.shape
+    if count < order + 1:
         raise InsufficientCoefficientsError(
-            f"need at least {order + 1} cepstrum coefficients, got {c.size}"
+            f"need at least {order + 1} cepstrum coefficients, got {count}"
         )
-    c = c.tolist()
+    c = list(ceps.T)
     a = []
     for i in range(1, order + 1):
         acc = 0.0
         for m in range(1, i):
             acc += (1.0 - m / i) * a[m - 1] * c[i - m]
         a.append(-c[i] - acc)  # -c[1] - 0.0 is exactly -c[1] for i = 1
-    return np.array(a), math.exp(c[0])
+    return np.array(a).reshape(order, rows).T
+
+
+def cepstrum_to_lpc(ceps, order: int):
+    """Invert raw (unweighted) cepstrum coefficients to (coeffs, noise_power).
+
+    a_1 = -c_1 and a_i = -c_i - sum_{m<i} (1 - m/i) a_m c_{i-m}: the
+    recursion ``model_matrix`` runs, on one row.
+    """
+    c = np.asarray(ceps, dtype=float).reshape(1, -1)
+    return _lpc_rows(c, whole(order, "order"))[0], math.exp(c[0, 0])
+
+
+def _exp_powers(log_power: np.ndarray) -> np.ndarray:
+    # math.exp per row, as _log_powers takes math.log; past float64's range is inf
+    powers = []
+    for value in log_power.tolist():
+        try:
+            powers.append(math.exp(value))
+        except OverflowError:
+            powers.append(math.inf)
+    return np.array(powers)
+
+
+def _dsc_inverse_rows(values: np.ndarray, order: int, sample_rate: float):
+    # poles from (u, v), then one poles_to_coeffs per row: its np.convolve
+    # sums are the bytes every DSC model is pinned to
+    radii = 1.0 - np.exp(-values[:, order : 2 * order] / 2.0)
+    angles = 2.0 * np.pi * values[:, :order] / sample_rate
+    poles = radii * np.exp(1j * angles)
+    expanded = np.empty_like(poles)
+    for row, pole_values in zip(expanded, poles):
+        row[:] = lpc_core.poles_to_coeffs(pole_values)
+    return expanded.real, np.abs(expanded.imag).max(axis=1, initial=0.0)
+
+
+def model_matrix(values, method: LatentMethod, order: int, sample_rate: float):
+    """Invert latent points, one per row, into models: the inverse of ``feature_matrix``.
+
+    Returns ``(coeffs, noise_power, refusals)``: rows x order coefficients,
+    one noise power per row, and per row ``None`` or the message of the
+    ``NonRealizableError`` that refuses it. A refused row's coefficients and
+    noise power are what the inverse computed, not a model.
+
+    Coefficient points are read back as they are; cepstrum points strip the
+    sqrt-index weighting and run the inverse recursion; dominant-spectral
+    points rebuild poles from (u, v) and expand them, and are refused when
+    the expansion is not a real-coefficient polynomial. A point whose model
+    overflows float64 is refused too. ``latent_to_model`` is a one-row call
+    of this.
+    """
+    sample_rate = lpc_core.check_rate(sample_rate)
+    order = whole(order, "order", 0)
+    values = np.asarray(values, dtype=float)
+    if values.shape[1] != method.dimension(order):
+        raise DimensionMismatchError(
+            f"expected {method.dimension(order)} values for order {order}, got {values.shape[1]}"
+        )
+    residues = None
+    # overflow is refused below, as a non-finite model, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method.tag == TAG_LPC:
+            coeffs, log_power = values[:, :order], values[:, -1]
+        elif method.tag == TAG_CEPSTRUM:
+            raw = values / _sqrt_index_weights(method.n_cepstra)
+            coeffs, log_power = _lpc_rows(raw, order), raw[:, 0]
+        else:
+            coeffs, residues = _dsc_inverse_rows(values, order, sample_rate)
+            log_power = values[:, -1]
+        noise_power = _exp_powers(log_power)
+        finite = np.isfinite(coeffs).all(axis=1) & np.isfinite(noise_power)
+    beyond = "latent point maps to a model beyond float64's range"
+    refusals = [None if ok else beyond for ok in finite.tolist()]
+    if residues is not None:
+        for row in np.flatnonzero(residues >= 1e-6).tolist():
+            refusals[row] = f"pole expansion leaves imaginary residue {residues[row]:.3g}"
+    return coeffs, noise_power, refusals
 
 
 def latent_to_model(
     vec: LatentVector, order: int, lam: float, sample_rate: float
 ) -> lpc_core.LpcModel:
-    """Invert a latent vector back into an LPC model.
+    """Invert a latent vector back into an LPC model: a one-row ``model_matrix``.
 
-    Coefficient vectors are read back as they are; cepstrum vectors strip the
-    sqrt-index weighting and run the inverse recursion; dominant-spectral
-    vectors rebuild poles from (u, v) and expand them, rejecting points whose
-    expansion is not a real-coefficient polynomial. A point whose model
-    overflows float64 raises ``NonRealizableError`` too.
+    A vector whose length is not ``method.dimension(order)`` raises
+    ``DimensionMismatchError``, a bad ``sample_rate`` ``InvalidArgumentError``,
+    and a refused point ``NonRealizableError`` with ``model_matrix``'s message.
     """
-    method = vec.method
-    order = whole(order, "order")
-    if vec.dimension != method.dimension(order):
-        raise DimensionMismatchError(
-            f"expected {method.dimension(order)} values for order {order}, got {vec.dimension}"
-        )
-    try:
-        # overflow is refused below, as a non-finite model, not warned about
-        with np.errstate(over="ignore", invalid="ignore"):
-            if method.tag == TAG_LPC:
-                coeffs, noise_power = vec.values[:order], math.exp(vec.values[-1])
-            elif method.tag == TAG_CEPSTRUM:
-                raw = vec.values / _sqrt_index_weights(method.n_cepstra)
-                coeffs, noise_power = cepstrum_to_lpc(raw, order)
-            else:
-                radii = 1.0 - np.exp(-vec.values[order : 2 * order] / 2.0)
-                angles = 2.0 * np.pi * vec.values[:order] / sample_rate
-                expanded = lpc_core.poles_to_coeffs(radii * np.exp(1j * angles))
-                residue = np.max(np.abs(expanded.imag)) if expanded.size else 0.0
-                if residue >= 1e-6:
-                    raise NonRealizableError(
-                        f"pole expansion leaves imaginary residue {residue:.3g}"
-                    )
-                coeffs, noise_power = expanded.real, math.exp(vec.values[-1])
-    except OverflowError:  # math.exp of a log power past float64's range
-        noise_power = math.inf
-    if not math.isfinite(noise_power) or not np.all(np.isfinite(coeffs)):
-        raise NonRealizableError("latent point maps to a model beyond float64's range")
-    return lpc_core.LpcModel(order, coeffs, noise_power, lam, sample_rate)
+    coeffs, noise_power, refusals = model_matrix(vec.values[None], vec.method, order, sample_rate)
+    if refusals[0] is not None:
+        raise NonRealizableError(refusals[0])
+    return lpc_core.LpcModel(order, coeffs[0], noise_power.item(0), lam, sample_rate)

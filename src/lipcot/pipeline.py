@@ -203,6 +203,7 @@ def decode_sequence(
             "only temporal (per-channel-window) sequences decode to a signal"
         )
     seed = whole(seed, "seed", 0)
+    sample_rate = lpc_core.check_rate(sample_rate)
     pieces = []
     for index, token in enumerate(seq.tokens):
         model = cb.decode_token(codebook, token, sample_rate)

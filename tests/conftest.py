@@ -86,6 +86,39 @@ def reference_cepstrum_to_lpc(ceps, order):
     return a, math.exp(c[0])
 
 
+def reference_latent_to_model(values, method, order, sample_rate):
+    """One latent point's inverse on its own, as ``decode_token`` once ran it per token.
+
+    Returns ``(coeffs, noise_power)``, or the message of the
+    ``NonRealizableError`` that refuses the point: a dominant-spectral
+    expansion that leaves an imaginary residue, checked first, or a model
+    past float64's range. ``latent.model_matrix`` must give the same bytes
+    and the same messages.
+    """
+    values = np.asarray(values, dtype=float)
+    beyond = "latent point maps to a model beyond float64's range"
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if method.tag == "lpc":
+                coeffs, noise_power = values[:order], math.exp(values[-1])
+            elif method.tag == "cepstrum":
+                weights = np.sqrt(np.concatenate(([1.0], np.arange(1, method.n_cepstra + 1))))
+                coeffs, noise_power = reference_cepstrum_to_lpc(values / weights, order)
+            else:
+                radii = 1.0 - np.exp(-values[order : 2 * order] / 2.0)
+                angles = 2.0 * np.pi * values[:order] / sample_rate
+                expanded = lpc_core.poles_to_coeffs(radii * np.exp(1j * angles))
+                residue = np.max(np.abs(expanded.imag))
+                if residue >= 1e-6:
+                    return f"pole expansion leaves imaginary residue {residue:.3g}"
+                coeffs, noise_power = expanded.real, math.exp(values[-1])
+    except OverflowError:
+        return beyond
+    if not (math.isfinite(noise_power) and np.all(np.isfinite(coeffs))):
+        return beyond
+    return coeffs, noise_power
+
+
 def ar2_coeffs(pole_hz: float, radius: float = 0.9, fs: float = FS) -> tuple:
     """Predictor coefficients of a conjugate pole pair at angle ``pole_hz``.
 

@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import FS, purity, random_stable_model
+from conftest import FS, purity, random_stable_model, reference_latent_to_model
 from lipcot import codebook as cb
-from lipcot import latent, lpc_core
+from lipcot import latent, lpc_core, pipeline
 from lipcot.errors import (
     DimensionMismatchError,
+    InvalidArgumentError,
     InvalidTokenError,
     LipcotError,
+    NonRealizableError,
     TooFewVectorsError,
 )
 
@@ -652,6 +654,140 @@ class TestEncodeDecode:
         matrix[1, 0] = value
         with pytest.raises(LipcotError, match="not finite"):
             cb.encode_matrix(trained, matrix)
+
+
+def _point_book(method, order, centroids, std=None):
+    """A book over ``centroids``, one token each, with zero means and ``std`` (1 by default)."""
+    centroids = np.asarray(centroids, dtype=float)
+    std = np.ones(centroids.shape[1]) if std is None else std
+    return cb.Codebook(
+        k=len(centroids), centroids=centroids,
+        norm_stats=cb.NormStats(np.zeros(centroids.shape[1]), std),
+        method=method, order=order, lam=0.1, seed=0,
+    )
+
+
+def _dsc_book():
+    """An order-2 DSC book with decodable tokens and each kind of refused one.
+
+    Token 1's poles are not conjugate, token 2's log power is past
+    ``math.exp``'s range, and token 4's denormalizes past float64's.
+    """
+    log_radius = -2.0 * np.log(1.0 - 0.9)
+    centroids = [
+        [-10.0, 10.0, log_radius, log_radius, 0.0],
+        [10.0, 20.0, 1.0, 1.0, 0.0],
+        [-10.0, 10.0, 1.0, 1.0, 8e-298],
+        [-120.0, 120.0, 2.0, 2.0, 5e-301],
+        [-10.0, 10.0, 1.0, 1.0, 1e10],
+    ]
+    return _point_book(latent.LatentMethod.dsc(), 2, centroids, [1.0, 1.0, 1.0, 1.0, 1e300])
+
+
+def _decode_outcome(book, token, rate):
+    try:
+        return cb.decode_token(book, token, rate)
+    except NonRealizableError as exc:
+        return str(exc)
+
+
+def _reference_outcome(book, token, rate):
+    """The token's model as ``(coeffs bytes, noise_power)``, inverted alone, or its refusal."""
+    with np.errstate(over="ignore"):
+        values = book.norm_stats.denormalize(book.centroids[token])
+    if not np.all(np.isfinite(values)):
+        return f"token {token} denormalizes past float64's range"
+    want = reference_latent_to_model(values, book.method, book.order, rate)
+    return want if isinstance(want, str) else (want[0].tobytes(), want[1])
+
+
+class TestDecodeTable:
+    def test_rates_in_turn_match_the_per_token_inverse(self):
+        book = _dsc_book()
+        kinds = set()
+        for rate in (500.0, 1000.0, 500.0):
+            for token in range(book.k):
+                got = _decode_outcome(book, token, rate)
+                want = _reference_outcome(book, token, rate)
+                if isinstance(want, str):
+                    assert got == want
+                    kinds.add(want.split(" ")[2])
+                else:
+                    assert (got.coeffs.tobytes(), got.noise_power) == want
+                    assert got.sample_rate == rate and got.lam == book.lam
+                    assert got.order == book.order
+            assert book.decode_table[0] == rate
+        assert kinds == {"leaves", "maps", "denormalizes"}
+        # the rate is read by the DSC map: token 3's poles move with it
+        assert (cb.decode_token(book, 3, 500.0).coeffs != cb.decode_token(book, 3, 1000.0).coeffs).any()
+
+    def test_a_changed_model_changes_no_later_decode(self):
+        book = _dsc_book()
+        first = cb.decode_token(book, 0, FS)
+        want = first.coeffs.tobytes()
+        first.coeffs[:] = 99.0
+        assert cb.decode_token(book, 0, FS).coeffs.tobytes() == want
+        assert cb.decode_token(book, 0, FS).coeffs is not cb.decode_token(book, 0, FS).coeffs
+
+    def test_a_filled_table_changes_no_equality_repr_or_bytes(self, tmp_path):
+        book = _dsc_book()
+        path = tmp_path / "book.json"
+        cb.save_codebook(book, path)
+        fresh = cb.load_codebook(path)
+        assert book.decode_table is None and repr(book) == repr(fresh)
+        cb.decode_token(book, 0, FS)
+        assert book.decode_table is not None and fresh.decode_table is None
+        assert book == fresh and fresh == book
+        assert repr(book) == repr(fresh) and "decode_table" not in repr(book)
+        cb.save_codebook(book, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+        assert dataclasses.replace(book).decode_table is None
+
+    def test_decode_book_is_every_token_at_once(self):
+        book = _dsc_book()
+        coeffs, noise_power, refusals = cb.decode_book(book, FS)
+        assert coeffs.shape == (book.k, book.order) and noise_power.shape == (book.k,)
+        for token in range(book.k):
+            want = _reference_outcome(book, token, FS)
+            if isinstance(want, str):
+                assert refusals[token] == want
+            else:
+                assert refusals[token] is None
+                assert (coeffs[token].tobytes(), noise_power[token]) == want
+
+
+BAD_RATES = (0.0, -5.0, np.nan, True, "500", None)
+
+
+@pytest.mark.parametrize(
+    "method",
+    [latent.LatentMethod.lpc_coeff(), latent.LatentMethod.cepstrum(6), latent.LatentMethod.dsc()],
+    ids=["lpc", "cepstrum", "dsc"],
+)
+@pytest.mark.parametrize("rate", BAD_RATES, ids=repr)
+def test_a_bad_rate_is_refused_before_the_inverse_runs(method, rate):
+    # the DSC map once warned at 0.0, refused -5.0, nan and True as not
+    # realizable, and raised a bare TypeError on "500" and None
+    model = random_stable_model(np.random.default_rng(27), 4)
+    book = _point_book(method, 4, [latent.features(model, method).values])
+    vec = latent.LatentVector(book.method, book.centroids[0])
+    empty = pipeline.TokenSequence([], pipeline.LAYOUT_TEMPORAL)
+    one = pipeline.TokenSequence([0], pipeline.LAYOUT_TEMPORAL)
+    calls = (
+        lambda: cb.decode_token(book, 0, rate),
+        lambda: cb.decode_book(book, rate),
+        lambda: latent.latent_to_model(vec, book.order, 0.0, rate),
+        lambda: latent.model_matrix(book.centroids, book.method, book.order, rate),
+        lambda: pipeline.decode_sequence(empty, book, 64, rate, seed=0),
+        lambda: pipeline.decode_sequence(one, book, 64, rate, seed=0),
+    )
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="sample_rate must be positive"):
+                call()
+    assert book.decode_table is None
+    cb.decode_token(book, 0, FS)
 
 
 class TestNormStats:

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import FS, random_stable_model, reference_cepstrum_to_lpc
+from conftest import (
+    FS,
+    random_stable_model,
+    reference_cepstrum_to_lpc,
+    reference_latent_to_model,
+)
 from lipcot import codebook as cb
 from lipcot import latent, lpc_core, testkit
 from lipcot.errors import (
@@ -292,6 +297,85 @@ class TestLatentToModel:
         )
         with pytest.raises(NonRealizableError):
             latent.latent_to_model(vec, 2, 0.0, FS)
+
+
+def latent_points(rng, method, order, rows):
+    """Latent rows for ``model_matrix``: points of stable models, random points,
+    and points that the inverse refuses.
+
+    About one row in six has a log power past ``math.exp``'s range. Random
+    rows at the largest scale expand past float64's range in the cepstrum
+    recursion; a random dominant-spectral row's poles are not
+    conjugate-closed, so its expansion leaves an imaginary residue.
+    """
+    points = []
+    for _ in range(rows):
+        if rng.random() < 0.5:
+            model = random_stable_model(rng, order)
+            points.append(latent.features(model, method).values)
+        else:
+            scale = rng.choice([0.5, 3.0, 60.0, 1e40])
+            points.append(scale * rng.normal(size=method.dimension(order)))
+    points = np.array(points)
+    huge = rng.random(rows) < 1 / 6
+    log_power = 0 if method.tag == latent.TAG_CEPSTRUM else -1  # c_0 is log sigma^2
+    points[huge, log_power] = rng.choice([709.8, 800.0, 1e300], size=huge.sum())
+    return points
+
+
+METHODS = {
+    "lpc": lambda order: latent.LatentMethod.lpc_coeff(),
+    "cepstrum": lambda order: latent.LatentMethod.cepstrum(2 * order),
+    "dsc": lambda order: latent.LatentMethod.dsc(),
+}
+
+
+class TestModelMatrix:
+    @pytest.mark.parametrize("tag", sorted(METHODS))
+    def test_rows_match_the_per_point_inverse(self, tag):
+        rng = np.random.default_rng(27)
+        refused = set()
+        for trial in range(60):
+            order = int(rng.integers(1, 13))
+            method = METHODS[tag](order)
+            rate = float(rng.choice([250.0, FS, 1000.0]))
+            points = latent_points(rng, method, order, int(rng.integers(1, 12)))
+            coeffs, noise_power, refusals = latent.model_matrix(points, method, order, rate)
+            assert coeffs.shape == (len(points), order) and noise_power.shape == (len(points),)
+            for row, values in enumerate(points):
+                want = reference_latent_to_model(values, method, order, rate)
+                if isinstance(want, str):
+                    assert refusals[row] == want
+                    refused.add(want.split(" ", 3)[2])
+                    with pytest.raises(NonRealizableError) as raised:
+                        latent.latent_to_model(latent.LatentVector(method, values), order, 0.0, rate)
+                    assert str(raised.value) == want
+                    continue
+                assert refusals[row] is None
+                assert coeffs[row].tobytes() == want[0].tobytes()
+                assert noise_power[row].tobytes() == np.float64(want[1]).tobytes()
+                model = latent.latent_to_model(latent.LatentVector(method, values), order, 0.0, rate)
+                assert model.coeffs.tobytes() == want[0].tobytes()
+                assert model.noise_power == want[1]
+        # every map overflows somewhere; only dominant-spectral points leave a residue
+        assert refused == ({"maps", "leaves"} if tag == "dsc" else {"maps"})
+
+    def test_non_finite_points_are_refused_without_a_warning(self):
+        points = np.array([[np.inf, 0.0, 0.0], [0.1, np.nan, 0.0], [0.1, 0.2, -np.inf]])
+        for method in (latent.LatentMethod.lpc_coeff(), latent.LatentMethod.cepstrum(2)):
+            _, _, refusals = latent.model_matrix(points, method, 2, FS)
+            assert refusals[:2] == ["latent point maps to a model beyond float64's range"] * 2
+
+    def test_no_rows(self):
+        for method in (latent.LatentMethod.lpc_coeff(), latent.LatentMethod.dsc()):
+            points = np.empty((0, method.dimension(3)))
+            coeffs, noise_power, refusals = latent.model_matrix(points, method, 3, FS)
+            assert coeffs.shape == (0, 3) and noise_power.shape == (0,) and refusals == []
+
+    def test_more_terms_than_the_cepstrum_holds(self):
+        vec = latent.LatentVector(latent.LatentMethod.cepstrum(2), [0.0, 0.1, 0.2])
+        with pytest.raises(InsufficientCoefficientsError, match="need at least 5"):
+            latent.latent_to_model(vec, 4, 0.0, FS)
 
 
 class TestDistances:
