@@ -335,7 +335,7 @@ class TestModelMatrix:
     def test_rows_match_the_per_point_inverse(self, tag):
         rng = np.random.default_rng(27)
         refused = set()
-        for trial in range(60):
+        for _ in range(60):
             order = int(rng.integers(1, 13))
             method = METHODS[tag](order)
             rate = float(rng.choice([250.0, FS, 1000.0]))
