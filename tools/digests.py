@@ -21,8 +21,9 @@ such a file, and ``tests/test_digests.py`` recomputes it:
 Each line reads ``workload seed key digest``. Per workload and seed it covers
 every trained codebook (``book.json`` bytes, and as ``bookN.reload`` the bytes
 of a save, load and second save), tokens in both layouts, ``decoded.csv``,
-``synth.csv`` (token 0 for one window), ``spectrum.csv`` (channel 0) and the
-``train`` report (cli-eeg), and the single-window
+``synth.csv`` (token 0 for one window), ``spectrum.csv`` (channel 0, and as
+``spectrum.lam0.csv`` again with ``--lambda 0``) and the ``train`` report
+(cli-eeg), and the single-window
 encodes and single-token decodes the benchmark runs: each window's
 ``fit_burg_warped`` coefficients and noise power, each token, each
 refusal with its error type, and each realization's samples. Per codebook it
@@ -192,6 +193,8 @@ def cli_eeg(spec: dict, work: Path) -> dict:
                    "--seconds", str(spec["window_sec"]), "--seed", str(spec["seed"])]),
         ("spectrum", ["spectrum", str(csv), "--order", str(spec["order"]),
                       "--lambda", str(spec["lam"])]),
+        ("spectrum.lam0", ["spectrum", str(csv), "--order", str(spec["order"]),
+                           "--lambda", "0"]),
     ):
         written = work / f"{command}.csv"
         status = cli.main([*argv, "--sample-rate", str(spec["rate"]), "--out", str(written)])
