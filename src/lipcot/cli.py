@@ -85,13 +85,6 @@ def _hop_samples(args, sample_rate: float) -> int:
     return _window_samples(seconds, sample_rate, "hop", 1)
 
 
-def _read_series(path: str, sample_rate: float):
-    names, data = pipeline.read_series_csv(path)
-    if data.shape[1] == 0:
-        return names, None
-    return names, pipeline.MultichannelSeries(data, sample_rate, names)
-
-
 def _token_lines(sequences) -> str:
     return "".join(" ".join(map(cb.token_word, seq.tokens)) + "\n" for seq in sequences)
 
@@ -127,9 +120,8 @@ def cmd_train(args) -> int:
             rate = _resolve_sample_rate(path, args.sample_rate) if index else sample_rate
             if rate != sample_rate:
                 raise ConfigMismatchError(f"{path}: sampling rate {rate} != {sample_rate}")
-            _, series = _read_series(path, rate)
-            if series is not None:
-                yield series
+            names, data = pipeline.read_series_csv(path)
+            yield pipeline.MultichannelSeries(data, rate, names)
 
     corpus, skipped = pipeline.fit_corpus(recordings(), config)
     if skipped:
@@ -156,11 +148,9 @@ def cmd_encode(args) -> int:
     window = _window_samples(args.window_sec, sample_rate, "window")
     hop = _hop_samples(args, sample_rate)
 
-    names, series = _read_series(args.input, sample_rate)
-    if series is None:
-        sequences = []
-    else:
-        sequences = pipeline.encode_series(series, book, window, hop, args.layout)
+    names, data = pipeline.read_series_csv(args.input)
+    series = pipeline.MultichannelSeries(data, sample_rate, names)
+    sequences = pipeline.encode_series(series, book, window, hop, args.layout)
     write_text_atomic(args.out, _token_lines(sequences))
 
     if args.json:

@@ -23,7 +23,7 @@ from .errors import (
     TooFewVectorsError,
 )
 from .latent import LatentCorpus, LatentMethod, LatentVector, model_matrix
-from .lpc_core import LpcModel, _as_float_vector, check_lam, check_rate
+from .lpc_core import LpcModel, _as_float_vector, check_lam, check_order, check_rate
 
 CODEBOOK_FORMAT_VERSION = "1"
 
@@ -66,8 +66,8 @@ class NormStats(FieldEquality):
 
 
 def check_space(k, method: LatentMethod, order, lam, seed, width: int):
-    """The codebook rule for ``width`` values per centroid; returns k, order, lam, seed, plain."""
-    k, order, seed = whole(k, "k", 1), whole(order, "order", 1), whole(seed, "seed", 0)
+    """The codebook rule for ``width`` values per centroid; returns plain k, order, lam and seed."""
+    k, order, seed = whole(k, "k", 1), check_order(order), whole(seed, "seed", 0)
     # decode inverts centroids at this order, and every inverse reads order + 1 values
     if width != method.dimension(order) or width <= order:
         raise DimensionMismatchError(f"{width} values disagree with {method} at order {order}")

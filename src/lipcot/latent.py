@@ -124,6 +124,15 @@ def _log_powers(noise_power) -> np.ndarray:
         raise ZeroNoisePowerError("log of noise power undefined for sigma^2 = 0") from None
 
 
+def _recursion_sum(a: list, c: list, n: int):
+    # sum over m < n of (1 - m/n) a_m c_(n-m), a_m up to len(a): both recursions'
+    # one float order, of plain floats or of one array per coefficient index
+    acc = 0.0
+    for m in range(1, min(n, len(a) + 1)):
+        acc += (1.0 - m / n) * a[m - 1] * c[n - m]
+    return acc
+
+
 def _cepstrum_rows(coeffs: np.ndarray, log_power: np.ndarray, count: int) -> np.ndarray:
     # lpc_to_cepstrum on every row at once, each term in one float order
     rows, order = coeffs.shape
@@ -131,11 +140,8 @@ def _cepstrum_rows(coeffs: np.ndarray, log_power: np.ndarray, count: int) -> np.
         a, c = coeffs[0].tolist(), log_power.tolist()
     else:  # one array per coefficient index, over all rows
         a, c = list(coeffs.T), [log_power]
-    for n in range(1, count + 1):
-        acc = 0.0
-        for m in range(1, min(n - 1, order) + 1):
-            acc += (1.0 - m / n) * a[m - 1] * c[n - m]
-        c.append((-a[n - 1] if n <= order else -0.0) - acc)  # -0.0 - acc is -acc
+    for n in range(1, count + 1):  # -0.0 - sum is -sum
+        c.append((-a[n - 1] if n <= order else -0.0) - _recursion_sum(a, c, n))
     return np.array(c).reshape(count + 1, rows).T
 
 
@@ -204,11 +210,8 @@ def _lpc_rows(ceps: np.ndarray, order: int) -> np.ndarray:
         )
     c = list(ceps.T)
     a = []
-    for i in range(1, order + 1):
-        acc = 0.0
-        for m in range(1, i):
-            acc += (1.0 - m / i) * a[m - 1] * c[i - m]
-        a.append(-c[i] - acc)  # -c[1] - 0.0 is exactly -c[1] for i = 1
+    for i in range(1, order + 1):  # -c[1] - 0.0 is exactly -c[1] for i = 1
+        a.append(-c[i] - _recursion_sum(a, c, i))
     return np.array(a).reshape(order, rows).T
 
 
@@ -219,7 +222,7 @@ def cepstrum_to_lpc(ceps, order: int):
     recursion ``model_matrix`` runs, on one row.
     """
     c = np.asarray(ceps, dtype=float).reshape(1, -1)
-    return _lpc_rows(c, whole(order, "order"))[0], math.exp(c[0, 0])
+    return _lpc_rows(c, lpc_core.check_order(order))[0], math.exp(c[0, 0])
 
 
 def _exp_powers(log_power: np.ndarray) -> np.ndarray:
@@ -261,7 +264,7 @@ def model_matrix(values, method: LatentMethod, order: int, sample_rate: float):
     of this.
     """
     sample_rate = lpc_core.check_rate(sample_rate)
-    order = whole(order, "order", 0)
+    order = lpc_core.check_order(order)
     values = np.asarray(values, dtype=float)
     if values.shape[1] != method.dimension(order):
         raise DimensionMismatchError(

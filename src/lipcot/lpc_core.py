@@ -119,9 +119,7 @@ class LpcModel(FieldEquality):
     sample_rate: float
 
     def __post_init__(self):
-        order = whole(self.order, "order")
-        if order < 1:
-            raise InvalidOrderError("model order must be at least 1")
+        order = check_order(self.order)
         coeffs = _as_float_vector(self.coeffs, "coeffs")
         if coeffs.size != order:
             raise InvalidArgumentError(f"expected {order} coefficients, got {coeffs.size}")
@@ -193,12 +191,15 @@ def warped_burg(samples, order: int, lam: float):
     return a[..., 1:], powers[..., -1][()], powers, ks
 
 
-def check_order(order: int, n_samples: int) -> int:
-    """``order`` as a whole number; refuse one below 1, or one ``n_samples`` samples cannot fit."""
+def check_order(order: int, n_samples: int | None = None) -> int:
+    """``order`` as a whole number; refuse one below 1, or one ``n_samples`` samples cannot fit.
+
+    Every order in the library goes through this rule; a caller with no window passes no count.
+    """
     order = whole(order, "order")
     if order < 1:
         raise InvalidOrderError("order must be at least 1")
-    if n_samples <= order:
+    if n_samples is not None and n_samples <= order:
         raise InvalidOrderError(f"need more samples ({n_samples}) than the order ({order})")
     return order
 
@@ -342,8 +343,6 @@ def warp_frequency(f, lam: float, sample_rate: float):
 
 def _warped_delay(freqs: np.ndarray, lam: float, sample_rate: float) -> np.ndarray:
     z_inv = np.exp(-2j * np.pi * freqs / sample_rate)
-    if lam == 0.0:
-        return z_inv
     return (z_inv - lam) / (1.0 - lam * z_inv)
 
 

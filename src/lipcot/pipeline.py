@@ -48,8 +48,10 @@ class MultichannelSeries(FieldEquality):
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
-        if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
-            raise InvalidArgumentError("series data must be a non-empty channels-by-samples matrix")
+        if data.ndim != 2 or data.shape[0] < 1:
+            raise InvalidArgumentError(
+                "series data must be a channels-by-samples matrix of at least one channel"
+            )
         if not np.all(np.isfinite(data)):
             raise InvalidArgumentError("series data must be finite")
         names = tuple(str(n) for n in self.channel_names)
@@ -197,20 +199,19 @@ def decode_sequence(
     sample_rate: float,
     seed: int,
 ) -> np.ndarray:
-    """Synthesize one realization per token and concatenate them in order."""
+    """Synthesize one ``window``-sample realization per token into one signal, in order."""
     if seq.layout != LAYOUT_TEMPORAL:
         raise LayoutUnsupportedError(
             "only temporal (per-channel-window) sequences decode to a signal"
         )
-    seed = whole(seed, "seed", 0)
+    window, seed = whole(window, "window", 2), whole(seed, "seed", 0)
     sample_rate = lpc_core.check_rate(sample_rate)
-    pieces = []
+    signal = np.empty(len(seq) * window)
     for index, token in enumerate(seq.tokens):
         model = cb.decode_token(codebook, token, sample_rate)
-        pieces.append(lpc_core.synthesize(model, window, seed + index).samples)
-    if not pieces:
-        return np.zeros(0)
-    return np.concatenate(pieces)
+        start = index * window
+        signal[start : start + window] = lpc_core.synthesize(model, window, seed + index).samples
+    return signal
 
 
 def read_series_csv(path):

@@ -194,7 +194,10 @@ class TestTrain:
         assert capsys.readouterr().err.count("skipped 5 degenerate segments") == 2
 
         config = pipeline.TokenizerConfig(4, 0.2, 1000, 1000, latent.LatentMethod.lpc_coeff())
-        series_set = [cli._read_series(str(path), FS)[1] for path in paths]
+        series_set = [
+            pipeline.MultichannelSeries(data, FS, names)
+            for names, data in map(pipeline.read_series_csv, paths)
+        ]
         listed, listed_skipped = pipeline.fit_corpus(series_set, config)
         streamed, streamed_skipped = pipeline.fit_corpus(iter(series_set), config)
         assert listed.matrix.tobytes() == streamed.matrix.tobytes()
@@ -294,6 +297,20 @@ class TestEncode:
         ])
         assert status == 0
         assert out.read_text() == ""
+
+    def test_header_only_and_one_row_csvs_give_one_empty_line_per_channel(self, workspace):
+        # neither holds a window; the header-only file once gave no lines at all
+        tmp_path, _, book_path = workspace
+        written = []
+        for name, text in (("header", "ch0,ch1\n"), ("row", "ch0,ch1\n0.5,-0.25\n")):
+            csv_path, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.tokens"
+            csv_path.write_text(text)
+            assert cli.main([
+                "encode", str(csv_path), "--codebook", str(book_path), "--out", str(out),
+                "--layout", "temporal", "--window-sec", "2", "--sample-rate", "500",
+            ]) == 0
+            written.append(out.read_text())
+        assert written == ["\n\n", "\n\n"]
 
 
 class TestDecode:

@@ -69,7 +69,7 @@ def _book(**changes):
         lambda: _book(centroids=np.full((2, 3), np.nan)),
         lambda: _book(seed=True),
         lambda: cb.decode_token(_book(), 2, FS),
-        lambda: pipeline.MultichannelSeries(np.zeros((1, 0)), FS, ["a"]),
+        lambda: pipeline.MultichannelSeries(np.zeros((0, 4)), FS, []),
         lambda: pipeline.MultichannelSeries(np.zeros((2, 4)), FS, ["a"]),
         lambda: pipeline.TokenSequence([0], "sideways"),
         lambda: pipeline.TokenSequence([0.5], pipeline.LAYOUT_TEMPORAL),

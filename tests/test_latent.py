@@ -18,6 +18,7 @@ from lipcot import latent, lpc_core, testkit
 from lipcot.errors import (
     DimensionMismatchError,
     InsufficientCoefficientsError,
+    InvalidOrderError,
     LipcotError,
     NonRealizableError,
     ZeroNoisePowerError,
@@ -376,6 +377,22 @@ class TestModelMatrix:
         vec = latent.LatentVector(latent.LatentMethod.cepstrum(2), [0.0, 0.1, 0.2])
         with pytest.raises(InsufficientCoefficientsError, match="need at least 5"):
             latent.latent_to_model(vec, 4, 0.0, FS)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: latent.model_matrix(np.zeros((2, 1)), latent.LatentMethod.lpc_coeff(), 0, FS),
+        lambda: latent.cepstrum_to_lpc([0.0, 0.5], 0),
+        lambda: latent.cepstrum_to_lpc([0.0, 0.5], -1),
+    ],
+    ids=["model-matrix-0", "cepstrum-to-lpc-0", "cepstrum-to-lpc-minus-1"],
+)
+def test_an_order_below_one_is_refused(call):
+    # model_matrix gave zero-width models at order 0, and cepstrum_to_lpc
+    # gave (array([]), 1.0) at orders 0 and -1
+    with pytest.raises(InvalidOrderError, match="order must be at least 1"):
+        call()
 
 
 class TestDistances:

@@ -740,6 +740,13 @@ class TestDecodeSequence:
         out = pipeline.decode_sequence(seq, _whole_book(2), 400, FS, seed=0)
         assert out.dtype == float and out.shape == (0,)
 
+    @pytest.mark.parametrize("window", [1, 0, 2.5])
+    def test_a_window_below_two_samples_is_refused_before_any_token(self, window):
+        # an empty sequence once decoded to an empty signal at windows 1 and 0
+        seq = pipeline.TokenSequence([], pipeline.LAYOUT_TEMPORAL)
+        with pytest.raises(InvalidArgumentError, match="window must be"):
+            pipeline.decode_sequence(seq, _whole_book(2), window, FS, seed=0)
+
     def test_positions_layout_rejected(self):
         config = small_config()
         book = train_small_book(small_series(), config)
