@@ -161,7 +161,9 @@ def feature_matrix(coeffs, noise_power, method: LatentMethod, sample_rate: float
     ``coeffs`` is models x order and ``noise_power`` holds one power per
     model. ``features`` is a one-row call of this.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
+    coeffs, noise_power = np.asarray(coeffs, dtype=float), np.asarray(noise_power, dtype=float)
+    if coeffs.ndim != 2 or noise_power.shape != coeffs.shape[:1]:
+        raise InvalidArgumentError("expected a models-by-order matrix and a noise power per model")
     log_power = _log_powers(noise_power)
     if method.tag == TAG_LPC:
         return np.concatenate([coeffs, log_power[:, None]], axis=1)
@@ -190,7 +192,7 @@ def lpc_to_cepstrum(coeffs, noise_power: float, count: int) -> np.ndarray:
     c_0 is log sigma^2 and c_1 = -a_1; later terms follow the two-branch
     recursion that switches once the index passes the model order.
     """
-    a = np.asarray(coeffs, dtype=float)[None]
+    a, count = lpc_core._as_float_vector(coeffs, "coeffs")[None], whole(count, "count", 0)
     return _cepstrum_rows(a, _log_powers([noise_power]), count)[0]
 
 
@@ -219,10 +221,17 @@ def cepstrum_to_lpc(ceps, order: int):
     """Invert raw (unweighted) cepstrum coefficients to (coeffs, noise_power).
 
     a_1 = -c_1 and a_i = -c_i - sum_{m<i} (1 - m/i) a_m c_{i-m}: the
-    recursion ``model_matrix`` runs, on one row.
+    recursion ``model_matrix`` runs, on one row. A model past float64's range
+    is refused with ``model_matrix``'s ``NonRealizableError``.
     """
-    c = np.asarray(ceps, dtype=float).reshape(1, -1)
-    return _lpc_rows(c, lpc_core.check_order(order))[0], math.exp(c[0, 0])
+    c = lpc_core._as_float_vector(ceps, "cepstrum coefficients")[None]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        coeffs = _lpc_rows(c, lpc_core.check_order(order))
+    noise_power = _exp_powers(c[:, 0])
+    refusal = _overflow_refusals(coeffs, noise_power)[0]
+    if refusal is not None:
+        raise NonRealizableError(refusal)
+    return coeffs[0], noise_power.item(0)
 
 
 def _exp_powers(log_power: np.ndarray) -> np.ndarray:
@@ -234,6 +243,13 @@ def _exp_powers(log_power: np.ndarray) -> np.ndarray:
         except OverflowError:
             powers.append(math.inf)
     return np.array(powers)
+
+
+def _overflow_refusals(coeffs: np.ndarray, noise_power: np.ndarray) -> list:
+    # per row None, or the refusal of a model that overflows float64
+    finite = np.isfinite(coeffs).all(axis=1) & np.isfinite(noise_power)
+    beyond = "latent point maps to a model beyond float64's range"
+    return [None if ok else beyond for ok in finite.tolist()]
 
 
 def _dsc_inverse_rows(values: np.ndarray, order: int, sample_rate: float):
@@ -266,6 +282,8 @@ def model_matrix(values, method: LatentMethod, order: int, sample_rate: float):
     sample_rate = lpc_core.check_rate(sample_rate)
     order = lpc_core.check_order(order)
     values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise InvalidArgumentError("latent values must be a rows-by-dimensions matrix")
     if values.shape[1] != method.dimension(order):
         raise DimensionMismatchError(
             f"expected {method.dimension(order)} values for order {order}, got {values.shape[1]}"
@@ -282,9 +300,7 @@ def model_matrix(values, method: LatentMethod, order: int, sample_rate: float):
             coeffs, residues = _dsc_inverse_rows(values, order, sample_rate)
             log_power = values[:, -1]
         noise_power = _exp_powers(log_power)
-        finite = np.isfinite(coeffs).all(axis=1) & np.isfinite(noise_power)
-    beyond = "latent point maps to a model beyond float64's range"
-    refusals = [None if ok else beyond for ok in finite.tolist()]
+    refusals = _overflow_refusals(coeffs, noise_power)
     if residues is not None:
         for row in np.flatnonzero(residues >= 1e-6).tolist():
             refusals[row] = f"pole expansion leaves imaginary residue {residues[row]:.3g}"

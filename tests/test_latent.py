@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from lipcot import latent, lpc_core, testkit
 from lipcot.errors import (
     DimensionMismatchError,
     InsufficientCoefficientsError,
+    InvalidArgumentError,
     InvalidOrderError,
     LipcotError,
     NonRealizableError,
@@ -393,6 +395,37 @@ def test_an_order_below_one_is_refused(call):
     # gave (array([]), 1.0) at orders 0 and -1
     with pytest.raises(InvalidOrderError, match="order must be at least 1"):
         call()
+
+
+LPC = latent.LatentMethod.lpc_coeff()
+
+
+@pytest.mark.parametrize(
+    ("call", "refusal"),
+    [
+        (lambda: latent.model_matrix(np.zeros(3), LPC, 2, FS), InvalidArgumentError),
+        (lambda: latent.feature_matrix(np.zeros(3), [1.0], LPC, FS), InvalidArgumentError),
+        (lambda: latent.feature_matrix(np.zeros((2, 3)), [1.0], LPC, FS), InvalidArgumentError),
+        (lambda: latent.cepstrum_to_lpc([1000.0, 0.5], 1), NonRealizableError),
+        (lambda: latent.cepstrum_to_lpc([0.0, 1e200, 1e200], 2), NonRealizableError),
+        (lambda: latent.cepstrum_to_lpc([[0.0, 0.5]], 1), InvalidArgumentError),
+        (lambda: latent.lpc_to_cepstrum([0.5], 1.0, -1), InvalidArgumentError),
+        (lambda: latent.lpc_to_cepstrum([0.5], 1.0, 2.5), InvalidArgumentError),
+    ],
+    ids=[
+        "model-matrix-1d", "feature-matrix-1d", "feature-matrix-powers", "cepstrum-power-overflow",
+        "cepstrum-coeffs-overflow", "cepstrum-2d", "cepstrum-count-negative",
+        "cepstrum-count-fraction",
+    ],
+)
+def test_a_bad_latent_input_is_one_lipcot_error(call, refusal):
+    # these ended in IndexError, AxisError, OverflowError, a RuntimeWarning, a
+    # silently flattened input, ValueError and TypeError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LipcotError) as raised:
+            call()
+    assert type(raised.value) is refusal
 
 
 class TestDistances:
