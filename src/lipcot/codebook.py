@@ -33,9 +33,17 @@ _KMEANS_MAX_ITER = 300
 _KMEANS_TOL = 1e-6
 
 
+def _frozen(values: np.ndarray) -> np.ndarray:
+    # a private read-only copy: a write to the caller's array, or to this
+    # one, cannot leave what a codebook derives from it stale
+    values = values.copy()
+    values.flags.writeable = False
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class NormStats(FieldEquality):
-    """Per-dimension z-score statistics fit on the training vectors."""
+    """Per-dimension z-score statistics fit on the training vectors, as read-only copies."""
 
     mean: np.ndarray
     std: np.ndarray
@@ -46,8 +54,8 @@ class NormStats(FieldEquality):
             raise InvalidArgumentError("mean and std must have the same length")
         if np.any(std <= 0):
             raise InvalidArgumentError("std entries must be positive")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", std)
+        object.__setattr__(self, "mean", _frozen(mean))
+        object.__setattr__(self, "std", _frozen(std))
 
     @classmethod
     def fit(cls, matrix: np.ndarray) -> "NormStats":
@@ -83,8 +91,8 @@ class Codebook(FieldEquality):
     ``decode_table`` holds ``decode_book`` at the last rate ``decode_token``
     read, as ``(sample_rate, coeffs, noise_power, refusals)``, or None
     before the first decode; it is never serialized or compared either.
-    Both are derived from the centroids and statistics, which are therefore
-    not to be changed in place.
+    Both are derived from the centroids and statistics, so the book holds
+    read-only copies of those arrays, and of the norms.
     """
 
     k: int
@@ -107,9 +115,9 @@ class Codebook(FieldEquality):
             raise InvalidArgumentError("centroid matrix shape disagrees with k and stats")
         if not np.all(np.isfinite(centroids)):
             raise InvalidArgumentError("centroids must be finite")
-        object.__setattr__(self, "centroids", centroids)
+        object.__setattr__(self, "centroids", _frozen(centroids))
         with np.errstate(over="ignore"):  # an infinite norm is the shortlist's to handle
-            object.__setattr__(self, "centroid_sq_norms", np.vecdot(centroids, centroids))
+            object.__setattr__(self, "centroid_sq_norms", _frozen(np.vecdot(centroids, centroids)))
         object.__setattr__(self, "decode_table", None)
 
     @property

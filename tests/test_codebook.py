@@ -840,6 +840,31 @@ class TestVocabulary:
         assert cb.export_vocabulary(book) == cb.export_vocabulary(book)
 
 
+class TestReadOnlyArrays:
+    def test_a_write_to_a_book_array_is_refused(self):
+        book = _tiny_book(k=2)
+        held = (book.centroids, book.centroid_sq_norms, book.norm_stats.mean, book.norm_stats.std)
+        for array in held:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+
+    def test_a_write_to_the_passed_in_arrays_changes_no_later_encode_or_decode(self):
+        # the book held the caller's arrays: centroids[1] = 9.0 moved centroid 1
+        # to [9, 9, 0] while its held squared norm stayed at 0.01
+        centroids = np.array([[0.3, -0.2, 0.0], [0.1, 0.0, 0.0]])
+        std = np.ones(3)
+        method = latent.LatentMethod.lpc_coeff()
+        book = _point_book(method, 2, centroids, std)
+        twin = _point_book(method, 2, centroids.copy(), std.copy())
+        centroids[1] = 9.0
+        centroids[0] = [0.5, 0.4, 0.0]
+        std[:] = 2.0
+        points = np.array([[9.0, 9.0, 0.0], [0.3, -0.2, 0.0], [0.5, 0.4, 0.0]])
+        assert cb.encode_matrix(book, points).tolist() == cb.encode_matrix(twin, points).tolist()
+        for token in range(2):
+            assert cb.decode_token(book, token, FS) == cb.decode_token(twin, token, FS)
+
+
 class TestPersistence:
     def test_json_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
