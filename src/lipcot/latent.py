@@ -117,11 +117,23 @@ class LatentCorpus(FieldEquality, Sequence):
 
 
 def _log_powers(noise_power) -> np.ndarray:
-    # math.log per row: np.log differs from it by an ulp on some inputs
+    """``math.log`` of each noise power, in the input's shape.
+
+    A zero power raises ``ZeroNoisePowerError``; a negative, NaN or
+    non-numeric one raises ``InvalidArgumentError``, which shows it.
+    """
     try:
-        return np.array([math.log(p) for p in np.asarray(noise_power, dtype=float).tolist()])
-    except ValueError:
-        raise ZeroNoisePowerError("log of noise power undefined for sigma^2 = 0") from None
+        powers = np.asarray(noise_power, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(f"noise power must be a number, got {shown(noise_power)}") from None
+    values = powers.ravel().tolist()
+    for p in values:
+        if p == 0.0:
+            raise ZeroNoisePowerError("log of noise power undefined for sigma^2 = 0")
+        if not p > 0.0:
+            raise InvalidArgumentError(f"noise power must be positive, got {shown(p)}")
+    # math.log per row: np.log differs from it by an ulp on some inputs
+    return np.array([math.log(p) for p in values]).reshape(powers.shape)
 
 
 def _recursion_sum(a: list, c: list, n: int):
@@ -161,10 +173,9 @@ def feature_matrix(coeffs, noise_power, method: LatentMethod, sample_rate: float
     ``coeffs`` is models x order and ``noise_power`` holds one power per
     model. ``features`` is a one-row call of this.
     """
-    coeffs, noise_power = np.asarray(coeffs, dtype=float), np.asarray(noise_power, dtype=float)
-    if coeffs.ndim != 2 or noise_power.shape != coeffs.shape[:1]:
+    coeffs, log_power = np.asarray(coeffs, dtype=float), _log_powers(noise_power)
+    if coeffs.ndim != 2 or log_power.shape != coeffs.shape[:1]:
         raise InvalidArgumentError("expected a models-by-order matrix and a noise power per model")
-    log_power = _log_powers(noise_power)
     if method.tag == TAG_LPC:
         return np.concatenate([coeffs, log_power[:, None]], axis=1)
     if method.tag == TAG_CEPSTRUM:
@@ -193,7 +204,10 @@ def lpc_to_cepstrum(coeffs, noise_power: float, count: int) -> np.ndarray:
     recursion that switches once the index passes the model order.
     """
     a, count = lpc_core._as_float_vector(coeffs, "coeffs")[None], whole(count, "count", 0)
-    return _cepstrum_rows(a, _log_powers([noise_power]), count)[0]
+    log_power = _log_powers(noise_power)
+    if log_power.ndim:
+        raise InvalidArgumentError("noise power must be one number")
+    return _cepstrum_rows(a, log_power[None], count)[0]
 
 
 def _sqrt_index_weights(count: int) -> np.ndarray:

@@ -428,6 +428,24 @@ def test_a_bad_latent_input_is_one_lipcot_error(call, refusal):
     assert type(raised.value) is refusal
 
 
+@pytest.mark.parametrize(
+    ("call", "value"),
+    [
+        (lambda: latent.lpc_to_cepstrum([0.5], -1.0, 3), "-1.0"),
+        (lambda: latent.lpc_to_cepstrum([0.5], "x", 3), "'x'"),
+        (lambda: latent.feature_matrix([[0.5]], [-2.0], LPC, FS), "-2.0"),
+    ],
+    ids=["cepstrum-negative", "cepstrum-non-numeric", "feature-matrix-negative"],
+)
+def test_a_negative_or_non_numeric_noise_power_is_not_called_zero(call, value):
+    # each was refused as ZeroNoisePowerError("... sigma^2 = 0")
+    with pytest.raises(InvalidArgumentError) as raised:
+        call()
+    assert str(raised.value).endswith(f"got {value}")
+    with pytest.raises(ZeroNoisePowerError):
+        latent.lpc_to_cepstrum([0.5], 0.0, 3)
+
+
 class TestDistances:
     def test_cepstral_distance_grows_with_term_count(self):
         rng = np.random.default_rng(10)
