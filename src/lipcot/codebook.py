@@ -23,7 +23,16 @@ from .errors import (
     TooFewVectorsError,
 )
 from .latent import LatentCorpus, LatentMethod, LatentVector, model_matrix
-from .lpc_core import LpcModel, _as_float_vector, check_lam, check_order, check_rate
+from .lpc_core import (
+    LpcModel,
+    _as_float_vector,
+    certified_rows,
+    check_lam,
+    check_order,
+    check_rate,
+    conventional_rows,
+    synthesis_filter,
+)
 
 CODEBOOK_FORMAT_VERSION = "1"
 
@@ -89,8 +98,10 @@ class Codebook(FieldEquality):
     ``centroid_sq_norms``, each centroid's squared norm for
     ``nearest_centroids``, is derived here once and never serialized.
     ``decode_table`` holds ``decode_book`` at the last rate ``decode_token``
-    read, as ``(sample_rate, coeffs, noise_power, refusals)``, or None
-    before the first decode; it is never serialized or compared either.
+    read, and each token's synthesis filter, as ``(sample_rate, coeffs,
+    noise_power, refusals, filters)``, or None before the first decode; a
+    filter is an ``LpcModel.held_filter`` or None for a refused token. It is
+    never serialized or compared either.
     Both are derived from the centroids and statistics, so the book holds
     read-only copies of those arrays, and of the norms.
     """
@@ -441,14 +452,44 @@ def decode_book(codebook: Codebook, sample_rate: float):
     return coeffs, noise_power, refusals
 
 
+def _held_filters(codebook: Codebook, sample_rate: float, coeffs, noise_power, refusals) -> list:
+    """Each token's ``LpcModel.held_filter``, or None for a refused token.
+
+    Certified rows (``certified_rows``) are expanded together by
+    ``conventional_rows``, over one shared numerator. A decodable row that
+    fails the certificate goes through the one-row ``synthesis_filter``
+    (poles, then the clamp); one that it refuses holds no filter, so
+    ``synthesize`` raises the same error.
+    """
+    filters = [None] * codebook.k
+    rows = np.flatnonzero([refusal is None for refusal in refusals])
+    certified = certified_rows(coeffs[rows])
+    numerator, denominators = conventional_rows(coeffs[rows[certified]], codebook.lam)
+    numerator.flags.writeable = False
+    for token, denominator in zip(rows[certified].tolist(), denominators):
+        denominator.flags.writeable = False
+        filters[token] = (coeffs[token].tobytes(), numerator, denominator)
+    for token in rows[~certified].tolist():
+        model = LpcModel(
+            codebook.order, coeffs[token], noise_power.item(token), codebook.lam, sample_rate
+        )
+        try:
+            pair = synthesis_filter(model)
+        except LipcotError:
+            continue
+        filters[token] = (coeffs[token].tobytes(), *map(_frozen, pair))
+    return filters
+
+
 def decode_token(codebook: Codebook, token: int, sample_rate: float) -> LpcModel:
     """Invert a token to the LPC model at its denormalized cluster center.
 
     The token and the rate are checked first. The model is then read from
-    the book's ``decode_table``, which ``decode_book`` fills on the first
-    decode at a rate and refills when the rate changes. A refused token
-    raises ``NonRealizableError`` with its row's message; an accepted one
-    gives a fresh model over a copy of its row.
+    the book's ``decode_table``, which ``decode_book`` and each token's
+    synthesis filter fill on the first decode at a rate, and refill when the
+    rate changes. A refused token raises ``NonRealizableError`` with its
+    row's message; an accepted one gives a fresh model over a copy of its
+    row, holding the token's filter as its ``held_filter``.
     """
     token = whole(token, "token")
     if not 0 <= token < codebook.k:
@@ -456,14 +497,17 @@ def decode_token(codebook: Codebook, token: int, sample_rate: float) -> LpcModel
     sample_rate = check_rate(sample_rate)
     table = codebook.decode_table
     if table is None or table[0] != sample_rate:
-        table = (sample_rate, *decode_book(codebook, sample_rate))
+        inverse = decode_book(codebook, sample_rate)
+        table = (sample_rate, *inverse, _held_filters(codebook, sample_rate, *inverse))
         object.__setattr__(codebook, "decode_table", table)
-    _, coeffs, noise_power, refusals = table
+    _, coeffs, noise_power, refusals, filters = table
     if refusals[token] is not None:
         raise NonRealizableError(refusals[token])
-    return LpcModel(
+    model = LpcModel(
         codebook.order, coeffs[token].copy(), noise_power.item(token), codebook.lam, sample_rate
     )
+    object.__setattr__(model, "held_filter", filters[token])
+    return model
 
 
 def token_word(token: int) -> str:

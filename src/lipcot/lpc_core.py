@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.signal
@@ -110,6 +110,11 @@ class LpcModel(FieldEquality):
 
     ``coeffs`` holds a_1..a_L of the predictor denominator 1 + sum a_k d^k,
     where d is the warped delay (the plain unit delay when ``lam`` is 0).
+
+    ``held_filter`` is derived, never compared or shown: None, or
+    ``(coeff_bytes, numerator, denominator)``, a ``synthesis_filter``
+    worked out in advance (``decode_token`` sets it from the book's decode
+    table) for the coefficients whose bytes it names, as read-only arrays.
     """
 
     order: int
@@ -117,6 +122,7 @@ class LpcModel(FieldEquality):
     noise_power: float
     lam: float
     sample_rate: float
+    held_filter: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         order = check_order(self.order)
@@ -132,6 +138,7 @@ class LpcModel(FieldEquality):
         object.__setattr__(self, "noise_power", float(self.noise_power))
         object.__setattr__(self, "lam", check_lam(self.lam))
         object.__setattr__(self, "sample_rate", check_rate(self.sample_rate))
+        object.__setattr__(self, "held_filter", None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,6 +316,34 @@ def certified_stable(coeffs) -> bool:
     return bound > least
 
 
+def certified_rows(coeffs) -> np.ndarray:
+    """``certified_stable`` of each row of a models x order matrix, as booleans.
+
+    The step-down runs over every row at once, one array per coefficient
+    index, in the scalar code's float order: the same ``scale`` sequence,
+    the absolute sum added up from |b_0| one index at a time, and each
+    step's pair updates (written as one block, b_i from b_i and b_(m-1-i)).
+    A row whose |k| reaches 1 is False; its later arithmetic is ignored.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    rows, order = coeffs.shape
+    scales, scale = [], 1.0
+    for _ in range(order):
+        scale /= CERTIFIED_RADIUS
+        scales.append(scale)
+    certified, bound = np.ones(rows, dtype=bool), np.ones(rows)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        b = coeffs.T * np.array(scales)[:, None]
+        least = CERTIFIED_MARGIN * (1.0 + np.add.accumulate(np.abs(b), axis=0)[-1])
+        for m in range(order - 1, -1, -1):
+            k = b[m]
+            certified &= (-1.0 < k) & (k < 1.0)
+            bound *= 1.0 - np.abs(k)
+            if m:
+                b[:m] = (b[:m] - k * b[m - 1 :: -1]) / (1.0 - k * k)
+    return certified & (bound > least)
+
+
 def poles_to_coeffs(pole_values) -> np.ndarray:
     """Expand a pole multiset back into predictor coefficients a_1..a_L.
 
@@ -401,14 +436,52 @@ def to_conventional_tf(model: LpcModel):
     return _trim_trailing_zeros(np.array(numerator)), _trim_trailing_zeros(np.array(denominator))
 
 
+def conventional_rows(coeffs, lam: float):
+    """``to_conventional_tf`` of each row of a models x order matrix, all at one ``lam``.
+
+    Returns ``(numerator, denominators)``: the numerator, which depends only
+    on ``lam``, once, and a list of each row's denominator, exact trailing
+    zeros trimmed. The Horner steps are those of ``to_conventional_tf``: the
+    numerator over plain floats, and each step's denominator entries as one
+    block over every row, ``den[:, j] * neg_lam + den[:, j - 1] + a_k * n``,
+    so the bytes are the same.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    rows, order = coeffs.shape
+    neg_lam = -lam
+    numerator = [1.0] + [0.0] * order
+    denominator = np.zeros((rows, order + 1))
+    denominator[:, 0] = coeffs[:, -1]
+    # a_k of each step: a_(L-1) down to a_1, then a_0 = 1, whose products are exact
+    steps = np.concatenate((coeffs[:, -2::-1], np.ones((rows, 1))), axis=1)
+    for s, a_k in enumerate(steps.T, 1):
+        for j in range(s, 0, -1):
+            numerator[j] = numerator[j - 1] * neg_lam + numerator[j]
+        n = np.array(numerator[1 : s + 1])
+        # the right side reads step s - 1 throughout: it is built before it is stored
+        block = denominator[:, 1 : s + 1] * neg_lam + denominator[:, :s] + a_k[:, None] * n
+        denominator[:, 1 : s + 1] = block
+        denominator[:, 0] = denominator[:, 0] * neg_lam + a_k
+    sizes = ((denominator != 0.0) * np.arange(1, order + 2)).max(axis=1, initial=1)
+    trimmed = [row[:size] for row, size in zip(denominator, sizes.tolist())]
+    return _trim_trailing_zeros(np.array(numerator)), trimmed
+
+
 def synthesis_filter(model: LpcModel):
     """The ``(numerator, denominator)`` that ``synthesize`` filters noise through.
 
-    A model that ``certified_stable`` passes is expanded as it is. Only
-    otherwise are its poles found: one past the unit circle (with
+    A model's ``held_filter`` is returned, as its read-only arrays, while
+    the model's coefficients still have the bytes it was worked out for.
+    Otherwise: a model that ``certified_stable`` passes is expanded as it
+    is. Only otherwise are its poles found: one past the unit circle (with
     ``STABILITY_TOL``) raises ``UnstableModelError``, and radii past
     ``MAX_POLE_RADIUS`` are pulled in to it before ``to_conventional_tf``.
+    A lone model takes these scalar steps: on one row they cost less than
+    ``certified_rows`` and ``conventional_rows``.
     """
+    held = model.held_filter
+    if held is not None and held[0] == model.coeffs.tobytes():
+        return held[1], held[2]
     if not certified_stable(model.coeffs.tolist()):
         pole_values = poles(model).poles
         radii = np.abs(pole_values)

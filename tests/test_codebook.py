@@ -18,6 +18,7 @@ from lipcot.errors import (
     LipcotError,
     NonRealizableError,
     TooFewVectorsError,
+    UnstableModelError,
 )
 
 
@@ -754,6 +755,101 @@ class TestDecodeTable:
             else:
                 assert refusals[token] is None
                 assert (coeffs[token].tobytes(), noise_power[token]) == want
+
+
+METHODS = [latent.LatentMethod.lpc_coeff(), latent.LatentMethod.cepstrum(12), latent.LatentMethod.dsc()]
+
+
+def _mixed_book(method):
+    """An order-4 point book over six stable models, then three whose roots
+    lie past, on or clustered near the unit circle."""
+    rng = np.random.default_rng(29)
+    models = [random_stable_model(rng, 4, lam=0.1) for _ in range(6)]
+    for roots in ([1.1, 0.3, 0.2, -0.4], [1.0, 0.5, -0.3, 0.2], [0.99] * 4):
+        models.append(lpc_core.LpcModel(4, lpc_core.poles_to_coeffs(roots).real, 1.0, 0.1, FS))
+    return _point_book(method, 4, [latent.features(m, method).values for m in models])
+
+
+def _synth_outcome(model, seed):
+    """A realization's bytes, or the refusal's type and message."""
+    try:
+        return lpc_core.synthesize(model, 64, seed).samples.tobytes()
+    except LipcotError as exc:
+        return type(exc), str(exc)
+
+
+def _fresh(model, coeffs=None):
+    """A model with ``model``'s fields, and so no held filter."""
+    coeffs = model.coeffs.copy() if coeffs is None else coeffs
+    return lpc_core.LpcModel(model.order, coeffs, model.noise_power, model.lam, model.sample_rate)
+
+
+def _counted(monkeypatch, module, name):
+    """Record each call of ``module.name`` in the returned list."""
+    calls, original = [], getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestHeldFilters:
+    @pytest.mark.parametrize("book", [*map(_mixed_book, METHODS), _dsc_book()],
+                             ids=["lpc", "cepstrum", "dsc", "dsc-refusals"])
+    def test_a_held_filter_changes_no_output(self, book):
+        kinds = set()
+        for rate in (500.0, 1000.0, 500.0):
+            for token in range(book.k):
+                got = _decode_outcome(book, token, rate)
+                want = _reference_outcome(book, token, rate)
+                if isinstance(want, str):
+                    assert got == want
+                    kinds.add(NonRealizableError)
+                    continue
+                fresh = _synth_outcome(_fresh(got), token)
+                assert _synth_outcome(got, token) == fresh
+                kinds.add(bytes if isinstance(fresh, bytes) else fresh[0])
+        assert bytes in kinds
+        if book.method.tag != latent.TAG_DSC:
+            assert UnstableModelError in kinds  # no filter held, so synthesize refuses
+
+    def test_a_model_written_in_place_synthesizes_as_a_fresh_one(self):
+        book = _mixed_book(latent.LatentMethod.lpc_coeff())
+        model = cb.decode_token(book, 0, FS)
+        held = _synth_outcome(model, 0)
+        model.coeffs[:] = cb.decode_token(book, 1, FS).coeffs
+        assert _synth_outcome(model, 0) == _synth_outcome(_fresh(model), 0) != held
+
+    def test_a_root_on_the_unit_circle_holds_the_clamped_filter(self):
+        book = _point_book(latent.LatentMethod.lpc_coeff(), 1, [[-1.0, 0.0], [-0.5, 0.0]])
+        model = cb.decode_token(book, 0, FS)
+        assert not lpc_core.certified_rows(model.coeffs[None])[0]
+        numerator, denominator = model.held_filter[1:]
+        assert denominator.tobytes() != lpc_core.to_conventional_tf(model)[1].tobytes()
+        for got, want in zip((numerator, denominator), lpc_core.synthesis_filter(_fresh(model))):
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
+        assert _synth_outcome(model, 4) == _synth_outcome(_fresh(model), 4)
+
+    def test_decodes_at_a_known_rate_work_out_no_filter(self, monkeypatch):
+        book = _mixed_book(latent.LatentMethod.cepstrum(12))
+        certified = lpc_core.certified_rows(cb.decode_book(book, FS)[0])
+        assert 0 < certified.sum() < book.k
+        builds = _counted(monkeypatch, cb, "decode_book")
+        scalar = [
+            _counted(monkeypatch, lpc_core, name)
+            for name in ("certified_stable", "to_conventional_tf", "poles")
+        ]
+        for rate in (FS, 1000.0):
+            cb.decode_token(book, 0, rate)  # the build: one scalar pass per uncertified token
+            for calls in scalar:
+                calls.clear()
+            for token in np.flatnonzero(certified).tolist():
+                lpc_core.synthesize(cb.decode_token(book, token, rate), 64, token)
+            assert scalar == [[], [], []]
+        assert len(builds) == 2
 
 
 BAD_RATES = (0.0, -5.0, np.nan, True, "500", None)

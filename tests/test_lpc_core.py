@@ -393,6 +393,80 @@ class TestWarpFrequency:
             lpc_core.warp_frequency(np.nan, 0.2, FS)
 
 
+def _from_reflections(ks) -> np.ndarray:
+    """The step-up (Levinson) polynomial a_1..a_L of reflection coefficients ks."""
+    a = np.ones(1)
+    for k in ks:
+        padded = np.append(a, 0.0)
+        a = padded + k * padded[::-1]
+    return a[1:]
+
+
+@st.composite
+def model_rows(draw):
+    """(coeffs, lam): 1-8 rows of one order 1-23, each built from reflection
+    coefficients with |k| up to 1, from roots near ``CERTIFIED_RADIUS``, from
+    one clustered root, or drawn at random; the last 0 to 3 coefficients of
+    every row set to exact zeros of either sign; lam 0, 0.2, -0.5 or random.
+    """
+    order = draw(st.integers(1, 23))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["reflections", "near-radius", "clustered", "random"]))
+        if kind == "reflections":
+            edge = st.sampled_from([1.0, -1.0, 1.0 - 1e-12])
+            k = st.one_of(edge, st.floats(-1.0, 1.0), st.floats(-0.3, 0.3))
+            row = _from_reflections(draw(st.lists(k, min_size=order, max_size=order)))
+        elif kind == "random":
+            row = draw(hnp.arrays(float, order, elements=st.floats(-3.0, 3.0)))
+            row *= draw(st.sampled_from([1.0, 0.1, 0.01]))
+        else:
+            radius = lpc_core.CERTIFIED_RADIUS * (1.0 + draw(st.floats(-1e-6, 1e-6)))
+            if kind == "clustered":
+                angles = [draw(st.floats(0.0, np.pi))] * order
+            else:
+                angles = draw(st.lists(st.floats(0.0, np.pi), min_size=order, max_size=order))
+            poles = radius * np.exp(1j * np.array(angles))
+            pairs = np.concatenate([poles[: order // 2], poles[: order // 2].conj()])
+            row = lpc_core.poles_to_coeffs(np.append(pairs, [radius] * (order % 2))).real
+        zeros = draw(st.integers(0, min(3, order)))
+        row[order - zeros :] = draw(SIGNED_ZEROS)
+        rows.append(row)
+    lam = draw(st.one_of(
+        st.sampled_from([0.0, 0.2, -0.5]), st.floats(-0.9, 0.9, exclude_min=True, exclude_max=True)
+    ))
+    return np.array(rows), lam
+
+
+class TestRowForms:
+    """The whole-book forms give each row the scalar forms' verdicts and bytes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(model_rows())
+    def test_certified_rows_is_certified_stable_row_by_row(self, case):
+        coeffs, _ = case
+        got = lpc_core.certified_rows(coeffs)
+        assert got.tolist() == [lpc_core.certified_stable(row.tolist()) for row in coeffs]
+
+    @settings(max_examples=400, deadline=None)
+    @given(model_rows())
+    def test_conventional_rows_is_to_conventional_tf_row_by_row(self, case):
+        coeffs, lam = case
+        numerator, denominators = lpc_core.conventional_rows(coeffs, lam)
+        assert len(denominators) == len(coeffs)
+        for row, denominator in zip(coeffs, denominators):
+            model = lpc_core.LpcModel(row.size, row, 1.0, lam, FS)
+            want = lpc_core.to_conventional_tf(model)
+            assert (numerator.tobytes(), denominator.tobytes()) == tuple(w.tobytes() for w in want)
+
+    def test_a_row_past_float_range_or_on_the_circle_is_refused_without_a_warning(self):
+        coeffs = np.array([[0.5, 0.1], [1e308, 1e308], [-1.0, 0.0], [0.0, 0.0]])
+        with np.errstate(all="raise"):
+            got = lpc_core.certified_rows(coeffs)
+        assert got.tolist() == [lpc_core.certified_stable(row.tolist()) for row in coeffs]
+        assert got.tolist() == [True, False, False, True]
+
+
 def reference_conventional_tf(model):
     """to_conventional_tf as one numpy.polynomial product per term."""
     up = np.array([1.0, -model.lam])

@@ -31,9 +31,13 @@ also covers every token's decode: the model's coefficients and noise power,
 its poles, the numerator and denominator of ``synthesis_filter``, the filter
 ``synthesize`` really uses (clamped where it clamps), and the samples of
 ``synthesize(model, 64, token)``, each part or its refusal with the error
-type, and as ``bookN.kmeans`` (``book.kmeans`` on cli-eeg) the
-labels and inertia history of ``kmeans_fit`` on the book's normalized
-training matrix, which ``book.json`` does not hold. On scale-k256, the
+type. A decoded model holds its token's filter (``LpcModel.held_filter``),
+which the book's decode table works out for every token at once, so the
+``bookN.filters`` and ``bookN.realizations`` keys read the held filters and
+pin them to the bytes that a model's own filter gives. Per codebook it
+also covers, as ``bookN.kmeans`` (``book.kmeans`` on cli-eeg), the labels
+and inertia history of ``kmeans_fit`` on the book's normalized training
+matrix, which ``book.json`` does not hold. On scale-k256, the
 ``fallback.<map>`` keys cover ``fit_corpus`` and ``encode_series`` for each
 latent map on a seeded series of constant, all-zero and live windows at an
 overlapping hop, so the skipped rows and the zero-signal tokens are pinned,
