@@ -778,10 +778,11 @@ def _synth_outcome(model, seed):
         return type(exc), str(exc)
 
 
-def _fresh(model, coeffs=None):
+def _fresh(model):
     """A model with ``model``'s fields, and so no held filter."""
-    coeffs = model.coeffs.copy() if coeffs is None else coeffs
-    return lpc_core.LpcModel(model.order, coeffs, model.noise_power, model.lam, model.sample_rate)
+    return lpc_core.LpcModel(
+        model.order, model.coeffs.copy(), model.noise_power, model.lam, model.sample_rate
+    )
 
 
 def _counted(monkeypatch, module, name):
@@ -797,8 +798,10 @@ def _counted(monkeypatch, module, name):
 
 
 class TestHeldFilters:
-    @pytest.mark.parametrize("book", [*map(_mixed_book, METHODS), _dsc_book()],
-                             ids=["lpc", "cepstrum", "dsc", "dsc-refusals"])
+    @pytest.mark.parametrize(
+        "book", [*map(_mixed_book, METHODS), _dsc_book()],
+        ids=["lpc", "cepstrum", "dsc", "dsc-refusals"],
+    )
     def test_a_held_filter_changes_no_output(self, book):
         kinds = set()
         for rate in (500.0, 1000.0, 500.0):
