@@ -120,12 +120,18 @@ def _log_powers(noise_power) -> np.ndarray:
     """``math.log`` of each noise power, in the input's shape.
 
     A zero power raises ``ZeroNoisePowerError``; a negative, NaN or
-    non-numeric one raises ``InvalidArgumentError``, which shows it.
+    non-numeric one raises ``InvalidArgumentError``, which shows it. As for
+    ``LpcModel``'s noise power, a bool or a string is not a number.
     """
     try:
-        powers = np.asarray(noise_power, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidArgumentError(f"noise power must be a number, got {shown(noise_power)}") from None
+        powers = np.asarray(noise_power)
+        kind = powers.dtype.kind
+        numeric = kind in "iuf" or kind == "O" and all(map(lpc_core._real, powers.flat))
+        powers = powers.astype(float, copy=False) if numeric else None
+    except (OverflowError, TypeError, ValueError):
+        powers = None
+    if powers is None:
+        raise InvalidArgumentError(f"noise power must be a number, got {shown(noise_power)}")
     values = powers.ravel().tolist()
     for p in values:
         if p == 0.0:

@@ -446,6 +446,23 @@ def test_a_negative_or_non_numeric_noise_power_is_not_called_zero(call, value):
         latent.lpc_to_cepstrum([0.5], 0.0, 3)
 
 
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (lambda: latent.lpc_to_cepstrum([0.5], True, 3), "True"),
+        (lambda: latent.lpc_to_cepstrum([0.5], "2.0", 3), "'2.0'"),
+        (lambda: latent.feature_matrix([[0.5]], [True], LPC, FS), "[True]"),
+        (lambda: latent.feature_matrix([[0.5]], np.array(["2.0"]), LPC, FS), "array(['2.0'], dtype='<U3')"),
+    ],
+    ids=["cepstrum-bool", "cepstrum-string", "feature-matrix-bool", "feature-matrix-string-array"],
+)
+def test_a_bool_or_string_noise_power_is_refused(call, value):
+    # each was read as a number: log power 0 for True, log 2 for "2.0"
+    with pytest.raises(InvalidArgumentError) as raised:
+        call()
+    assert str(raised.value) == f"noise power must be a number, got {value}"
+
+
 class TestDistances:
     def test_cepstral_distance_grows_with_term_count(self):
         rng = np.random.default_rng(10)
