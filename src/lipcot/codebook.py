@@ -21,6 +21,7 @@ from .errors import (
     LipcotError,
     NonRealizableError,
     TooFewVectorsError,
+    UnstableModelError,
 )
 from .latent import LatentCorpus, LatentMethod, LatentVector, model_matrix
 from .lpc_core import (
@@ -458,8 +459,9 @@ def _held_filters(codebook: Codebook, sample_rate: float, coeffs, noise_power, r
     Certified rows (``certified_rows``) are expanded together by
     ``conventional_rows``, over one shared numerator. A decodable row that
     fails the certificate goes through the one-row ``synthesis_filter``
-    (poles, then the clamp); one that it refuses holds no filter, so
-    ``synthesize`` raises the same error.
+    (poles, then the clamp). One whose poles lie past the unit circle holds
+    the ``UnstableModelError`` message instead of a filter, so
+    ``synthesize`` raises the same error without finding the poles again.
     """
     filters = [None] * codebook.k
     rows = np.flatnonzero([refusal is None for refusal in refusals])
@@ -475,6 +477,9 @@ def _held_filters(codebook: Codebook, sample_rate: float, coeffs, noise_power, r
         )
         try:
             pair = synthesis_filter(model)
+        except UnstableModelError as exc:
+            filters[token] = (coeffs[token].tobytes(), None, str(exc))
+            continue
         except LipcotError:
             continue
         filters[token] = (coeffs[token].tobytes(), *map(_frozen, pair))

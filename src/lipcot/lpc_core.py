@@ -114,7 +114,9 @@ class LpcModel(FieldEquality):
     ``held_filter`` is derived, never compared or shown: None, or
     ``(coeff_bytes, numerator, denominator)``, a ``synthesis_filter``
     worked out in advance (``decode_token`` sets it from the book's decode
-    table) for the coefficients whose bytes it names, as read-only arrays.
+    table) for the coefficients whose bytes it names, as read-only arrays,
+    or ``(coeff_bytes, None, message)`` for coefficients whose poles lie
+    past the unit circle, with the ``UnstableModelError`` message.
     """
 
     order: int
@@ -470,9 +472,9 @@ def conventional_rows(coeffs, lam: float):
 def synthesis_filter(model: LpcModel):
     """The ``(numerator, denominator)`` that ``synthesize`` filters noise through.
 
-    A model's ``held_filter`` is returned, as its read-only arrays, while
-    the model's coefficients still have the bytes it was worked out for.
-    Otherwise: a model that ``certified_stable`` passes is expanded as it
+    A model's ``held_filter`` is returned, as its read-only arrays, or its
+    held ``UnstableModelError`` raised, while the model's coefficients
+    still have the bytes it was worked out for. Otherwise: a model that ``certified_stable`` passes is expanded as it
     is. Only otherwise are its poles found: one past the unit circle (with
     ``STABILITY_TOL``) raises ``UnstableModelError``, and radii past
     ``MAX_POLE_RADIUS`` are pulled in to it before ``to_conventional_tf``.
@@ -481,6 +483,8 @@ def synthesis_filter(model: LpcModel):
     """
     held = model.held_filter
     if held is not None and held[0] == model.coeffs.tobytes():
+        if held[1] is None:
+            raise UnstableModelError(held[2])
         return held[1], held[2]
     if not certified_stable(model.coeffs.tolist()):
         pole_values = poles(model).poles

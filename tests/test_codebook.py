@@ -836,6 +836,16 @@ class TestHeldFilters:
             assert got.tobytes() == want.tobytes() and not got.flags.writeable
         assert _synth_outcome(model, 4) == _synth_outcome(_fresh(model), 4)
 
+    def test_a_repeat_synthesis_of_an_unstable_token_finds_no_poles(self, monkeypatch):
+        book = _mixed_book(latent.LatentMethod.lpc_coeff())
+        token = 6  # a root at 1.1: decodable, but past the unit circle
+        want = _synth_outcome(_fresh(cb.decode_token(book, token, FS)), token)  # builds the table
+        assert want[0] is UnstableModelError
+        scalar = [_counted(monkeypatch, lpc_core, name) for name in ("certified_stable", "poles")]
+        for _ in range(2):
+            assert _synth_outcome(cb.decode_token(book, token, FS), token) == want
+        assert scalar == [[], []]
+
     def test_decodes_at_a_known_rate_work_out_no_filter(self, monkeypatch):
         book = _mixed_book(latent.LatentMethod.cepstrum(12))
         certified = lpc_core.certified_rows(cb.decode_book(book, FS)[0])
