@@ -143,6 +143,48 @@ _ASSIGN_CHUNK = 256
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
+def _rounding_bound(x_sq, c_sq, d: int) -> np.ndarray:
+    """2B per row, ``B = 4 (d + 2) (eps N + tiny)`` with ``N = ||x||^2 + max ||c||^2``.
+
+    Infinite wherever 4N overflows; call it under ``np.errstate(over="ignore")``.
+    """
+    two_b = x_sq + (c_sq.max(initial=0.0) + _TINY / _EPS)
+    two_b *= 4.0
+    two_b *= 2 * (d + 2) * _EPS
+    return two_b
+
+
+def _ranked(scaled_rows, centroids, c_sq):
+    """Each row's best column of ``G = scaled_rows @ centroids.T + c_sq``, that G and the runner-up.
+
+    ``scaled_rows`` is ``-2 x``. The runner-up is the least of the other
+    columns' G: with the best entry set to +inf, the row minimum.
+    """
+    g = scaled_rows @ centroids.T
+    g += c_sq
+    best = g.argmin(axis=1)
+    own = np.arange(0, g.size, g.shape[1]) + best  # flat index of each row's best in g
+    best_g = g.take(own)
+    g.put(own, np.inf)
+    return best, best_g, g.min(axis=1)
+
+
+def _certified(best_g, runner_up, two_b):
+    """Rows whose best G is their nearest centroid by direct differences.
+
+    Each column of G lies within B/2 of its direct value less ``||x||^2``
+    (``nearest_centroids``), so a row is certified when every other column
+    is at least ``runner_up`` and that is more than 2B above ``best_g``. A
+    NaN anywhere fails the comparison, so such a row is not certified.
+    """
+    return runner_up > best_g + two_b
+
+
+def _direct(points, centroids):
+    """Labels by direct differences over every centroid, ties to the lowest id."""
+    return np.argmin(((points[:, None, :] - centroids) ** 2).sum(axis=2), axis=1)
+
+
 def nearest_centroids(points: np.ndarray, centroids: np.ndarray, c_sq=None):
     """Each row's nearest centroid, as an array of labels.
 
@@ -185,6 +227,11 @@ def nearest_centroids(points: np.ndarray, centroids: np.ndarray, c_sq=None):
     G is formed as ``(-2 x) @ c.T + ||c||^2``: scaling by -2 is exact away
     from the subnormal range, so that product has the bits of
     ``-2 (x @ c.T)``, and it costs d products per row, not k.
+
+    The bound (``_rounding_bound``), the ranking of a block of G
+    (``_ranked``), the certification rule (``_certified``) and the direct
+    differences (``_direct``) are shared with ``kmeans_fit``'s Lloyd
+    assignments (``_LloydShortlist``), which hold G across iterations.
     """
     n, d = points.shape
     k = centroids.shape[0]
@@ -196,31 +243,22 @@ def nearest_centroids(points: np.ndarray, centroids: np.ndarray, c_sq=None):
     with np.errstate(over="ignore", invalid="ignore"):
         if c_sq is None:
             c_sq = np.vecdot(centroids, centroids)
-        # 2B = 2 (d + 2) eps 4 (N + tiny / eps), infinite wherever 4N overflows
-        two_b = np.vecdot(points, points) + (c_sq.max(initial=0.0) + _TINY / _EPS)
-        two_b *= 4.0
-        two_b *= 2 * (d + 2) * _EPS
-        row_starts = np.arange(0, min(n, _ASSIGN_CHUNK) * k, k)
+        two_b = _rounding_bound(np.vecdot(points, points), c_sq, d)
         for start in range(0, n, _ASSIGN_CHUNK):
-            g = (-2.0 * points[start : start + _ASSIGN_CHUNK]) @ centroids.T
-            g += c_sq
-            best = g.argmin(axis=1)
-            labels[start : start + _ASSIGN_CHUNK] = best
-            own = row_starts[: best.size] + best  # flat index of each row's best in g
-            near = g.take(own)
-            near += two_b[start : start + _ASSIGN_CHUNK]
-            g.put(own, np.inf)
-            # a NaN runner-up or threshold fails the test, so such a row is refined
-            far = g.min(axis=1) > near
-            if np.count_nonzero(far) != far.size:
-                ambiguous.append(start + np.flatnonzero(~far))
+            rows = slice(start, start + _ASSIGN_CHUNK)
+            best, best_g, runner_up = _ranked(-2.0 * points[rows], centroids, c_sq)
+            labels[rows] = best
+            certified = _certified(best_g, runner_up, two_b[rows])
+            if np.count_nonzero(certified) != certified.size:
+                ambiguous.append(start + np.flatnonzero(~certified))
     for rows in ambiguous:
-        block = ((points[rows, None, :] - centroids) ** 2).sum(axis=2)
-        labels[rows] = np.argmin(block, axis=1)
+        labels[rows] = _direct(points[rows], centroids)
     return labels
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_init(
+    points: np.ndarray, k: int, rng: np.random.Generator, x_sq=None, scaled=None
+) -> np.ndarray:
     """k-means++ seeding (Arthur & Vassilvitskii 2007): each pick is drawn
     with probability proportional to its squared distance D^2 to the nearest
     centroid picked so far.
@@ -244,7 +282,9 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     The fixed costs are paid once per call, not per pick: the points are
     scaled by -2 once, which is exact away from the subnormal range, so
     ``(-2 x) @ c`` has the bits of ``-2 (x @ c)``, and one ``np.errstate``
-    covers the whole pick loop.
+    covers the whole pick loop. ``x_sq`` and ``scaled``, ``np.vecdot(points,
+    points)`` and ``-2.0 * points``, are computed here when not given;
+    ``kmeans_fit`` passes the ones its Lloyd assignments reuse.
 
     The draw is ``Generator.choice(n, p=D^2 / total)`` written out: one
     ``rng.random()`` located in the normalized cumulative sum, so the random
@@ -260,9 +300,11 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     centroids[0] = points[idx]
     closest = np.full(n, np.inf)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
-        x_sq = np.vecdot(points, points)
+        if x_sq is None:
+            x_sq = np.vecdot(points, points)
+        if scaled is None:
+            scaled = -2.0 * points  # exact: (-2 x) @ c has the bits of -2 (x @ c)
         four_n = 4.0 * (x_sq + _TINY / _EPS)
-        scaled = -2.0 * points  # exact: (-2 x) @ c has the bits of -2 (x @ c)
         for i in range(1, k):
             c = points[idx]
             dist = scaled @ c
@@ -311,6 +353,84 @@ def _reseed_empty(points, centroids, labels) -> int:
     return empty.size
 
 
+class _LloydShortlist:
+    """Lloyd's assignments, for centroids of which only some move per iteration.
+
+    Each row holds the column of its best G (``best``), that G (``best_g``)
+    and a lower bound on every other column's G (``bound``), for the
+    centroids ``held``. A centroid whose values do not change keeps its
+    direct differences, and every G computed for it lies within B/2 of
+    them less ``||x||^2`` (``nearest_centroids``), whatever GEMM computed
+    it. So what a row holds stays valid for the columns that did not move.
+
+    ``assign`` computes G only for the moved columns, in blocks of at most
+    ``_ASSIGN_CHUNK`` x k values. A row's candidates are those columns and
+    its held best, unless that moved: the new best is their least G, and
+    the new bound the lesser of the old bound and the candidates'
+    runner-up. A row that ``_certified`` passes, with B from the current
+    ``max ||c||^2``, keeps its best; the others get a full row of G under
+    the same rule, and direct differences decide those still uncertain. The
+    labels are thus those of ``nearest_centroids``, bit for bit. When every
+    centroid moved, as on the first call, the candidates were every column
+    and an uncertain row goes straight to direct differences; when none
+    moved, the held labels are returned.
+    """
+
+    def __init__(self, points, x_sq, scaled):
+        n = points.shape[0]
+        self.points, self.x_sq, self.scaled = points, x_sq, scaled
+        self.held = None
+        self.best = np.zeros(n, dtype=np.intp)
+        self.best_g = np.full(n, np.inf)
+        self.bound = np.full(n, np.inf)
+        self.labels = np.zeros(n, dtype=np.intp)
+
+    def assign(self, centroids: np.ndarray) -> np.ndarray:
+        """Each point's nearest centroid, as a fresh array of labels."""
+        (n, d), k = self.points.shape, centroids.shape[0]
+        if k == 1:
+            return np.zeros(n, dtype=np.intp)
+        moved = np.ones(k, dtype=bool) if self.held is None else (centroids != self.held).any(axis=1)
+        columns = np.flatnonzero(moved)
+        if not columns.size:
+            return self.labels.copy()
+        self.held = centroids.copy()
+        every = columns.size == k
+        if every:  # no column lies outside the candidates
+            self.bound.fill(np.inf)
+        certified = np.empty(n, dtype=bool)
+        # only the shortlist is silenced: refined rows warn as direct differences do
+        with np.errstate(over="ignore", invalid="ignore"):
+            c_sq = np.vecdot(centroids, centroids)
+            two_b = _rounding_bound(self.x_sq, c_sq, d)
+            moved_c, moved_sq = (centroids, c_sq) if every else (centroids[columns], c_sq[columns])
+            step = _ASSIGN_CHUNK * k // columns.size
+            for start in range(0, n, step):
+                rows = slice(start, start + step)
+                j, g_min, g_second = _ranked(self.scaled[rows], moved_c, moved_sq)
+                # +inf stands for a held best that moved: it is among the columns
+                held_best = self.best[rows]
+                held_g = np.where(moved[held_best], np.inf, self.best_g[rows])
+                self.best[rows] = np.where(held_g < g_min, held_best, columns[j])
+                self.best_g[rows] = np.minimum(held_g, g_min)
+                runner_up = np.minimum(np.maximum(held_g, g_min), g_second)
+                np.minimum(self.bound[rows], runner_up, out=self.bound[rows])
+                certified[rows] = _certified(self.best_g[rows], self.bound[rows], two_b[rows])
+            uncertain = np.flatnonzero(~certified)
+            if not every:  # a full row of G for each uncertain row
+                for start in range(0, uncertain.size, _ASSIGN_CHUNK):
+                    rows = uncertain[start : start + _ASSIGN_CHUNK]
+                    best, best_g, runner_up = _ranked(self.scaled[rows], centroids, c_sq)
+                    self.best[rows], self.best_g[rows], self.bound[rows] = best, best_g, runner_up
+                    certified[rows] = _certified(best_g, runner_up, two_b[rows])
+                uncertain = uncertain[~certified[uncertain]]
+        self.labels[:] = self.best
+        for start in range(0, uncertain.size, _ASSIGN_CHUNK):
+            rows = uncertain[start : start + _ASSIGN_CHUNK]
+            self.labels[rows] = _direct(self.points[rows], centroids)
+        return self.labels.copy()
+
+
 def kmeans_fit(points: np.ndarray, k: int, seed: int):
     """Seeded k-means++ plus Lloyd iterations on normalized vectors.
 
@@ -330,6 +450,12 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int):
     After the last two, the labels come from one more assignment against the
     final centroids, and any cluster left empty is reseeded.
 
+    Every assignment gives the labels of ``nearest_centroids``, bit for
+    bit, but through one ``_LloydShortlist`` for the whole fit: after the
+    first, G is recomputed only for the centroids that moved, plus full
+    rows for the few rows the held bounds leave uncertain. The ``-2 x`` and
+    ``||x||^2`` it reads are those of the k-means++ seeding.
+
     Returns ``(centroids, labels, inertia_history)``. Fewer than ``k``
     distinct points raise ``TooFewVectorsError``, and squared distances
     that are not finite raise ``LipcotError``.
@@ -338,12 +464,15 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int):
     if np.unique(points, axis=0).shape[0] < k:
         raise TooFewVectorsError(f"need at least {k} distinct vectors")
     rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(points, k, rng)
+    with np.errstate(over="ignore", invalid="ignore"):  # the shortlist's to handle
+        x_sq, scaled = np.vecdot(points, points), -2.0 * points
+    centroids = _kmeans_pp_init(points, k, rng, x_sq, scaled)
+    shortlist = _LloydShortlist(points, x_sq, scaled)
     d = points.shape[1]
     columns = np.arange(d)
     inertia_history, labels = [], None
     for _ in range(_KMEANS_MAX_ITER):
-        previous, labels = labels, nearest_centroids(points, centroids)
+        previous, labels = labels, shortlist.assign(centroids)
         reseeded = _reseed_empty(points, centroids, labels)
         # unmoved centroids are already the means of an unchanged assignment
         settled = not reseeded and np.array_equal(labels, previous)
@@ -352,20 +481,21 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int):
             break
         # bin (label, column) per entry; bincount visits each bin's rows in
         # row order from 0.0, as a masked mean would, signed zeros included
-        bins = labels[:, None] * d + columns
-        sums = np.bincount(bins.ravel(), weights=points.ravel(), minlength=k * d)
+        bins = (labels[:, None] * d + columns).ravel()
+        sums = np.bincount(bins, weights=points.ravel(), minlength=k * d)
+        del bins  # not held through the next assignment
         new_centroids = sums.reshape(k, d) / np.bincount(labels, minlength=k)[:, None]
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
         if shift < _KMEANS_TOL:
             break
     if not settled:  # final assignment against the final centroids
-        labels = nearest_centroids(points, centroids)
+        labels = shortlist.assign(centroids)
     for _ in range(k):  # patch any stragglers
         if np.bincount(labels, minlength=k).all():
             break
         _reseed_empty(points, centroids, labels)
-        labels = nearest_centroids(points, centroids)
+        labels = shortlist.assign(centroids)
     return centroids, labels, np.asarray(inertia_history)
 
 

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -420,7 +420,7 @@ class TestLloydFloatOrder:
         # right after a reseed, and Lloyd must go on.
         points = np.array([[0.0, 0.0], [0.0, 1e-170], [1.0, 0.0], [1.0, 1e-170]])
         start = np.array([[0.4, 0.0], [1.1, 0.0], [5.0, 0.0]])
-        monkeypatch.setattr(cb, "_kmeans_pp_init", lambda points, k, rng: start.copy())
+        monkeypatch.setattr(cb, "_kmeans_pp_init", lambda points, k, rng, *terms: start.copy())
         events = {"reseeds": 0}
         expected = reference_lloyd_fit(points, 3, 0, events)
         assert events["reseeds"] >= 2 and len(expected[2]) == 2
@@ -437,18 +437,119 @@ class TestLloydEarlyStop:
     def test_a_settled_assignment_is_not_recomputed(self, make, k, monkeypatch):
         points, calls = make(), []
 
-        def counted(*args, **kwargs):
+        def counted(self, centroids):
             calls.append(None)
-            return nearest(*args, **kwargs)
+            return assign(self, centroids)
 
-        nearest = cb.nearest_centroids
-        monkeypatch.setattr(cb, "nearest_centroids", counted)
+        assign = cb._LloydShortlist.assign
+        monkeypatch.setattr(cb._LloydShortlist, "assign", counted)
         for seed in range(5):
             calls.clear()
             centroids, labels, history = cb.kmeans_fit(points, k, seed)
             # one assignment per iteration, and none after the last
             assert len(calls) == len(history), f"seed {seed}"
-            assert labels.tobytes() == nearest(points, centroids).tobytes(), f"seed {seed}"
+            assert labels.tobytes() == cb.nearest_centroids(points, centroids).tobytes(), f"seed {seed}"
+
+
+@st.composite
+def lloyd_cases(draw):
+    """Points, a K from 1 to their distinct count, and a k-means seed.
+
+    Rows lie on a small integer lattice, so exact distance ties abound,
+    scaled by an exact or an inexact factor; some rows are repeated, and
+    some moved one ulp in one coordinate. There are at least two columns:
+    numpy's mean of a single column sums pairwise, not in the row order
+    that ``kmeans_fit`` and the masked means of the reference share.
+    """
+    d, n = draw(st.integers(2, 4)), draw(st.integers(1, 60))
+    lattice = draw(hnp.arrays(np.int64, (n, d), elements=st.integers(-3, 3)))
+    points = lattice * draw(st.sampled_from([1.0, 0.25, 0.1, 1e-3]))
+    points = np.concatenate([points, points[draw(st.lists(st.integers(0, n - 1), max_size=n))]])
+    for row in draw(st.lists(st.integers(0, len(points) - 1), max_size=10)):
+        column = draw(st.integers(0, d - 1))
+        points[row, column] = np.nextafter(points[row, column], np.inf)
+    points = points[draw(st.permutations(range(len(points))))]
+    k = draw(st.integers(1, np.unique(points, axis=0).shape[0]))
+    return points, k, draw(st.integers(0, 2**32 - 1))
+
+
+def reseeds_per_assignment(monkeypatch):
+    """Record how many centroids each ``_reseed_empty`` call of ``kmeans_fit`` moves."""
+    moves, reseed = [], cb._reseed_empty
+
+    def counted(points, centroids, labels):
+        moves.append(reseed(points, centroids, labels))
+        return moves[-1]
+
+    monkeypatch.setattr(cb, "_reseed_empty", counted)
+    return moves
+
+
+class TestLloydShortlist:
+    """Lloyd recomputes G only for the centroids that moved, and keeps the reference's bytes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(lloyd_cases())
+    # the second of four assignments reseeds an empty centroid
+    @example((QUARTER_CAUCHY * 0.1, 27, 0))
+    def test_matches_the_full_tensor_reference(self, case):
+        points, k, seed = case
+        expected = reference_kmeans_fit(points, k, seed, {"ties": 0, "reseeds": 0})
+        for want, got in zip(expected, cb.kmeans_fit(points, k, seed)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, 0.1])
+    def test_a_reseed_mid_lloyd_keeps_the_reference_bytes(self, scale, monkeypatch):
+        points = QUARTER_CAUCHY * scale
+        moves = reseeds_per_assignment(monkeypatch)
+        got = cb.kmeans_fit(points, 27, 0)
+        # neither on the first assignment nor on the last
+        assert moves[0] == 0 and any(moves[1:-1]) and moves[-1] == 0
+        events = {"ties": 0, "reseeds": 0}
+        for want, got in zip(reference_kmeans_fit(points, 27, 0, events), got):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [64, 256])
+    def test_only_moved_columns_and_uncertain_rows_are_recomputed(self, k, monkeypatch):
+        points = cepstrum_corpus(600)
+        n = len(points)
+        assignments = []  # per assignment: its centroids, and the (rows, columns) of each G block
+        ranked, assign = cb._ranked, cb._LloydShortlist.assign
+
+        def counted_ranked(scaled_rows, centroids, c_sq):
+            assignments[-1][1].append((scaled_rows.shape[0], centroids.shape[0]))
+            return ranked(scaled_rows, centroids, c_sq)
+
+        def counted_assign(self, centroids):
+            assignments.append((centroids.copy(), []))
+            return assign(self, centroids)
+
+        monkeypatch.setattr(cb, "_ranked", counted_ranked)
+        monkeypatch.setattr(cb._LloydShortlist, "assign", counted_assign)
+        for seed in range(3):
+            assignments.clear()
+            cb.kmeans_fit(points, k, seed)
+            # the first assignment computes every entry, in blocks of whole rows
+            assert sum(rows * columns for rows, columns in assignments[0][1]) == n * k
+            later = 0
+            for (held, _), (centroids, blocks) in zip(assignments, assignments[1:]):
+                moved = int(np.count_nonzero((centroids != held).any(axis=1)))
+                entries = sum(rows * columns for rows, columns in blocks)
+                # the moved columns' blocks come first and cover every row once
+                covered = 0
+                while moved and covered < n:
+                    rows, columns = blocks.pop(0)
+                    assert columns == moved
+                    covered += rows
+                assert covered == (n if moved else 0)
+                # then full rows for the rows the held state left uncertain
+                assert all(columns == k for _, columns in blocks)
+                rescanned = sum(rows for rows, _ in blocks)
+                assert entries == n * moved + rescanned * k
+                assert rescanned <= n // 20, f"seed {seed}"
+                later += entries
+            # after the first assignment, under two fifths of the full products' entries
+            assert later < 0.4 * (len(assignments) - 1) * n * k, f"seed {seed}"
 
 
 class TestTraining:
