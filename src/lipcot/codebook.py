@@ -390,7 +390,10 @@ class _LloydShortlist:
         (n, d), k = self.points.shape, centroids.shape[0]
         if k == 1:
             return np.zeros(n, dtype=np.intp)
-        moved = np.ones(k, dtype=bool) if self.held is None else (centroids != self.held).any(axis=1)
+        if self.held is None:
+            moved = np.ones(k, dtype=bool)
+        else:
+            moved = (centroids != self.held).any(axis=1)
         columns = np.flatnonzero(moved)
         if not columns.size:
             return self.labels.copy()
@@ -408,7 +411,8 @@ class _LloydShortlist:
             for start in range(0, n, step):
                 rows = slice(start, start + step)
                 j, g_min, g_second = _ranked(self.scaled[rows], moved_c, moved_sq)
-                # +inf stands for a held best that moved: it is among the columns
+                # +inf stands for a held best that moved, which is among the
+                # columns: the strict < never keeps it, even against an inf G
                 held_best = self.best[rows]
                 held_g = np.where(moved[held_best], np.inf, self.best_g[rows])
                 self.best[rows] = np.where(held_g < g_min, held_best, columns[j])

@@ -474,10 +474,11 @@ def synthesis_filter(model: LpcModel):
 
     A model's ``held_filter`` is returned, as its read-only arrays, or its
     held ``UnstableModelError`` raised, while the model's coefficients
-    still have the bytes it was worked out for. Otherwise: a model that ``certified_stable`` passes is expanded as it
-    is. Only otherwise are its poles found: one past the unit circle (with
-    ``STABILITY_TOL``) raises ``UnstableModelError``, and radii past
-    ``MAX_POLE_RADIUS`` are pulled in to it before ``to_conventional_tf``.
+    still have the bytes it was worked out for. Otherwise: a model that
+    ``certified_stable`` passes is expanded as it is. Only otherwise are
+    its poles found: one past the unit circle (with ``STABILITY_TOL``)
+    raises ``UnstableModelError``, and radii past ``MAX_POLE_RADIUS`` are
+    pulled in to it before ``to_conventional_tf``.
     A lone model takes these scalar steps: on one row they cost less than
     ``certified_rows`` and ``conventional_rows``.
     """

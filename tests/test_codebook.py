@@ -448,7 +448,8 @@ class TestLloydEarlyStop:
             centroids, labels, history = cb.kmeans_fit(points, k, seed)
             # one assignment per iteration, and none after the last
             assert len(calls) == len(history), f"seed {seed}"
-            assert labels.tobytes() == cb.nearest_centroids(points, centroids).tobytes(), f"seed {seed}"
+            want = cb.nearest_centroids(points, centroids)
+            assert labels.tobytes() == want.tobytes(), f"seed {seed}"
 
 
 @st.composite

@@ -452,7 +452,10 @@ def test_a_negative_or_non_numeric_noise_power_is_not_called_zero(call, value):
         (lambda: latent.lpc_to_cepstrum([0.5], True, 3), "True"),
         (lambda: latent.lpc_to_cepstrum([0.5], "2.0", 3), "'2.0'"),
         (lambda: latent.feature_matrix([[0.5]], [True], LPC, FS), "[True]"),
-        (lambda: latent.feature_matrix([[0.5]], np.array(["2.0"]), LPC, FS), "array(['2.0'], dtype='<U3')"),
+        (
+            lambda: latent.feature_matrix([[0.5]], np.array(["2.0"]), LPC, FS),
+            "array(['2.0'], dtype='<U3')",
+        ),
     ],
     ids=["cepstrum-bool", "cepstrum-string", "feature-matrix-bool", "feature-matrix-string-array"],
 )
