@@ -503,11 +503,11 @@ class TestLloydShortlist:
     def test_a_reseed_mid_lloyd_keeps_the_reference_bytes(self, scale, monkeypatch):
         points = QUARTER_CAUCHY * scale
         moves = reseeds_per_assignment(monkeypatch)
-        got = cb.kmeans_fit(points, 27, 0)
+        fitted = cb.kmeans_fit(points, 27, 0)
         # neither on the first assignment nor on the last
         assert moves[0] == 0 and any(moves[1:-1]) and moves[-1] == 0
         events = {"ties": 0, "reseeds": 0}
-        for want, got in zip(reference_kmeans_fit(points, 27, 0, events), got):
+        for want, got in zip(reference_kmeans_fit(points, 27, 0, events), fitted):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k", [64, 256])
