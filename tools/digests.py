@@ -45,7 +45,10 @@ and the ``corpus.<map>`` keys cover ``fit_corpus`` for each latent map across
 three seeded series of different lengths, one with constant and all-zero
 windows and one shorter than a window. On dsc-stream, whose map reads the
 rate, the ``bookN.<part>@1000`` keys cover every token's decode again at
-1000 Hz, between the decodes at the workload's own rate.
+1000 Hz, between the decodes at the workload's own rate. Per workload the
+``burg.<workload>`` key covers all four outputs of ``warped_burg``
+(coefficients, noise power, stage powers and reflections) on the first
+chunk of windows that ``fit_corpus`` fits.
 """
 
 from __future__ import annotations
@@ -87,6 +90,22 @@ def _kmeans_digest(prefix: str, book, corpus) -> dict:
     normalized = book.norm_stats.normalize(corpus.matrix)
     _, labels, history = codebook.kmeans_fit(normalized, book.k, book.seed)
     return {f"{prefix}.kmeans": _sha(labels.astype(np.int64).tobytes() + history.tobytes())}
+
+
+def _burg_digest(name: str, data: np.ndarray, config) -> dict:
+    """All four outputs of ``warped_burg`` on the first chunk ``fit_corpus`` fits.
+
+    The chunk is the first ``_FIT_CHUNK_SAMPLES // window`` (channel, window)
+    cells in channel-major order, with their row means removed.
+    """
+    from lipcot import lpc_core, pipeline
+
+    views = np.lib.stride_tricks.sliding_window_view(data, config.window, axis=1)
+    step = max(1, pipeline._FIT_CHUNK_SAMPLES // config.window)
+    chunk = views[:, :: config.hop].reshape(-1, config.window)[:step]
+    centred = chunk - chunk.mean(axis=-1, keepdims=True)
+    outputs = lpc_core.warped_burg(centred, config.order, config.lam)
+    return {f"burg.{name}": _sha(b"".join(np.asarray(v).tobytes() for v in outputs))}
 
 
 def _outcome(function, *args):
@@ -217,6 +236,7 @@ def cli_eeg(spec: dict, work: Path) -> dict:
     out.update(_kmeans_digest("book", book, corpus))
     out.update(_token_models("book", book, spec["rate"]))
     out.update(_single_ops([book], windows, spec["rate"], spec["seed"]))
+    out.update(_burg_digest("cli-eeg", series.data, config))
     return out
 
 
@@ -291,6 +311,7 @@ def scale_k256(spec: dict, work: Path) -> dict:
         out.update({f"book{restart}.{key}": value for key, value in ops.items()})
     out.update(_fallback_digests(spec["seed"]))
     out.update(_corpus_digests(spec["seed"]))
+    out.update(_burg_digest("scale-k256", data, config))
     return out
 
 
@@ -321,6 +342,7 @@ def dsc_stream(spec: dict, work: Path) -> dict:
         out[f"book0.tokens.{layout}"] = _sha(json.dumps([s.tokens for s in sequences]).encode())
     stream = np.load(work / spec["stream_npy"])
     out.update(_single_ops(books, stream, spec["rate"], spec["seed"]))
+    out.update(_burg_digest("dsc-stream", train, config))
     return out
 
 
