@@ -168,6 +168,18 @@ def warped_burg(samples, order: int, lam: float):
     input power times the running product of max(1 - k^2, 0). One window
     divides for k in plain floats (0-d arrays cost more than a short window).
 
+    No stage allocates a temporary for a product. The all-pass input ``u``
+    is formed in one array; the backward error is updated in place in
+    ``lfilter``'s output, with ``u``, free by then, holding ``k`` times the
+    forward error. A stack of windows takes ``u`` and the new forward error
+    from contiguous prefixes of three buffers of the input's size (one for
+    ``u``, two that the forward error alternates between), allocated once
+    per call. One window allocates both per stage, since slicing and
+    reshaping buffers costs more than allocating a short window. Nothing
+    reads the errors after the last stage, so it does not update them.
+    Every element takes the same IEEE products and sums, in the same order,
+    as ``f_hat + k*b_hat`` and ``b_hat + k*f_hat``.
+
     Returns ``(coeffs, noise_power, stage_powers, reflections)``:
     ``stage_powers[..., 0]`` is the raw input power and ``stage_powers[..., i]``
     the error power after stage ``i``; ``reflections`` holds each stage's k.
@@ -177,22 +189,34 @@ def warped_burg(samples, order: int, lam: float):
     ks = np.zeros(x.shape[:-1] + (order,))
     a = np.zeros(x.shape[:-1] + (order + 1,))
     a[..., 0] = 1.0
+    stack = x.ndim > 1  # by dimension, not row count: a 0-row stack slices samples too
+    if stack:
+        rows, pool = math.prod(x.shape[:-1]), np.empty((3, x.size))
     for i in range(order):
+        u = f_next = None  # one window: each allocated where it is written
+        if stack:
+            shape = x.shape[:-1] + (x.shape[-1] - 1 - i,)
+            u, f_next = (pool[j, : rows * shape[-1]].reshape(shape) for j in (0, 1 + i % 2))
         # b_hat[j] = b[j] - lam*(b[j+1] - b_hat[j-1]): a one-pole recurrence
         # driven by u[j] = b[j] - lam*b[j+1] with zero initial state.
-        u = b[..., :-1] - lam * b[..., 1:]
-        b_hat = scipy.signal.lfilter([1.0], [1.0, -lam], u)
+        u = np.multiply(b[..., 1:], lam, out=u)
+        np.subtract(b[..., :-1], u, out=u)
+        del b  # not held while lfilter writes the next one
+        b = scipy.signal.lfilter([1.0], [1.0, -lam], u)  # b_hat, updated in place below
         f_hat = f[..., 1:]
-        num = -2.0 * np.vecdot(b_hat, f_hat)
-        denom = np.vecdot(f_hat, f_hat) + np.vecdot(b_hat, b_hat)
-        if x.ndim == 1:
-            k = ks[i] = float(num / denom) if denom > 0.0 else 0.0
-        else:
+        num = -2.0 * np.vecdot(b, f_hat)
+        denom = np.vecdot(f_hat, f_hat) + np.vecdot(b, b)
+        if stack:
             k = np.divide(num, denom, out=ks[..., i], where=denom > 0.0)[..., None]
-        f = f_hat + k * b_hat
-        b = b_hat + k * f_hat
+        else:
+            k = ks[i] = float(num / denom) if denom > 0.0 else 0.0
         # Levinson step on a_0..a_{i+1}, a_{i+1} still 0: a_j += k * a_{i+1-j}
         a[..., 1 : i + 2] = a[..., 1 : i + 2] + k * a[..., i::-1]
+        if i + 1 == order:
+            break
+        # f = f_hat + k*b_hat and b = b_hat + k*f_hat; u is free after lfilter
+        f = np.add(f_hat, np.multiply(b, k, out=f_next), out=f_next)
+        b += np.multiply(f_hat, k, out=u)
     power = np.vecdot(x, x)[..., None] / x.shape[-1]
     gains = np.maximum(1.0 - ks * ks, 0.0)
     powers = np.multiply.accumulate(np.concatenate((power, gains), axis=-1), axis=-1)
@@ -225,8 +249,8 @@ def fit_windows(windows, order: int, lam: float):
     lam = check_lam(lam)
     order = check_order(order, windows.shape[-1])
     constant = np.all(windows == windows[..., :1], axis=-1)
-    windows = np.where(constant[..., None], 0.0, windows)  # no arithmetic, and power 0
-    centred = windows - windows.mean(axis=-1, keepdims=True)
+    centred = np.where(constant[..., None], 0.0, windows)  # no arithmetic, and power 0
+    centred -= centred.mean(axis=-1, keepdims=True)
     coeffs, noise_power, _, _ = warped_burg(centred, order, lam)
     return coeffs, noise_power, noise_power > 0.0
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -208,6 +209,51 @@ class TestFitBurgWarped:
                 want = [np.asarray(v).tobytes() for v in reference]
                 for got in ([v[r] for v in stacked], lpc_core.warped_burg(x, order, lam)):
                     assert [np.asarray(v).tobytes() for v in got] == want
+
+    @pytest.mark.parametrize(
+        "shape, order, lam",
+        [
+            ((0, 50), 16, 0.2),
+            ((2, 3, 40), 6, 0.3),
+            ((4, 30), 1, 0.2),  # one stage: no lattice update runs
+            ((4, 30), 29, 0.2),  # the last stage is one sample long
+            ((6, 64), 8, -0.5),
+        ],
+        ids=["0-rows", "2x3-stack", "order-1", "order-n-1", "half-zero-negative-lam"],
+    )
+    def test_stack_equals_its_rows_byte_for_byte(self, shape, order, lam):
+        # a stack fits in reused buffers, one window in fresh arrays; the
+        # bytes, signed zeros included, are those of the plain recursion
+        windows = np.random.default_rng(order).standard_normal(shape)
+        windows[..., ::2, shape[-1] // 2 :] = 0.0
+        windows[..., 1::2, : shape[-1] // 2] = -0.0
+        windows[..., :1, :] = np.eye(1, shape[-1])  # an impulse: k is -0.0 at every stage
+        stacked = lpc_core.warped_burg(windows, order, lam)
+        assert np.all(np.signbit(stacked[3][..., :1, :]))
+        assert [v.shape for v in stacked] == [
+            shape[:-1] + (order,), shape[:-1], shape[:-1] + (order + 1,), shape[:-1] + (order,)
+        ]
+        for index in np.ndindex(shape[:-1]):
+            x = windows[index]
+            want = [np.asarray(v).tobytes() for v in lpc_core.warped_burg(x, order, lam)]
+            assert [np.asarray(v[index]).tobytes() for v in stacked] == want
+            reference = reference_burg_warped(x, order, lam)
+            assert [np.asarray(v).tobytes() for v in reference] == want
+        if len(shape) == 2:
+            coeffs, noise_power, ok = lpc_core.fit_windows(windows, order, lam)
+            assert coeffs.shape == (shape[0], order) and noise_power.shape == ok.shape == shape[:1]
+
+    def test_fit_holds_less_than_eight_chunks(self):
+        # the chunk pipeline._fit_cells cuts for 1000-sample windows
+        chunk = np.random.default_rng(9).standard_normal((32, 1000))
+        lpc_core.fit_windows(chunk, 16, 0.2)  # first-call set-up is not the fit's
+        tracemalloc.start()
+        try:
+            lpc_core.fit_windows(chunk, 16, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * chunk.nbytes, f"peak {peak} bytes for a {chunk.nbytes}-byte chunk"
 
     def test_mean_is_removed_before_fitting(self):
         x = ar2_fixture_series(seed=5)
