@@ -257,7 +257,7 @@ def nearest_centroids(points: np.ndarray, centroids: np.ndarray, c_sq=None):
 
 
 def _kmeans_pp_init(
-    points: np.ndarray, k: int, rng: np.random.Generator, x_sq=None, scaled=None
+    points: np.ndarray, k: int, rng: np.random.Generator, x_sq=None, scaled=None, check=None
 ) -> np.ndarray:
     """k-means++ seeding (Arthur & Vassilvitskii 2007): each pick is drawn
     with probability proportional to its squared distance D^2 to the nearest
@@ -293,6 +293,10 @@ def _kmeans_pp_init(
     moves only if the draw lands within about that much of a boundary of
     the cumulative sum, so on any input the picks are those of direct
     differences but for a chance of that order per pick.
+
+    ``check``, when given, is called with no arguments the first time the
+    total is not positive and finite, before the draw or the refusal;
+    ``kmeans_fit`` refuses too few distinct rows there.
     """
     n, d = points.shape
     centroids = np.empty((k, d))
@@ -320,6 +324,9 @@ def _kmeans_pp_init(
                 dist[near] = ((points[near] - c) ** 2).sum(axis=1)
             np.minimum(closest, dist, out=closest)
             total = closest.sum()
+            if check is not None and not 0.0 < total < np.inf:
+                check()
+                check = None
             if 0.0 < total < np.inf:
                 cdf = np.cumsum(closest / total)
                 cdf /= cdf[-1]
@@ -462,15 +469,25 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int):
 
     Returns ``(centroids, labels, inertia_history)``. Fewer than ``k``
     distinct points raise ``TooFewVectorsError``, and squared distances
-    that are not finite raise ``LipcotError``.
+    that are not finite raise ``LipcotError``; the first error wins.
+
+    The distinct rows are counted only where the seeding meets a D^2 total
+    that is not positive and finite. With fewer than ``k`` of them it
+    always does, before pick ``k``: each pick drawn from a positive total is
+    a row no pick duplicates, since a duplicate of a pick has D^2 exactly 0.
     """
+
+    def distinct_rows():
+        if np.unique(points, axis=0).shape[0] < k:
+            raise TooFewVectorsError(f"need at least {k} distinct vectors")
+
     seed = whole(seed, "seed", 0)
-    if np.unique(points, axis=0).shape[0] < k:
-        raise TooFewVectorsError(f"need at least {k} distinct vectors")
+    if len(points) < k:  # an empty matrix gives the seeding no first pick
+        distinct_rows()
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):  # the shortlist's to handle
         x_sq, scaled = np.vecdot(points, points), -2.0 * points
-    centroids = _kmeans_pp_init(points, k, rng, x_sq, scaled)
+    centroids = _kmeans_pp_init(points, k, rng, x_sq, scaled, distinct_rows)
     shortlist = _LloydShortlist(points, x_sq, scaled)
     d = points.shape[1]
     columns = np.arange(d)

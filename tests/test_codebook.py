@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import warnings
@@ -627,6 +628,32 @@ class TestTraining:
         # surplus centroids could only duplicate others and stay unused
         with pytest.raises(TooFewVectorsError):
             cb.kmeans_fit(points, k, seed=0)
+
+    @pytest.mark.parametrize(
+        "points, k, counted, refused",
+        [
+            (cepstrum_corpus(600), 64, 0, False),
+            (np.repeat([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 4, axis=0), 5, 1, True),
+            # squares of 1e-170 underflow: the total reaches 0 with 4 distinct
+            # rows, and the picks go on from it, counting them once
+            (np.array([[0.0, 0.0], [0.0, 1e-170], [1.0, 0.0], [1.0, 1e-170]]), 4, 1, False),
+            (np.empty((0, 2)), 1, 1, True),
+        ],
+        ids=["600-distinct-k64", "3-distinct-k5", "underflow-k4", "no-rows"],
+    )
+    def test_distinct_rows_are_counted_only_where_the_seeding_runs_out(
+        self, monkeypatch, points, k, counted, refused
+    ):
+        calls, unique = [], np.unique
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting)
+        with pytest.raises(TooFewVectorsError) if refused else contextlib.nullcontext():
+            cb.kmeans_fit(points, k, seed=0)
+        assert len(calls) == counted
 
     def test_every_token_gets_training_vectors(self):
         rng = np.random.default_rng(4)
