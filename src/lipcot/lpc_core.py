@@ -195,8 +195,9 @@ def warped_burg(samples, order: int, lam: float):
     for i in range(order):
         u = f_next = None  # one window: each allocated where it is written
         if stack:
-            shape = x.shape[:-1] + (x.shape[-1] - 1 - i,)
-            u, f_next = (pool[j, : rows * shape[-1]].reshape(shape) for j in (0, 1 + i % 2))
+            m = x.shape[-1] - 1 - i  # samples per row at this stage
+            shape, size = x.shape[:-1] + (m,), rows * m
+            u, f_next = pool[0, :size].reshape(shape), pool[1 + i % 2, :size].reshape(shape)
         # b_hat[j] = b[j] - lam*(b[j+1] - b_hat[j-1]): a one-pole recurrence
         # driven by u[j] = b[j] - lam*b[j+1] with zero initial state.
         u = np.multiply(b[..., 1:], lam, out=u)
