@@ -26,7 +26,10 @@ of a save, load and second save), tokens in both layouts, ``decoded.csv``,
 (cli-eeg), and the single-window
 encodes and single-token decodes the benchmark runs: each window's
 ``fit_burg_warped`` coefficients and noise power, each token, each
-refusal with its error type, and each realization's samples. Per codebook it
+refusal with its error type, and each realization's samples. The
+``features.<workload>`` key covers the bytes of ``features`` on each of
+those windows, so a change to one window's features that moves no token
+still shows. Per codebook it
 also covers every token's decode: the model's coefficients and noise power,
 its poles, the numerator and denominator of ``synthesis_filter``, the filter
 ``synthesize`` really uses (clamped where it clamps), and the samples of
@@ -182,6 +185,18 @@ def _single_ops(books, windows, rate: float, base_seed: int) -> dict:
     }
 
 
+def _feature_digest(name: str, books, windows, rate: float) -> dict:
+    """The ``features`` bytes of each single-op window: window ``i`` on book ``i % len(books)``."""
+    from lipcot import latent, lpc_core
+
+    def feature_bytes(book, samples):
+        model = lpc_core.fit_burg_warped(lpc_core.Segment(samples, rate), book.order, book.lam)
+        return latent.features(model, book.method).values.tobytes().hex()
+
+    values = [_outcome(feature_bytes, books[i % len(books)], w) for i, w in enumerate(windows)]
+    return {f"features.{name}": _sha(json.dumps(values).encode())}
+
+
 def cli_eeg(spec: dict, work: Path) -> dict:
     from lipcot import cli, codebook, pipeline
 
@@ -236,6 +251,7 @@ def cli_eeg(spec: dict, work: Path) -> dict:
     out.update(_kmeans_digest("book", book, corpus))
     out.update(_token_models("book", book, spec["rate"]))
     out.update(_single_ops([book], windows, spec["rate"], spec["seed"]))
+    out.update(_feature_digest("cli-eeg", [book], windows, spec["rate"]))
     out.update(_burg_digest("cli-eeg", series.data, config))
     return out
 
@@ -294,11 +310,13 @@ def scale_k256(spec: dict, work: Path) -> dict:
     out = {"fit_corpus": _sha(corpus.matrix.tobytes() + f"{skipped}".encode())}
     windows = data[:, : (data.shape[1] // window) * window].reshape(-1, window)
     windows = windows[: spec["latency_ops"]]
+    books = []
     for restart in range(spec["restarts"]):
         book = codebook.train_codebook(
             corpus, spec["k"], spec["seed"] * spec["restarts"] + restart,
             order=spec["order"], lam=spec["lam"],
         )
+        books.append(book)
         out.update(_book_digests(f"book{restart}", book, work))
         out.update(_kmeans_digest(f"book{restart}", book, corpus))
         for layout in ("positions", "temporal"):
@@ -309,6 +327,8 @@ def scale_k256(spec: dict, work: Path) -> dict:
         out.update(_token_models(f"book{restart}", book, spec["rate"]))
         ops = _single_ops([book], windows, spec["rate"], spec["seed"])
         out.update({f"book{restart}.{key}": value for key, value in ops.items()})
+    # the restarts share the order, lam and map that features read
+    out.update(_feature_digest("scale-k256", books[:1], windows, spec["rate"]))
     out.update(_fallback_digests(spec["seed"]))
     out.update(_corpus_digests(spec["seed"]))
     out.update(_burg_digest("scale-k256", data, config))
@@ -342,6 +362,7 @@ def dsc_stream(spec: dict, work: Path) -> dict:
         out[f"book0.tokens.{layout}"] = _sha(json.dumps([s.tokens for s in sequences]).encode())
     stream = np.load(work / spec["stream_npy"])
     out.update(_single_ops(books, stream, spec["rate"], spec["seed"]))
+    out.update(_feature_digest("dsc-stream", books, stream, spec["rate"]))
     out.update(_burg_digest("dsc-stream", train, config))
     return out
 
