@@ -165,8 +165,7 @@ def warped_burg(samples, order: int, lam: float):
     backward prediction error with a first-order all-pass section of
     coefficient ``lam`` before applying the usual Burg reflection update. The
     loop carries only the lattice: after it, each stage's error power is the
-    input power times the running product of max(1 - k^2, 0). One window
-    divides for k in plain floats (0-d arrays cost more than a short window).
+    input power times the running product of max(1 - k^2, 0).
 
     No stage allocates a temporary for a product. The all-pass input ``u``
     is formed in one array; the backward error is updated in place in
@@ -174,45 +173,45 @@ def warped_burg(samples, order: int, lam: float):
     forward error. A stack of windows takes ``u`` and the new forward error
     from contiguous prefixes of three buffers of the input's size (one for
     ``u``, two that the forward error alternates between), allocated once
-    per call. One window allocates both per stage, since slicing and
-    reshaping buffers costs more than allocating a short window. Nothing
-    reads the errors after the last stage, so it does not update them.
-    Every element takes the same IEEE products and sums, in the same order,
-    as ``f_hat + k*b_hat`` and ``b_hat + k*f_hat``.
+    per call. Nothing reads the errors after the last stage, so it does not
+    update them. Every element takes the same IEEE products and sums, in the
+    same order, as ``f_hat + k*b_hat`` and ``b_hat + k*f_hat``. Each ufunc
+    takes its output by position (parsing an out= keyword costs about 2% of
+    a one-window fit of 100 samples), and ``lfilter`` takes its coefficients
+    as arrays made once per call.
+
+    One window, a 1-D input, keeps its lattice on arrays but carries each
+    stage's k, the Levinson step-up and the stage powers in plain floats
+    (``_burg_window``): the same IEEE operations in the same order, so the
+    same bytes as its row in a stack, at less than numpy's per-call cost.
 
     Returns ``(coeffs, noise_power, stage_powers, reflections)``:
     ``stage_powers[..., 0]`` is the raw input power and ``stage_powers[..., i]``
     the error power after stage ``i``; ``reflections`` holds each stage's k.
     """
     x = np.asarray(samples, dtype=float)
+    allpass = np.array([1.0]), np.array([1.0, -lam])
+    if x.ndim == 1:  # by dimension, not row count: a 0-row stack slices samples too
+        return _burg_window(x, order, lam, allpass)
     f = b = x
     ks = np.zeros(x.shape[:-1] + (order,))
     a = np.zeros(x.shape[:-1] + (order + 1,))
     a[..., 0] = 1.0
-    stack = x.ndim > 1  # by dimension, not row count: a 0-row stack slices samples too
-    if stack:
-        rows, pool = math.prod(x.shape[:-1]), np.empty((3, x.size))
+    rows, pool = math.prod(x.shape[:-1]), np.empty((3, x.size))
     for i in range(order):
-        u = f_next = None  # one window: each allocated where it is written
-        if stack:
-            m = x.shape[-1] - 1 - i  # samples per row at this stage
-            shape, size = x.shape[:-1] + (m,), rows * m
-            u, f_next = pool[0, :size].reshape(shape), pool[1 + i % 2, :size].reshape(shape)
+        m = x.shape[-1] - 1 - i  # samples per row at this stage
+        shape, size = x.shape[:-1] + (m,), rows * m
+        u, f_next = pool[0, :size].reshape(shape), pool[1 + i % 2, :size].reshape(shape)
         # b_hat[j] = b[j] - lam*(b[j+1] - b_hat[j-1]): a one-pole recurrence
-        # driven by u[j] = b[j] - lam*b[j+1] with zero initial state. Each
-        # ufunc takes its output by position: parsing an out= keyword costs
-        # about 2% of a one-window fit of 100 samples.
-        u = np.multiply(b[..., 1:], lam, u)
+        # driven by u[j] = b[j] - lam*b[j+1] with zero initial state
+        np.multiply(b[..., 1:], lam, u)
         np.subtract(b[..., :-1], u, u)
         del b  # not held while lfilter writes the next one
-        b = scipy.signal.lfilter([1.0], [1.0, -lam], u)  # b_hat, updated in place below
+        b = scipy.signal.lfilter(*allpass, u)  # b_hat, updated in place below
         f_hat = f[..., 1:]
         num = -2.0 * np.vecdot(b, f_hat)
         denom = np.vecdot(f_hat, f_hat) + np.vecdot(b, b)
-        if stack:
-            k = np.divide(num, denom, out=ks[..., i], where=denom > 0.0)[..., None]
-        else:
-            k = ks[i] = float(num / denom) if denom > 0.0 else 0.0
+        k = np.divide(num, denom, out=ks[..., i], where=denom > 0.0)[..., None]
         # Levinson step on a_0..a_{i+1}, a_{i+1} still 0: a_j += k * a_{i+1-j}
         a[..., 1 : i + 2] = a[..., 1 : i + 2] + k * a[..., i::-1]
         if i + 1 == order:
@@ -223,8 +222,48 @@ def warped_burg(samples, order: int, lam: float):
     power = np.vecdot(x, x)[..., None] / x.shape[-1]
     gains = np.maximum(1.0 - ks * ks, 0.0)
     powers = np.multiply.accumulate(np.concatenate((power, gains), axis=-1), axis=-1)
-    # [()] makes one window's noise power a numpy float, not a 0-d array
-    return a[..., 1:], powers[..., -1][()], powers, ks
+    return a[..., 1:], powers[..., -1], powers, ks
+
+
+def _burg_window(x: np.ndarray, order: int, lam: float, allpass):
+    """``warped_burg`` on one window, its per-stage scalars in plain floats.
+
+    The lattice is the stack's, on arrays allocated where they are written:
+    slicing buffers costs more than allocating one short window. Each
+    stage's three dot products become floats once. k, the Levinson step-up
+    ``a_j + k * a_{i+1-j}`` over a list, and the stage powers
+    ``p * max(1 - k*k, 0)`` then take the stack's float operations in its
+    order; numpy calls on the 17 terms of an order-16 fit cost about twice
+    the Python float steps. The noise power is returned as a numpy float.
+    """
+    f = b = x
+    a, ks = [1.0], []
+    for i in range(order):
+        u = np.multiply(b[1:], lam)
+        np.subtract(b[:-1], u, u)
+        del b
+        b = scipy.signal.lfilter(*allpass, u)
+        f_hat = f[1:]
+        # ndarray.dot costs half of vecdot and sums the same: both start
+        # BLAS's sum from +0.0, except that dot takes one element's bare
+        # product, so + 0.0 turns a -0.0 there into vecdot's +0.0
+        num = -2.0 * (float(b.dot(f_hat)) + 0.0)
+        denom = float(f_hat.dot(f_hat)) + float(b.dot(b))
+        k = num / denom if denom > 0.0 else 0.0
+        ks.append(k)
+        a.append(0.0)  # a_{i+1}, so a_{i+1} = 0 + k * a_0, as the stack sums it
+        a = [1.0] + [a_j + k * a_r for a_j, a_r in zip(a[1:], a[i::-1])]
+        if i + 1 == order:
+            break
+        f = np.multiply(b, k)
+        np.add(f_hat, f, f)
+        b += np.multiply(f_hat, k, u)
+    power = float(x.dot(x)) / x.shape[-1]
+    powers = [power]
+    for k in ks:
+        power *= max(1.0 - k * k, 0.0)
+        powers.append(power)
+    return np.array(a[1:]), np.float64(power), np.array(powers), np.array(ks)
 
 
 def check_order(order: int, n_samples: int | None = None) -> int:
@@ -250,10 +289,17 @@ def fit_windows(windows, order: int, lam: float):
     """
     windows = np.asarray(windows, dtype=float)
     lam = check_lam(lam)
-    order = check_order(order, windows.shape[-1])
-    constant = np.all(windows == windows[..., :1], axis=-1)
-    centred = np.where(constant[..., None], 0.0, windows)  # no arithmetic, and power 0
-    centred -= centred.mean(axis=-1, keepdims=True)
+    n = windows.shape[-1]
+    order = check_order(order, n)
+    # a constant row becomes zeros, with no arithmetic, so power 0; the mean
+    # is np.mean's sum and division, without its wrapper
+    if windows.ndim == 1:  # one window: a test and a branch cost less than a mask
+        constant = (windows == windows[0]).all()
+        centred = np.zeros(n) if constant else windows - np.add.reduce(windows) / n
+    else:
+        constant = np.all(windows == windows[..., :1], axis=-1)
+        centred = np.where(constant[..., None], 0.0, windows)
+        centred -= np.add.reduce(centred, axis=-1, keepdims=True) / n
     coeffs, noise_power, _, _ = warped_burg(centred, order, lam)
     return coeffs, noise_power, noise_power > 0.0
 

@@ -211,25 +211,40 @@ class TestFitBurgWarped:
                     assert [np.asarray(v).tobytes() for v in got] == want
 
     @pytest.mark.parametrize(
-        "shape, order, lam",
+        "shape, order, lam, rows",
         [
-            ((0, 50), 16, 0.2),
-            ((2, 3, 40), 6, 0.3),
-            ((4, 30), 1, 0.2),  # one stage: no lattice update runs
-            ((4, 30), 29, 0.2),  # the last stage is one sample long
-            ((6, 64), 8, -0.5),
+            ((0, 50), 16, 0.2, "mixed"),
+            ((2, 3, 40), 6, 0.3, "mixed"),
+            ((4, 30), 1, 0.2, "mixed"),  # one stage: no lattice update runs
+            ((4, 30), 29, 0.2, "mixed"),  # the last stage is one sample long
+            ((6, 64), 8, -0.5, "mixed"),
+            ((3, 40), 6, 0.0, "alternating"),
+            ((3, 40), 8, 0.2, "tiny"),
         ],
-        ids=["0-rows", "2x3-stack", "order-1", "order-n-1", "half-zero-negative-lam"],
+        ids=[
+            "0-rows", "2x3-stack", "order-1", "order-n-1", "half-zero-negative-lam",
+            "alternating-lam-0", "subnormal-powers",
+        ],
     )
-    def test_stack_equals_its_rows_byte_for_byte(self, shape, order, lam):
-        # a stack fits in reused buffers, one window in fresh arrays; the
-        # bytes, signed zeros included, are those of the plain recursion
+    def test_stack_equals_its_rows_byte_for_byte(self, shape, order, lam, rows):
+        # a stack fits in reused buffers, one window in fresh arrays with its
+        # k, Levinson step and stage powers in plain floats; the bytes,
+        # signed zeros included, are those of the plain recursion
         windows = np.random.default_rng(order).standard_normal(shape)
         windows[..., ::2, shape[-1] // 2 :] = 0.0
         windows[..., 1::2, : shape[-1] // 2] = -0.0
+        if rows == "alternating":
+            windows[..., 1:, :] = np.resize([1.0, -1.0], shape[-1])
+        elif rows == "tiny":
+            windows[..., 1:, :] *= 1e-160
         windows[..., :1, :] = np.eye(1, shape[-1])  # an impulse: k is -0.0 at every stage
         stacked = lpc_core.warped_burg(windows, order, lam)
         assert np.all(np.signbit(stacked[3][..., :1, :]))
+        if rows == "alternating":  # k is exactly 1, so the gain clamps to 0, and so the power
+            assert np.all(stacked[3][1:, 0] == 1.0) and np.all(stacked[1][1:] == 0.0)
+        elif rows == "tiny":  # the stage powers are subnormal
+            powers = stacked[2][1:]
+            assert np.all((0.0 < powers) & (powers < np.finfo(float).smallest_normal))
         assert [v.shape for v in stacked] == [
             shape[:-1] + (order,), shape[:-1], shape[:-1] + (order + 1,), shape[:-1] + (order,)
         ]
