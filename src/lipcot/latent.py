@@ -8,6 +8,7 @@ has an exact algebraic inverse used when decoding tokens back into models.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Sequence
@@ -142,24 +143,40 @@ def _log_powers(noise_power) -> np.ndarray:
     return np.array([math.log(p) for p in values]).reshape(powers.shape)
 
 
-def _recursion_sum(a: list, c: list, n: int):
-    # sum over m < n of (1 - m/n) a_m c_(n-m), a_m up to len(a): both recursions'
-    # one float order, of plain floats or of one array per coefficient index
+@functools.lru_cache(maxsize=16)
+def _recursion_terms(order: int, count: int) -> tuple:
+    # per n in 1..count, each term m < n, m <= order, of the sum over
+    # (1 - m/n) a_m c_(n-m) as (m - 1, n - m, 1 - m/n): the list indices of
+    # a_m and c_(n-m) and the weight, worked out once per (order, count)
+    return tuple(
+        tuple((m - 1, n - m, 1.0 - m / n) for m in range(1, min(n, order + 1)))
+        for n in range(1, count + 1)
+    )
+
+
+def _recursion_sum(terms: tuple, a: list, c: list):
+    # one entry of _recursion_terms, summed in both recursions' one float
+    # order, of plain floats or of one array per coefficient index
     acc = 0.0
-    for m in range(1, min(n, len(a) + 1)):
-        acc += (1.0 - m / n) * a[m - 1] * c[n - m]
+    for i, j, weight in terms:
+        acc += weight * a[i] * c[j]
     return acc
 
 
 def _cepstrum_rows(coeffs: np.ndarray, log_power: np.ndarray, count: int) -> np.ndarray:
-    # lpc_to_cepstrum on every row at once, each term in one float order
+    """``lpc_to_cepstrum`` on every row at once, each term in one float order.
+
+    One row runs over plain floats, which cost less than numpy calls on one
+    element; a stack runs over one array per coefficient index. Either way
+    the term weights come from the table ``_recursion_terms`` holds.
+    """
     rows, order = coeffs.shape
-    if rows == 1:  # plain floats: numpy calls would cost more than the terms
+    if rows == 1:
         a, c = coeffs[0].tolist(), log_power.tolist()
-    else:  # one array per coefficient index, over all rows
+    else:
         a, c = list(coeffs.T), [log_power]
-    for n in range(1, count + 1):  # -0.0 - sum is -sum
-        c.append((-a[n - 1] if n <= order else -0.0) - _recursion_sum(a, c, n))
+    for n, terms in enumerate(_recursion_terms(order, count), 1):  # -0.0 - sum is -sum
+        c.append((-a[n - 1] if n <= order else -0.0) - _recursion_sum(terms, a, c))
     return np.array(c).reshape(count + 1, rows).T
 
 
@@ -216,10 +233,13 @@ def lpc_to_cepstrum(coeffs, noise_power: float, count: int) -> np.ndarray:
     return _cepstrum_rows(a, log_power[None], count)[0]
 
 
+@functools.lru_cache(maxsize=16)
 def _sqrt_index_weights(count: int) -> np.ndarray:
     # (1, 1, sqrt(2), ..., sqrt(count)): makes Euclidean distance in the
-    # feature space equal the index-weighted cepstral distance
-    return np.sqrt(np.concatenate(([1.0], np.arange(1, count + 1))))
+    # feature space equal the index-weighted cepstral distance; held, read-only
+    weights = np.sqrt(np.concatenate(([1.0], np.arange(1, count + 1))))
+    weights.flags.writeable = False
+    return weights
 
 
 def _lpc_rows(ceps: np.ndarray, order: int) -> np.ndarray:
@@ -232,8 +252,9 @@ def _lpc_rows(ceps: np.ndarray, order: int) -> np.ndarray:
         )
     c = list(ceps.T)
     a = []
-    for i in range(1, order + 1):  # -c[1] - 0.0 is exactly -c[1] for i = 1
-        a.append(-c[i] - _recursion_sum(a, c, i))
+    # terms m < i only, which a holds by then; -c[1] - 0.0 is exactly -c[1]
+    for i, terms in enumerate(_recursion_terms(order, order), 1):
+        a.append(-c[i] - _recursion_sum(terms, a, c))
     return np.array(a).reshape(order, rows).T
 
 

@@ -144,6 +144,30 @@ class TestBatchMatchesOneRow:
                 assert latent.lpc_to_cepstrum(row, power, count).tobytes() == values.tobytes()
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_row_cepstrum_is_its_row_in_a_stack(self, data):
+        # one row runs the recursion over plain floats, a stack over one
+        # array per coefficient index; both read the held weight table
+        order = data.draw(st.integers(1, 20))
+        count = data.draw(st.one_of(
+            st.integers(0, order - 1), st.just(order), st.integers(order + 1, 40)
+        ))
+        rows = data.draw(st.integers(2, 6))
+        element = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.5, 1.5))
+        coeffs = data.draw(hnp.arrays(float, (rows, order), elements=element))
+        coeffs[data.draw(st.integers(0, rows - 1))] = data.draw(st.sampled_from([0.0, -0.0]))
+        power = st.one_of(st.just(1.0), st.floats(1e-6, 1e6))  # 1.0: a log power of 0.0
+        powers = data.draw(hnp.arrays(float, rows, elements=power))
+        log_power = latent._log_powers(powers)
+        stacked = latent._cepstrum_rows(coeffs, log_power, count)
+        for r in range(rows):
+            one = latent._cepstrum_rows(coeffs[r : r + 1], log_power[r : r + 1], count)
+            assert one.shape == (1, count + 1)
+            alone = latent.lpc_to_cepstrum(coeffs[r], powers[r], count)
+            assert one[0].tobytes() == alone.tobytes() == stacked[r].tobytes()
+
+
 class TestMethodPayload:
     """The ``method`` object of a ``book.json``, read by ``codebook.load_codebook``."""
 
