@@ -132,7 +132,7 @@ def cmd_train(args) -> int:
     write_text_atomic(vocab_path, "\n".join(cb.export_vocabulary(book)) + "\n")
 
     normalized = book.norm_stats.normalize(corpus.matrix)
-    assignments = cb.nearest_centroids(normalized, book.centroids)
+    assignments = cb.nearest_centroids(normalized, book.centroids, book.centroid_sq_norms)
     inertia = float(((normalized - book.centroids[assignments]) ** 2).sum())
     print(f"k {book.k}")
     print(f"inertia {inertia:.6f}")
