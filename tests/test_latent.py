@@ -143,7 +143,6 @@ class TestBatchMatchesOneRow:
             for row, power, values in zip(coeffs, powers, raw):
                 assert latent.lpc_to_cepstrum(row, power, count).tobytes() == values.tobytes()
 
-
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_one_row_cepstrum_is_its_row_in_a_stack(self, data):

@@ -240,7 +240,7 @@ class TestFitBurgWarped:
         windows[..., :1, :] = np.eye(1, shape[-1])  # an impulse: k is -0.0 at every stage
         stacked = lpc_core.warped_burg(windows, order, lam)
         assert np.all(np.signbit(stacked[3][..., :1, :]))
-        if rows == "alternating":  # k is exactly 1, so the gain clamps to 0, and so the power
+        if rows == "alternating":  # k is exactly 1: the gain clamps to 0, and so does the power
             assert np.all(stacked[3][1:, 0] == 1.0) and np.all(stacked[1][1:] == 0.0)
         elif rows == "tiny":  # the stage powers are subnormal
             powers = stacked[2][1:]

@@ -310,13 +310,11 @@ def scale_k256(spec: dict, work: Path) -> dict:
     out = {"fit_corpus": _sha(corpus.matrix.tobytes() + f"{skipped}".encode())}
     windows = data[:, : (data.shape[1] // window) * window].reshape(-1, window)
     windows = windows[: spec["latency_ops"]]
-    books = []
     for restart in range(spec["restarts"]):
         book = codebook.train_codebook(
             corpus, spec["k"], spec["seed"] * spec["restarts"] + restart,
             order=spec["order"], lam=spec["lam"],
         )
-        books.append(book)
         out.update(_book_digests(f"book{restart}", book, work))
         out.update(_kmeans_digest(f"book{restart}", book, corpus))
         for layout in ("positions", "temporal"):
@@ -327,8 +325,8 @@ def scale_k256(spec: dict, work: Path) -> dict:
         out.update(_token_models(f"book{restart}", book, spec["rate"]))
         ops = _single_ops([book], windows, spec["rate"], spec["seed"])
         out.update({f"book{restart}.{key}": value for key, value in ops.items()})
-    # the restarts share the order, lam and map that features read
-    out.update(_feature_digest("scale-k256", books[:1], windows, spec["rate"]))
+    # every restart's book has the order, lam and map that features read
+    out.update(_feature_digest("scale-k256", [book], windows, spec["rate"]))
     out.update(_fallback_digests(spec["seed"]))
     out.update(_corpus_digests(spec["seed"]))
     out.update(_burg_digest("scale-k256", data, config))
