@@ -158,6 +158,35 @@ class TestFitBurgWarped:
         with pytest.raises(DegenerateInputError):
             lpc_core.fit_burg_warped(lpc_core.Segment(windows[0], FS), 4, 0.2)
 
+    @pytest.mark.parametrize(
+        "first, error, message",
+        [
+            (1.2e154, None, None),
+            (
+                1.5e154,
+                InvalidArgumentError,
+                "noise_power must be a finite non-negative number, got np.float64(inf)",
+            ),
+            (1e155, DegenerateInputError, "constant segment, or one predicted without error"),
+        ],
+        ids=["fits", "power-overflows", "power-nan"],
+    )
+    def test_an_overflowing_fit_is_refused(self, first, error, message):
+        # at 1.5e154 the window's power overflows to inf while its
+        # reflections stay finite, so the model refuses the noise power; at
+        # 1e155 the power is NaN, and the fit is degenerate
+        samples = np.random.default_rng(0).standard_normal(100)
+        samples[0] = first
+        segment = lpc_core.Segment(samples, FS)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if error is None:
+                model = lpc_core.fit_burg_warped(segment, 16, 0.2)
+                assert np.all(np.isfinite(model.coeffs)) and np.isfinite(model.noise_power)
+                return
+            with pytest.raises(error) as caught:
+                lpc_core.fit_burg_warped(segment, 16, 0.2)
+        assert type(caught.value) is error and str(caught.value) == message
+
     def test_order_must_be_below_length(self):
         seg = lpc_core.Segment(np.arange(8.0), FS)
         with pytest.raises(InvalidOrderError):
