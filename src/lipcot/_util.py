@@ -62,6 +62,20 @@ class FieldEquality:
         return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
 
+def built(cls, **fields):
+    """A ``cls`` holding ``fields`` as given, every field named, ``__post_init__`` not run.
+
+    For a value the library has just made from checked ones: each field must
+    already be what the constructor's checks would store (an ``int`` order,
+    a ``float`` rate, a float64 vector), so the object equals, and shows as,
+    the one the constructor builds. The caller keeps any check its
+    arithmetic can still fail.
+    """
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
+
+
 @contextlib.contextmanager
 def atomic_file(path):
     """A text file that replaces ``path`` only if the ``with`` block ends cleanly.

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import FieldEquality, read_json, shown, whole, write_text_atomic
+from ._util import FieldEquality, built, read_json, shown, whole, write_text_atomic
 from .errors import (
     DimensionMismatchError,
     InvalidArgumentError,
@@ -659,11 +659,12 @@ def decode_token(codebook: Codebook, token: int, sample_rate: float) -> LpcModel
     _, coeffs, noise_power, refusals, filters = table
     if refusals[token] is not None:
         raise NonRealizableError(refusals[token])
-    model = LpcModel(
-        codebook.order, coeffs[token].copy(), noise_power.item(token), codebook.lam, sample_rate
+    # the row is finite (model_matrix refused the others), at the book's checked order and lam
+    return built(
+        LpcModel, order=codebook.order, coeffs=coeffs[token].copy(),
+        noise_power=noise_power.item(token), lam=codebook.lam, sample_rate=sample_rate,
+        held_filter=filters[token],
     )
-    object.__setattr__(model, "held_filter", filters[token])
-    return model
 
 
 def token_word(token: int) -> str:

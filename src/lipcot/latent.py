@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lpc_core
-from ._util import FieldEquality, shown, whole
+from ._util import FieldEquality, built, shown, whole
 from .errors import (
     DimensionMismatchError,
     InsufficientCoefficientsError,
@@ -72,7 +72,13 @@ class LatentMethod:
 
 @dataclass(frozen=True, eq=False)
 class LatentVector(FieldEquality):
-    """A point in one of the feature spaces."""
+    """A point in one of the feature spaces.
+
+    The constructor checks its values. ``features`` builds its vector
+    without it (``_util.built``) and keeps only the finiteness check, with
+    its error: the map's row is a float64 vector, and only its arithmetic
+    can overflow.
+    """
 
     method: LatentMethod
     values: np.ndarray
@@ -217,7 +223,7 @@ def features(model: lpc_core.LpcModel, method: LatentMethod) -> LatentVector:
     first) and followed by log sigma^2.
     """
     values = feature_matrix(model.coeffs[None], [model.noise_power], method, model.sample_rate)
-    return LatentVector(method, values[0])
+    return built(LatentVector, method=method, values=lpc_core._finite(values[0], "latent values"))
 
 
 def lpc_to_cepstrum(coeffs, noise_power: float, count: int) -> np.ndarray:

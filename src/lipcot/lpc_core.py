@@ -16,7 +16,7 @@ import numpy as np
 import scipy.signal
 from numpy.polynomial import polynomial as npoly
 
-from ._util import FieldEquality, shown, whole
+from ._util import FieldEquality, built, shown, whole
 from .errors import (
     DegenerateInputError,
     FrequencyOutOfRangeError,
@@ -77,18 +77,36 @@ def _check_band(freqs: np.ndarray, sample_rate: float) -> None:
         raise FrequencyOutOfRangeError(f"|f| must not exceed {nyquist} Hz")
 
 
-def _as_float_vector(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise InvalidArgumentError(f"{name} must be one-dimensional")
-    if not np.all(np.isfinite(arr)):
+def _finite(arr: np.ndarray, name: str) -> np.ndarray:
+    if not np.isfinite(arr).all():
         raise InvalidArgumentError(f"{name} must be finite")
     return arr
 
 
+def _as_float_vector(values, name: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1:
+        raise InvalidArgumentError(f"{name} must be one-dimensional")
+    return _finite(arr, name)
+
+
+def _check_noise_power(value) -> float:
+    if not (_real(value) and 0.0 <= value <= sys.float_info.max):
+        raise InvalidArgumentError(
+            f"noise_power must be a finite non-negative number, got {shown(value)}"
+        )
+    return float(value)
+
+
 @dataclass(frozen=True, eq=False)
 class Segment(FieldEquality):
-    """A finite window of real-valued samples at a fixed sampling rate."""
+    """A finite window of real-valued samples at a fixed sampling rate.
+
+    The constructor checks every field. ``synthesize`` builds its
+    realization without it (``_util.built``) and keeps only the finiteness
+    check, with its error, since filtering can overflow: the samples are a
+    float64 vector of at least two, at the model's checked rate.
+    """
 
     samples: np.ndarray
     sample_rate: float
@@ -117,6 +135,14 @@ class LpcModel(FieldEquality):
     table) for the coefficients whose bytes it names, as read-only arrays,
     or ``(coeff_bytes, None, message)`` for coefficients whose poles lie
     past the unit circle, with the ``UnstableModelError`` message.
+
+    The constructor checks every field. Two library paths build a model
+    from values they have just made, without it (``_util.built``):
+    ``decode_token`` from its decode-table row, whose coefficients and
+    power ``model_matrix`` found finite, at the book's order and lam and a
+    rate it has checked, keeping no check; and ``fit_burg_warped``, keeping
+    the two checks an overflowing fit can fail, finite coefficients and then
+    a finite noise power, with the constructor's errors and messages.
     """
 
     order: int
@@ -131,13 +157,10 @@ class LpcModel(FieldEquality):
         coeffs = _as_float_vector(self.coeffs, "coeffs")
         if coeffs.size != order:
             raise InvalidArgumentError(f"expected {order} coefficients, got {coeffs.size}")
-        if not (_real(self.noise_power) and 0.0 <= self.noise_power <= sys.float_info.max):
-            raise InvalidArgumentError(
-                f"noise_power must be a finite non-negative number, got {shown(self.noise_power)}"
-            )
+        noise_power = _check_noise_power(self.noise_power)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "noise_power", float(self.noise_power))
+        object.__setattr__(self, "noise_power", noise_power)
         object.__setattr__(self, "lam", check_lam(self.lam))
         object.__setattr__(self, "sample_rate", check_rate(self.sample_rate))
         object.__setattr__(self, "held_filter", None)
@@ -310,11 +333,18 @@ def fit_burg_warped(segment: Segment, order: int, lam: float) -> LpcModel:
     Every reflection coefficient satisfies |k| <= 1, so the predictor has all
     poles inside the closed unit disk and the per-stage error power never
     increases. A degenerate segment (see ``fit_windows``) raises ``DegenerateInputError``.
+    A fit past float64's range is refused as ``LpcModel`` refuses it.
     """
     coeffs, noise_power, ok = fit_windows(segment.samples, order, lam)
     if not ok:
         raise DegenerateInputError("constant segment, or one predicted without error")
-    return LpcModel(order, coeffs, noise_power, lam, segment.sample_rate)
+    # fit_windows has checked the order and lam (these are the values its
+    # checks return) and the segment its rate; only the arithmetic can overflow
+    return built(
+        LpcModel, order=int(order), coeffs=_finite(coeffs, "coeffs"),
+        noise_power=_check_noise_power(noise_power), lam=float(lam),
+        sample_rate=segment.sample_rate, held_filter=None,
+    )
 
 
 def _eigvals(companion: np.ndarray) -> np.ndarray:
@@ -594,6 +624,8 @@ def synthesize(model: LpcModel, n_samples: int, seed: int) -> Segment:
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, math.sqrt(model.noise_power), n_samples + warmup)
     lam = model.lam
-    excitation = scipy.signal.lfilter([math.sqrt(1.0 - lam * lam)], [1.0, -lam], noise)
+    shaping = np.array([math.sqrt(1.0 - lam * lam)]), np.array([1.0, -lam])
+    excitation = scipy.signal.lfilter(*shaping, noise)
     out = scipy.signal.lfilter(numerator, denominator, excitation)[warmup:]
-    return Segment(out, model.sample_rate)
+    # n_samples float64 samples at a checked rate; only the filtering can overflow
+    return built(Segment, samples=_finite(out, "samples"), sample_rate=model.sample_rate)

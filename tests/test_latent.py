@@ -135,8 +135,9 @@ class TestBatchMatchesOneRow:
         coeffs, powers, method = case
         matrix = latent.feature_matrix(coeffs, powers, method, FS)
         for row, power, values in zip(coeffs, powers, matrix):
-            one = latent.features(model_from(row, power), method).values
-            assert one.tobytes() == values.tobytes()
+            one = latent.features(model_from(row, power), method)
+            assert one == latent.LatentVector(method, one.values)
+            assert one.values.tobytes() == values.tobytes()
         if method.tag == latent.TAG_CEPSTRUM:
             count = method.n_cepstra
             raw = latent._cepstrum_rows(coeffs, latent._log_powers(powers), count)
@@ -293,6 +294,8 @@ class TestLatentToModel:
             else:
                 method = latent.LatentMethod.dsc()
             vec = latent.features(model, method)
+            checked = latent.LatentVector(method, vec.values)
+            assert vec == checked and repr(vec) == repr(checked)
             back = latent.latent_to_model(vec, order, model.lam, model.sample_rate)
             np.testing.assert_allclose(back.coeffs, model.coeffs, atol=1e-6)
             assert math.log(back.noise_power) == pytest.approx(
@@ -434,11 +437,15 @@ LPC = latent.LatentMethod.lpc_coeff()
         (lambda: latent.cepstrum_to_lpc([[0.0, 0.5]], 1), InvalidArgumentError),
         (lambda: latent.lpc_to_cepstrum([0.5], 1.0, -1), InvalidArgumentError),
         (lambda: latent.lpc_to_cepstrum([0.5], 1.0, 2.5), InvalidArgumentError),
+        (
+            lambda: latent.features(model_from([1e200, 1e200]), latent.LatentMethod.cepstrum(8)),
+            InvalidArgumentError,
+        ),
     ],
     ids=[
         "model-matrix-1d", "feature-matrix-1d", "feature-matrix-powers", "cepstrum-power-overflow",
         "cepstrum-coeffs-overflow", "cepstrum-2d", "cepstrum-count-negative",
-        "cepstrum-count-fraction",
+        "cepstrum-count-fraction", "features-cepstrum-overflow",
     ],
 )
 def test_a_bad_latent_input_is_one_lipcot_error(call, refusal):

@@ -187,6 +187,18 @@ class TestFitBurgWarped:
                 lpc_core.fit_burg_warped(segment, 16, 0.2)
         assert type(caught.value) is error and str(caught.value) == message
 
+    @pytest.mark.parametrize(
+        "order, lam", [(16, 0.2), (np.int64(16), np.float64(0.2))], ids=["python", "numpy"]
+    )
+    def test_a_fitted_model_is_the_checked_one(self, order, lam):
+        # fit_burg_warped builds its model without re-running the constructor's checks
+        samples = np.random.default_rng(3).standard_normal(100)
+        model = lpc_core.fit_burg_warped(lpc_core.Segment(samples, FS), order, lam)
+        coeffs, noise_power, _ = lpc_core.fit_windows(samples, order, lam)
+        checked = lpc_core.LpcModel(order, coeffs, noise_power, lam, FS)
+        assert model == checked and repr(model) == repr(checked)
+        assert [type(model.order), type(model.noise_power), type(model.lam)] == [int, float, float]
+
     def test_order_must_be_below_length(self):
         seg = lpc_core.Segment(np.arange(8.0), FS)
         with pytest.raises(InvalidOrderError):
@@ -645,6 +657,19 @@ class TestSynthesize:
         b = lpc_core.synthesize(model, 1000, seed=9)
         np.testing.assert_array_equal(a.samples, b.samples)
         assert len(a) == 1000
+        checked = lpc_core.Segment(a.samples, a.sample_rate)
+        assert a == checked and repr(a) == repr(checked)
+
+    def test_an_overflowing_realization_is_refused(self):
+        # a stable warped model of order 24 at lam 0.9 expands into a
+        # conventional filter whose direct form diverges in float64
+        angles = np.linspace(0.2, 2.9, 12)
+        pole_set = np.concatenate([0.9 * np.exp(1j * angles), 0.9 * np.exp(-1j * angles)])
+        model = lpc_core.LpcModel(24, lpc_core.poles_to_coeffs(pole_set).real, 1.0, 0.9, FS)
+        with pytest.raises(InvalidArgumentError) as caught:
+            lpc_core.synthesize(model, 5000, seed=0)
+        assert type(caught.value) is InvalidArgumentError
+        assert str(caught.value) == "samples must be finite"
 
     def test_refit_recovers_source_model(self):
         model = lpc_core.LpcModel(2, list(AR2_COEFFS), 1.0, 0.0, FS)
