@@ -83,19 +83,25 @@ def atomic_file(path):
     The temporary file is made beside ``path``, so the final ``os.replace``
     stays on one file system, and with mode 0o666 less the umask, as ``open``
     makes files. On any exception it is removed and ``path`` is left as it was.
+    An ``OSError`` naming the temporary file is raised again naming ``path``,
+    with its errno and message, so the error reads the same on every run.
     """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{secrets.token_hex(8)}")
     try:
-        with os.fdopen(fd, "w") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def write_text_atomic(path, text: str) -> None:

@@ -1011,16 +1011,24 @@ class TestBadInputs:
 
     def test_out_that_is_a_directory_leaves_no_temporary_file(self, workspace, capsys):
         tmp_path, _, book_path = workspace
-        out = tmp_path / "taken"
-        out.mkdir()
-        status = cli.main([
-            "synth", "--codebook", str(book_path), "--token", "0", "--seconds", "2",
-            "--sample-rate", "500", "--out", str(out),
-        ])
-        assert status == 1
-        assert_one_error_line(capsys)
-        assert list(tmp_path.glob(".tmp-*")) == []
-        assert out.is_dir() and list(out.iterdir()) == []
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        # a directory, then a path whose parent directory is missing
+        for out in (taken, tmp_path / "nodir" / "t.csv"):
+            errors = []
+            for _ in range(2):
+                status = cli.main([
+                    "synth", "--codebook", str(book_path), "--token", "0", "--seconds", "2",
+                    "--sample-rate", "500", "--out", str(out),
+                ])
+                assert status == 1
+                errors.append(assert_one_error_line(capsys))
+            # the line names the --out path, not the random temporary file
+            assert str(out) in errors[0] and ".tmp-" not in errors[0]
+            assert errors[1] == errors[0]
+            assert list(tmp_path.glob(".tmp-*")) == []
+        assert taken.is_dir() and list(taken.iterdir()) == []
+        assert not (tmp_path / "nodir").exists()
 
     @pytest.mark.parametrize("method", ["lpc", "cepstrum"])
     @pytest.mark.parametrize("order", ["0", "-2"])
