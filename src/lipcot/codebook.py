@@ -157,8 +157,9 @@ def _rounding_bound(x_sq, c_sq, d: int) -> np.ndarray:
 def _ranked(scaled_rows, centroids, c_sq):
     """Each row's best column of ``G = scaled_rows @ centroids.T + c_sq``, that G and the runner-up.
 
-    ``scaled_rows`` is ``-2 x``. The runner-up is the least of the other
-    columns' G: with the best entry set to +inf, the row minimum.
+    ``scaled_rows`` is ``-2 x``; the runner-up, the least of the other columns'
+    G, is the row minimum with the best entry set to +inf. ``_full_rows``
+    ranks every column, Lloyd's merge (``_LloydShortlist``) the moved ones.
     """
     g = scaled_rows @ centroids.T
     g += c_sq
@@ -183,6 +184,36 @@ def _certified(best_g, runner_up, two_b):
 def _direct(points, centroids):
     """Labels by direct differences over every centroid, ties to the lowest id."""
     return np.argmin(((points[:, None, :] - centroids) ** 2).sum(axis=2), axis=1)
+
+
+def _full_rows(points, centroids, c_sq=None, two_b=None):
+    """``nearest_centroids``' full row pass, k > 1: ``(labels, best, best_g, runner_up)``.
+
+    Rows are scaled and ranked (``_ranked``) in blocks of at most
+    ``_ASSIGN_CHUNK``; the rows ``_certified`` leaves uncertain in any block
+    are decided by ``_direct``, in such blocks too. ``labels`` is ``best``
+    when no row is uncertain; ``c_sq`` and ``two_b`` are computed if not given.
+    """
+    n, d = points.shape
+    ranked = []
+    # only the shortlist is silenced: refined rows warn as direct differences do
+    with np.errstate(over="ignore", invalid="ignore"):
+        if c_sq is None:
+            c_sq = np.vecdot(centroids, centroids)
+        if two_b is None:
+            two_b = _rounding_bound(np.vecdot(points, points), c_sq, d)
+        for start in range(0, max(n, 1), _ASSIGN_CHUNK):  # no rows is one empty block
+            ranked.append(_ranked(-2.0 * points[start : start + _ASSIGN_CHUNK], centroids, c_sq))
+        # one block keeps _ranked's own arrays
+        best, best_g, runner_up = map(np.concatenate, zip(*ranked)) if ranked[1:] else ranked[0]
+        certified = _certified(best_g, runner_up, two_b)
+    if np.count_nonzero(certified) == n:
+        return best, best, best_g, runner_up
+    labels, uncertain = best.copy(), np.flatnonzero(~certified)
+    for start in range(0, uncertain.size, _ASSIGN_CHUNK):
+        rows = uncertain[start : start + _ASSIGN_CHUNK]
+        labels[rows] = _direct(points[rows], centroids)
+    return labels, best, best_g, runner_up
 
 
 def nearest_centroids(points: np.ndarray, centroids: np.ndarray, c_sq=None):
@@ -228,32 +259,12 @@ def nearest_centroids(points: np.ndarray, centroids: np.ndarray, c_sq=None):
     from the subnormal range, so that product has the bits of
     ``-2 (x @ c.T)``, and it costs d products per row, not k.
 
-    The bound (``_rounding_bound``), the ranking of a block of G
-    (``_ranked``), the certification rule (``_certified``) and the direct
-    differences (``_direct``) are shared with ``kmeans_fit``'s Lloyd
-    assignments (``_LloydShortlist``), which hold G across iterations.
+    This is one call of the full row pass, ``_full_rows``, which Lloyd's
+    assignments (``_LloydShortlist``) share.
     """
-    n, d = points.shape
-    k = centroids.shape[0]
-    if k == 1:
-        return np.zeros(n, dtype=np.intp)
-    labels = np.empty(n, dtype=np.intp)
-    ambiguous = []
-    # only the shortlist is silenced: refined rows warn as direct differences do
-    with np.errstate(over="ignore", invalid="ignore"):
-        if c_sq is None:
-            c_sq = np.vecdot(centroids, centroids)
-        two_b = _rounding_bound(np.vecdot(points, points), c_sq, d)
-        for start in range(0, n, _ASSIGN_CHUNK):
-            rows = slice(start, start + _ASSIGN_CHUNK)
-            best, best_g, runner_up = _ranked(-2.0 * points[rows], centroids, c_sq)
-            labels[rows] = best
-            certified = _certified(best_g, runner_up, two_b[rows])
-            if np.count_nonzero(certified) != certified.size:
-                ambiguous.append(start + np.flatnonzero(~certified))
-    for rows in ambiguous:
-        labels[rows] = _direct(points[rows], centroids)
-    return labels
+    if centroids.shape[0] == 1:
+        return np.zeros(points.shape[0], dtype=np.intp)
+    return _full_rows(points, centroids, c_sq)[0]
 
 
 def _kmeans_pp_init(
@@ -370,50 +381,39 @@ class _LloydShortlist:
     them less ``||x||^2`` (``nearest_centroids``), whatever GEMM computed
     it. So what a row holds stays valid for the columns that did not move.
 
-    ``assign`` computes G only for the moved columns, in blocks of at most
-    ``_ASSIGN_CHUNK`` x k values. A row's candidates are those columns and
-    its held best, unless that moved: the new best is their least G, and
-    the new bound the lesser of the old bound and the candidates'
-    runner-up. A row that ``_certified`` passes, with B from the current
-    ``max ||c||^2``, keeps its best; the others get a full row of G under
-    the same rule, and direct differences decide those still uncertain. The
-    labels are thus those of ``nearest_centroids``, bit for bit. When every
-    centroid moved, as on the first call, the candidates were every column
-    and an uncertain row goes straight to direct differences; when none
-    moved, the held labels are returned.
+    The first call, and any call after every centroid moved, is the full row
+    pass (``_full_rows``) over every row; a call after none moved returns the
+    held labels. Otherwise G is computed only for the moved columns, in
+    blocks of at most ``_ASSIGN_CHUNK`` x k values. A row's candidates are
+    those columns and its held best, unless that moved: the new best is their
+    least G, and the new bound the lesser of the old bound and the
+    candidates' runner-up. A row that ``_certified`` passes, with B from the
+    current ``max ||c||^2``, keeps its best; the full row pass decides the
+    others, so the labels are those of ``nearest_centroids``, bit for bit.
     """
 
     def __init__(self, points, x_sq, scaled):
-        n = points.shape[0]
         self.points, self.x_sq, self.scaled = points, x_sq, scaled
         self.held = None
-        self.best = np.zeros(n, dtype=np.intp)
-        self.best_g = np.full(n, np.inf)
-        self.bound = np.full(n, np.inf)
-        self.labels = np.zeros(n, dtype=np.intp)
 
     def assign(self, centroids: np.ndarray) -> np.ndarray:
         """Each point's nearest centroid, as a fresh array of labels."""
         (n, d), k = self.points.shape, centroids.shape[0]
         if k == 1:
             return np.zeros(n, dtype=np.intp)
-        if self.held is None:
-            moved = np.ones(k, dtype=bool)
-        else:
-            moved = (centroids != self.held).any(axis=1)
+        moved = np.full(k, True) if self.held is None else (centroids != self.held).any(axis=1)
         columns = np.flatnonzero(moved)
         if not columns.size:
             return self.labels.copy()
         self.held = centroids.copy()
-        every = columns.size == k
-        if every:  # no column lies outside the candidates
-            self.bound.fill(np.inf)
-        certified = np.empty(n, dtype=bool)
+        if columns.size == k:
+            self.labels, self.best, self.best_g, self.bound = _full_rows(self.points, centroids)
+            return self.labels.copy()
         # only the shortlist is silenced: refined rows warn as direct differences do
         with np.errstate(over="ignore", invalid="ignore"):
             c_sq = np.vecdot(centroids, centroids)
             two_b = _rounding_bound(self.x_sq, c_sq, d)
-            moved_c, moved_sq = (centroids, c_sq) if every else (centroids[columns], c_sq[columns])
+            moved_c, moved_sq = centroids[columns], c_sq[columns]
             step = _ASSIGN_CHUNK * k // columns.size
             for start in range(0, n, step):
                 rows = slice(start, start + step)
@@ -426,19 +426,11 @@ class _LloydShortlist:
                 self.best_g[rows] = np.minimum(held_g, g_min)
                 runner_up = np.minimum(np.maximum(held_g, g_min), g_second)
                 np.minimum(self.bound[rows], runner_up, out=self.bound[rows])
-                certified[rows] = _certified(self.best_g[rows], self.bound[rows], two_b[rows])
-            uncertain = np.flatnonzero(~certified)
-            if not every:  # a full row of G for each uncertain row
-                for start in range(0, uncertain.size, _ASSIGN_CHUNK):
-                    rows = uncertain[start : start + _ASSIGN_CHUNK]
-                    best, best_g, runner_up = _ranked(self.scaled[rows], centroids, c_sq)
-                    self.best[rows], self.best_g[rows], self.bound[rows] = best, best_g, runner_up
-                    certified[rows] = _certified(best_g, runner_up, two_b[rows])
-                uncertain = uncertain[~certified[uncertain]]
-        self.labels[:] = self.best
-        for start in range(0, uncertain.size, _ASSIGN_CHUNK):
-            rows = uncertain[start : start + _ASSIGN_CHUNK]
-            self.labels[rows] = _direct(self.points[rows], centroids)
+            uncertain = np.flatnonzero(~_certified(self.best_g, self.bound, two_b))
+        rescan = _full_rows(self.points[uncertain], centroids, c_sq, two_b[uncertain])
+        self.labels = self.best.copy()
+        for held, fresh in zip((self.labels, self.best, self.best_g, self.bound), rescan):
+            held[uncertain] = fresh
         return self.labels.copy()
 
 

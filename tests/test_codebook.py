@@ -283,7 +283,7 @@ class TestNearestCentroids:
         assert labels.tolist() == [0, 0, 0, 0]
         assert not caught
 
-    def test_chunked_matches_unchunked_expression(self):
+    def test_chunked_matches_unchunked_expression(self, monkeypatch):
         rng = np.random.default_rng(8)
         points = rng.integers(-3, 4, size=(2 * cb._ASSIGN_CHUNK + 37, 5)).astype(float)
         centroids = rng.integers(-3, 4, size=(20, 5)) / 2.0
@@ -292,6 +292,22 @@ class TestNearestCentroids:
         labels = cb.nearest_centroids(points, centroids)
         np.testing.assert_array_equal(labels, np.argmin(full, axis=1))
         assert not np.any(labels == 11)
+        # every centroid twice: every row ties, so the rows of all three
+        # shortlist blocks are decided by direct differences, regrouped into
+        # blocks of at most _ASSIGN_CHUNK rows
+        doubled = np.concatenate([centroids, centroids])
+        full = ((points[:, None, :] - doubled[None, :, :]) ** 2).sum(axis=2)
+        direct, sizes = cb._direct, []
+
+        def counted(rows, centroids):
+            sizes.append(len(rows))
+            return direct(rows, centroids)
+
+        monkeypatch.setattr(cb, "_direct", counted)
+        labels = cb.nearest_centroids(points, doubled)
+        np.testing.assert_array_equal(labels, np.argmin(full, axis=1))
+        assert sizes == [cb._ASSIGN_CHUNK, cb._ASSIGN_CHUNK, 37]
+        assert not np.any(labels >= len(centroids))
 
 
 # 400 points on a 5 x 5 lattice: exact distance ties at every step
