@@ -13,10 +13,16 @@ same data:
     diff parent.txt change.txt
 
 ``--write FILE`` writes the lines to FILE instead, after a line naming the
-numpy, scipy and BLAS builds they came from. ``tests/digests-101.txt`` is
-such a file, and ``tests/test_digests.py`` recomputes it:
+numpy, scipy and BLAS builds they came from and the OpenBLAS core they ran
+on. ``tests/digests-101.txt`` is such a file, and ``tests/test_digests.py``
+recomputes it:
 
     python3 tools/digests.py src --seeds 101 --write tests/digests-101.txt
+
+The tool always runs under one named OpenBLAS core, ``CORE``. OpenBLAS
+picks its core from the CPU when it loads, and its sums round otherwise on
+another core, so the tool restarts itself with ``OPENBLAS_CORETYPE`` set
+unless the variable already names that core.
 
 Each line reads ``workload seed key digest``. Per workload and seed it covers
 every trained codebook (``book.json`` bytes, and as ``bookN.reload`` the bytes
@@ -58,10 +64,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -69,6 +78,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+# every x86-64 CPU that this numpy runs on can take it: numpy's own baseline
+# is X86_V2, the instruction level of this core
+CORE = "Nehalem"
 
 
 def _sha(data: bytes) -> str:
@@ -368,13 +380,28 @@ def dsc_stream(spec: dict, work: Path) -> dict:
 WORKLOADS = {"cli-eeg": cli_eeg, "scale-k256": scale_k256, "dsc-stream": dsc_stream}
 
 
+def _blas_core() -> str:
+    """The core numpy's OpenBLAS runs on, as that library names it, or ``unknown``."""
+    for path in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
+            corename = getattr(ctypes.CDLL(str(path)), name, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
+
+
 def environment() -> str:
-    """The numpy, scipy and BLAS builds that compute the digests; ``poles`` depend on LAPACK."""
+    """The numpy, scipy and BLAS builds, and the BLAS core, that compute the digests.
+
+    ``poles`` depend on LAPACK, and the Burg fit's dot products on the
+    summation order of the core's ``ddot``.
+    """
     import scipy
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     blas = f"{blas['name']} {blas['version']}"
-    return f"numpy {np.__version__}, scipy {scipy.__version__}, blas {blas}"
+    return f"numpy {np.__version__}, scipy {scipy.__version__}, blas {blas}, core {_blas_core()}"
 
 
 def digest_lines(seeds, workloads):
@@ -398,6 +425,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", choices=list(WORKLOADS), default=list(WORKLOADS))
     parser.add_argument("--write", metavar="FILE", help="write the lines, after their environment")
     args = parser.parse_args(argv)
+    if os.environ.get("OPENBLAS_CORETYPE") != CORE:
+        argv = sys.argv[1:] if argv is None else argv
+        env = {**os.environ, "OPENBLAS_CORETYPE": CORE}
+        return subprocess.run([sys.executable, __file__, *argv], env=env).returncode
 
     src = Path(args.src_dir).resolve()
     sys.path.insert(0, str(src))
