@@ -27,6 +27,7 @@ from .latent import LatentCorpus, LatentMethod, LatentVector, model_matrix
 from .lpc_core import (
     LpcModel,
     _as_float_vector,
+    _synthesis_numerator,
     certified_rows,
     check_lam,
     check_order,
@@ -599,18 +600,23 @@ def decode_book(codebook: Codebook, sample_rate: float):
 def _held_filters(codebook: Codebook, sample_rate: float, coeffs, noise_power, refusals) -> list:
     """Each token's ``LpcModel.held_filter``, or None for a refused token.
 
-    Certified rows (``certified_rows``) are expanded together by
-    ``conventional_rows``, over one shared numerator. A decodable row that
-    fails the certificate goes through the one-row ``synthesis_filter``
-    (poles, then the clamp). One whose poles lie past the unit circle holds
-    the ``UnstableModelError`` message instead of a filter, so
-    ``synthesize`` raises the same error without finding the poles again.
+    Every held filter shares one read-only numerator, the synthesis
+    numerator sqrt(1 - lam^2) (1 - lam*z^-1)^(L-1) that ``synthesis_filter``
+    gives every model of the book's order and lam (the shaping pole of
+    ``synthesize`` cancels one zero of the conventional numerator).
+    Certified rows (``certified_rows``) have their denominators expanded
+    together by ``conventional_rows``. A decodable row that fails the
+    certificate goes through the one-row ``synthesis_filter`` (poles, then
+    the clamp). One whose poles lie past the unit circle holds the
+    ``UnstableModelError`` message instead of a filter, so ``synthesize``
+    raises the same error without finding the poles again.
     """
     filters = [None] * codebook.k
     rows = np.flatnonzero([refusal is None for refusal in refusals])
     certified = certified_rows(coeffs[rows])
-    numerator, denominators = conventional_rows(coeffs[rows[certified]], codebook.lam)
+    numerator = _synthesis_numerator(codebook.order, codebook.lam)
     numerator.flags.writeable = False
+    _, denominators = conventional_rows(coeffs[rows[certified]], codebook.lam)
     for token, denominator in zip(rows[certified].tolist(), denominators):
         denominator.flags.writeable = False
         filters[token] = (coeffs[token].tobytes(), numerator, denominator)
@@ -619,13 +625,13 @@ def _held_filters(codebook: Codebook, sample_rate: float, coeffs, noise_power, r
             codebook.order, coeffs[token], noise_power.item(token), codebook.lam, sample_rate
         )
         try:
-            pair = synthesis_filter(model)
+            _, denominator = synthesis_filter(model)
         except UnstableModelError as exc:
             filters[token] = (coeffs[token].tobytes(), None, str(exc))
             continue
         except LipcotError:
             continue
-        filters[token] = (coeffs[token].tobytes(), *map(_frozen, pair))
+        filters[token] = (coeffs[token].tobytes(), numerator, _frozen(denominator))
     return filters
 
 

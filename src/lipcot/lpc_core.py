@@ -134,7 +134,10 @@ class LpcModel(FieldEquality):
     worked out in advance (``decode_token`` sets it from the book's decode
     table) for the coefficients whose bytes it names, as read-only arrays,
     or ``(coeff_bytes, None, message)`` for coefficients whose poles lie
-    past the unit circle, with the ``UnstableModelError`` message.
+    past the unit circle, with the ``UnstableModelError`` message. The
+    numerator is the one synthesis numerator that every held filter of the
+    book shares: sqrt(1 - lam^2) (1 - lam*z^-1)^(L-1), the shaping pole of
+    ``synthesize`` cancelled against a zero of the conventional numerator.
 
     The constructor checks every field. Two library paths build a model
     from values they have just made, without it (``_util.built``):
@@ -572,8 +575,30 @@ def conventional_rows(coeffs, lam: float):
     return _trim_trailing_zeros(np.array(numerator)), trimmed
 
 
+def _synthesis_numerator(order: int, lam: float) -> np.ndarray:
+    """sqrt(1 - lam^2) (1 - lam*z^-1)^(order - 1), the numerator ``synthesize`` runs.
+
+    The Horner steps of ``to_conventional_tf``'s numerator, order - 1 of
+    them, over Python floats; each coefficient is then multiplied by the
+    gain and exact trailing zeros are trimmed, so lam = 0 gives ``[1.0]``.
+    """
+    neg_lam = -lam
+    numerator = [1.0] + [0.0] * (order - 1)
+    for s in range(1, order):
+        for j in range(s, 0, -1):
+            numerator[j] = numerator[j - 1] * neg_lam + numerator[j]
+    return _trim_trailing_zeros(np.array(numerator) * math.sqrt(1.0 - lam * lam))
+
+
 def synthesis_filter(model: LpcModel):
     """The ``(numerator, denominator)`` that ``synthesize`` filters noise through.
+
+    White noise is shaped by sqrt(1 - lam^2) / (1 - lam*z^-1) and driven
+    through the model's conventional form (1 - lam*z^-1)^L / D(z). The
+    shaping pole cancels one of the L numerator zeros at z = lam, so the
+    cascade is the one filter sqrt(1 - lam^2) (1 - lam*z^-1)^(L-1) / D(z):
+    that numerator (``_synthesis_numerator``) over ``to_conventional_tf``'s
+    denominator D.
 
     A model's ``held_filter`` is returned, as its read-only arrays, or its
     held ``UnstableModelError`` raised, while the model's coefficients
@@ -599,20 +624,22 @@ def synthesis_filter(model: LpcModel):
             scale = np.minimum(radii, MAX_POLE_RADIUS) / np.where(radii == 0.0, 1.0, radii)
             coeffs = poles_to_coeffs(pole_values * scale).real
             model = LpcModel(model.order, coeffs, model.noise_power, model.lam, model.sample_rate)
-    return to_conventional_tf(model)
+    return _synthesis_numerator(model.order, model.lam), to_conventional_tf(model)[1]
 
 
 def synthesize(model: LpcModel, n_samples: int, seed: int) -> Segment:
     """Draw a seeded noise realization and filter it through the model.
 
-    Gaussian noise of variance ``noise_power`` is shaped by the one-pole
-    section sqrt(1 - lam^2) / (1 - lam*z^-1) and then driven through the
-    model's ``synthesis_filter``. The shaping stage is the exact identity at
-    lam = 0 and has unit power gain; it makes the excitation white in the
-    warped-delay domain where the predictor was fit, so refitting a
-    synthesized realization recovers the source model. The filters start at
-    rest and their first max(10 * order, 500) outputs are dropped; a sharp
-    token, poles near the unit circle, can still start short of stationarity.
+    Gaussian noise of variance ``noise_power`` goes through one filter, the
+    model's ``synthesis_filter``. It is the cascade of the shaping section
+    sqrt(1 - lam^2) / (1 - lam*z^-1) and the model's conventional form,
+    with the shaping pole cancelled against a numerator zero. The shaping
+    is the identity at lam = 0 and has unit power gain; it makes the
+    excitation white in the warped-delay domain where the predictor was
+    fit, so refitting a synthesized realization recovers the source model.
+    The filter starts at rest and its first max(10 * order, 500) outputs
+    are dropped; a sharp token, poles near the unit circle, can still start
+    short of stationarity.
     Deterministic for a fixed seed, a whole number of at least 0.
     """
     n_samples = whole(n_samples, "n_samples")
@@ -623,9 +650,6 @@ def synthesize(model: LpcModel, n_samples: int, seed: int) -> Segment:
     warmup = max(10 * model.order, 500)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, math.sqrt(model.noise_power), n_samples + warmup)
-    lam = model.lam
-    shaping = np.array([math.sqrt(1.0 - lam * lam)]), np.array([1.0, -lam])
-    excitation = scipy.signal.lfilter(*shaping, noise)
-    out = scipy.signal.lfilter(numerator, denominator, excitation)[warmup:]
+    out = scipy.signal.lfilter(numerator, denominator, noise)[warmup:]
     # n_samples float64 samples at a checked rate; only the filtering can overflow
     return built(Segment, samples=_finite(out, "samples"), sample_rate=model.sample_rate)

@@ -68,6 +68,20 @@ def reference_horner_tf(model):
     return trim(numerator), trim(denominator)
 
 
+def reference_two_stage_synthesis(model, n, seed):
+    """``synthesize`` as a cascade of two filters, for a model that needs no clamp.
+
+    Seeded noise is shaped by sqrt(1 - lam^2) / (1 - lam*z^-1), then driven
+    through ``to_conventional_tf``'s (1 - lam*z^-1)^L / D(z); the first
+    max(10 * order, 500) outputs are dropped. Returns the samples.
+    """
+    warmup = max(10 * model.order, 500)
+    noise = np.random.default_rng(seed).normal(0.0, math.sqrt(model.noise_power), n + warmup)
+    lam = model.lam
+    excitation = scipy.signal.lfilter([math.sqrt(1.0 - lam * lam)], [1.0, -lam], noise)
+    return scipy.signal.lfilter(*lpc_core.to_conventional_tf(model), excitation)[warmup:]
+
+
 def reference_cepstrum_to_lpc(ceps, order):
     """The cepstrum-to-LPC recursion over numpy scalars.
 

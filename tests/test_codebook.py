@@ -969,6 +969,19 @@ class TestHeldFilters:
         if book.method.tag != latent.TAG_DSC:
             assert UnstableModelError in kinds  # no filter held, so synthesize refuses
 
+    @pytest.mark.parametrize("method", METHODS, ids=["lpc", "cepstrum", "dsc"])
+    def test_every_held_filter_shares_the_synthesis_numerator(self, method):
+        book = _mixed_book(method)
+        cb.decode_token(book, 0, FS)  # builds the table
+        filters = [f for f in book.decode_table[4] if f is not None and f[1] is not None]
+        certified = lpc_core.certified_rows(np.array([np.frombuffer(f[0]) for f in filters]))
+        assert 0 < certified.sum() < len(filters)  # both paths hold a filter
+        numerator = filters[0][1]
+        assert not numerator.flags.writeable
+        assert all(f[1] is numerator for f in filters)
+        lone = lpc_core.LpcModel(book.order, np.zeros(book.order), 1.0, book.lam, FS)
+        assert numerator.tobytes() == lpc_core.synthesis_filter(lone)[0].tobytes()
+
     def test_a_model_written_in_place_synthesizes_as_a_fresh_one(self):
         book = _mixed_book(latent.LatentMethod.lpc_coeff())
         model = cb.decode_token(book, 0, FS)

@@ -17,6 +17,7 @@ from conftest import (
     random_stable_model,
     reference_burg_warped,
     reference_horner_tf,
+    reference_two_stage_synthesis,
 )
 from lipcot import lpc_core, testkit
 from lipcot.errors import (
@@ -624,15 +625,30 @@ class TestToConventionalTf:
 
 class TestSynthesisFilter:
     @pytest.mark.parametrize("lam", [0.0, 0.2, -0.5])
-    def test_certified_model_is_its_conventional_filter(self, monkeypatch, lam):
+    def test_certified_model_is_its_synthesis_filter(self, monkeypatch, lam):
         def no_poles(model):
             raise AssertionError("poles was called")
 
         model = lpc_core.LpcModel(2, list(AR2_COEFFS), 1.0, lam, FS)
-        expected = lpc_core.to_conventional_tf(model)
+        denominator = lpc_core.to_conventional_tf(model)[1]
+        # the shaping gain times (1 - lam*z^-1)^(L-1), expanded independently
+        numerator = np.ones(1)
+        for _ in range(model.order - 1):
+            numerator = np.convolve(numerator, [1.0, -lam])
+        numerator = lpc_core._trim_trailing_zeros(numerator * np.sqrt(1.0 - lam * lam))
         monkeypatch.setattr(lpc_core, "poles", no_poles)
-        for got, want in zip(lpc_core.synthesis_filter(model), expected):
-            assert got.tobytes() == want.tobytes()
+        got = lpc_core.synthesis_filter(model)
+        assert [part.tobytes() for part in got] == [numerator.tobytes(), denominator.tobytes()]
+
+    @pytest.mark.parametrize("lam", [0.0, 0.2, -0.3, 0.7])
+    def test_numerator_is_the_gain_times_the_convolve_expansion(self, lam):
+        for order in range(1, 25):
+            numerator = np.ones(1)
+            for _ in range(order - 1):
+                numerator = np.convolve(numerator, [1.0, -lam])
+            want = lpc_core._trim_trailing_zeros(numerator * np.sqrt(1.0 - lam * lam))
+            model = lpc_core.LpcModel(order, np.zeros(order), 1.0, lam, FS)
+            assert lpc_core.synthesis_filter(model)[0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("coeff", [-1.0, -(1.0 + 5e-10)], ids=["on-circle", "within-tol"])
     def test_root_on_the_unit_circle_gives_the_clamped_filter(self, coeff):
@@ -670,6 +686,25 @@ class TestSynthesize:
             lpc_core.synthesize(model, 5000, seed=0)
         assert type(caught.value) is InvalidArgumentError
         assert str(caught.value) == "samples must be finite"
+
+    def test_lambda_zero_keeps_the_two_stage_bytes(self):
+        # the shaping section is the identity at lam = 0
+        rng = np.random.default_rng(36)
+        for order in range(1, 25):
+            model = random_stable_model(rng, order)
+            got = lpc_core.synthesize(model, 300, seed=order).samples
+            assert got.tobytes() == reference_two_stage_synthesis(model, 300, order).tobytes()
+
+    @pytest.mark.parametrize("lam", [0.2, -0.3, 0.5])
+    def test_one_filter_is_the_two_stage_cascade(self, lam):
+        # the shaping pole cancels a numerator zero exactly, so the forms
+        # differ only by rounding on well-conditioned models
+        rng = np.random.default_rng(37)
+        for trial in range(40):
+            model = random_stable_model(rng, 1 + trial % 8, lam=lam, radius_range=(0.3, 0.9))
+            got = lpc_core.synthesize(model, 1000, seed=trial).samples
+            want = reference_two_stage_synthesis(model, 1000, trial)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * np.abs(want).max())
 
     def test_refit_recovers_source_model(self):
         model = lpc_core.LpcModel(2, list(AR2_COEFFS), 1.0, 0.0, FS)

@@ -37,8 +37,9 @@ refusal with its error type, and each realization's samples. The
 those windows, so a change to one window's features that moves no token
 still shows. Per codebook it
 also covers every token's decode: the model's coefficients and noise power,
-its poles, the numerator and denominator of ``synthesis_filter``, the filter
-``synthesize`` really uses (clamped where it clamps), and the samples of
+its poles, the numerator and denominator of ``synthesis_filter``, the one
+filter ``synthesize`` runs (the shaping pole cancelled against a numerator
+zero, and clamped where it clamps), and the samples of
 ``synthesize(model, 64, token)``, each part or its refusal with the error
 type. A decoded model holds its token's filter (``LpcModel.held_filter``),
 which the book's decode table works out for every token at once, so the
