@@ -615,7 +615,6 @@ def _held_filters(codebook: Codebook, sample_rate: float, coeffs, noise_power, r
     rows = np.flatnonzero([refusal is None for refusal in refusals])
     certified = certified_rows(coeffs[rows])
     numerator = _synthesis_numerator(codebook.order, codebook.lam)
-    numerator.flags.writeable = False
     _, denominators = conventional_rows(coeffs[rows[certified]], codebook.lam)
     for token, denominator in zip(rows[certified].tolist(), denominators):
         denominator.flags.writeable = False

@@ -7,6 +7,7 @@ realizations by filtering seeded white noise.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -575,19 +576,25 @@ def conventional_rows(coeffs, lam: float):
     return _trim_trailing_zeros(np.array(numerator)), trimmed
 
 
+@functools.lru_cache(maxsize=16)
 def _synthesis_numerator(order: int, lam: float) -> np.ndarray:
     """sqrt(1 - lam^2) (1 - lam*z^-1)^(order - 1), the numerator ``synthesize`` runs.
 
     The Horner steps of ``to_conventional_tf``'s numerator, order - 1 of
     them, over Python floats; each coefficient is then multiplied by the
     gain and exact trailing zeros are trimmed, so lam = 0 gives ``[1.0]``.
+    Held, read-only: it depends only on the order and lam, and its L^2 / 2
+    steps would cost a lone model's synthesis more than the filter pass
+    they save.
     """
     neg_lam = -lam
     numerator = [1.0] + [0.0] * (order - 1)
     for s in range(1, order):
         for j in range(s, 0, -1):
             numerator[j] = numerator[j - 1] * neg_lam + numerator[j]
-    return _trim_trailing_zeros(np.array(numerator) * math.sqrt(1.0 - lam * lam))
+    numerator = _trim_trailing_zeros(np.array(numerator) * math.sqrt(1.0 - lam * lam))
+    numerator.flags.writeable = False
+    return numerator
 
 
 def synthesis_filter(model: LpcModel):
@@ -597,8 +604,8 @@ def synthesis_filter(model: LpcModel):
     through the model's conventional form (1 - lam*z^-1)^L / D(z). The
     shaping pole cancels one of the L numerator zeros at z = lam, so the
     cascade is the one filter sqrt(1 - lam^2) (1 - lam*z^-1)^(L-1) / D(z):
-    that numerator (``_synthesis_numerator``) over ``to_conventional_tf``'s
-    denominator D.
+    that numerator (``_synthesis_numerator``, one read-only array per order
+    and lam) over ``to_conventional_tf``'s denominator D.
 
     A model's ``held_filter`` is returned, as its read-only arrays, or its
     held ``UnstableModelError`` raised, while the model's coefficients
