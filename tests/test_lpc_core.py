@@ -629,26 +629,18 @@ class TestSynthesisFilter:
         def no_poles(model):
             raise AssertionError("poles was called")
 
-        model = lpc_core.LpcModel(2, list(AR2_COEFFS), 1.0, lam, FS)
-        denominator = lpc_core.to_conventional_tf(model)[1]
-        # the shaping gain times (1 - lam*z^-1)^(L-1), expanded independently
-        numerator = np.ones(1)
-        for _ in range(model.order - 1):
-            numerator = np.convolve(numerator, [1.0, -lam])
-        numerator = lpc_core._trim_trailing_zeros(numerator * np.sqrt(1.0 - lam * lam))
         monkeypatch.setattr(lpc_core, "poles", no_poles)
-        got = lpc_core.synthesis_filter(model)
-        assert [part.tobytes() for part in got] == [numerator.tobytes(), denominator.tobytes()]
-
-    @pytest.mark.parametrize("lam", [0.0, 0.2, -0.3, 0.7])
-    def test_numerator_is_the_gain_times_the_convolve_expansion(self, lam):
-        for order in range(1, 25):
+        models = [lpc_core.LpcModel(2, list(AR2_COEFFS), 1.0, lam, FS)]
+        models += [lpc_core.LpcModel(order, np.zeros(order), 1.0, lam, FS) for order in range(1, 25)]
+        for model in models:
+            # the shaping gain times (1 - lam*z^-1)^(L-1), expanded independently
             numerator = np.ones(1)
-            for _ in range(order - 1):
+            for _ in range(model.order - 1):
                 numerator = np.convolve(numerator, [1.0, -lam])
-            want = lpc_core._trim_trailing_zeros(numerator * np.sqrt(1.0 - lam * lam))
-            model = lpc_core.LpcModel(order, np.zeros(order), 1.0, lam, FS)
-            assert lpc_core.synthesis_filter(model)[0].tobytes() == want.tobytes()
+            numerator = lpc_core._trim_trailing_zeros(numerator * np.sqrt(1.0 - lam * lam))
+            denominator = lpc_core.to_conventional_tf(model)[1]
+            got = lpc_core.synthesis_filter(model)
+            assert [part.tobytes() for part in got] == [numerator.tobytes(), denominator.tobytes()]
 
     @pytest.mark.parametrize("coeff", [-1.0, -(1.0 + 5e-10)], ids=["on-circle", "within-tol"])
     def test_root_on_the_unit_circle_gives_the_clamped_filter(self, coeff):
