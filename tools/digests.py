@@ -79,8 +79,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-# every x86-64 CPU that this numpy runs on can take it: numpy's own baseline
-# is X86_V2, the instruction level of this core
+# numpy's own baseline is X86_V2, the instruction level of this core, so every
+# x86-64 CPU that this numpy runs on should take it
 CORE = "Nehalem"
 
 
@@ -429,7 +429,8 @@ def main(argv=None) -> int:
     if os.environ.get("OPENBLAS_CORETYPE") != CORE:
         argv = sys.argv[1:] if argv is None else argv
         env = {**os.environ, "OPENBLAS_CORETYPE": CORE}
-        return subprocess.run([sys.executable, __file__, *argv], env=env).returncode
+        options = [f"-W{option}" for option in sys.warnoptions]
+        return subprocess.run([sys.executable, *options, __file__, *argv], env=env).returncode
 
     src = Path(args.src_dir).resolve()
     sys.path.insert(0, str(src))
